@@ -43,6 +43,7 @@ from .simulator import (
     NoiseModel,
     PureState,
     apply_circuit,
+    circuit_channel,
     error_budget,
     exact_evolve,
     mode_occupations,
@@ -81,8 +82,8 @@ __all__ = [
     "compile_zz_block", "conjugate_basis", "digitize_schedule",
     "plan_for_model",
     "DensityState", "NoiseModel", "PureState", "apply_circuit",
-    "error_budget", "exact_evolve", "mode_occupations", "prepare_input",
-    "state_fidelity",
+    "circuit_channel", "error_budget", "exact_evolve", "mode_occupations",
+    "prepare_input", "state_fidelity",
     "ProcessMatrix", "QPTDataset", "anticommutation_experiment",
     "compose_processes", "process_fidelity", "reconstruct_chi",
     "simulate_qpt_dataset",

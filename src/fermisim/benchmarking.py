@@ -9,11 +9,15 @@ inverse is found by hashing the adjoint.
 
 Benchmarking runs sequences of uniformly random Cliffords (optionally
 interleaving a fixed circuit after each one), appends the recovery
-Clifford inverting the whole sequence, and simulates with the density
-backend under the configured per-gate depolarizing noise.  Sequence
-fidelity is the ground-state return probability.  Decays are fitted to
-A p^m + B and interleaved gate errors extracted with the standard ratio
-formula r = (1 - p_int / p_ref)(d - 1)/d.
+Clifford inverting the whole sequence, and simulates under the
+configured per-gate depolarizing noise.  Each run builds the 16x16 noisy
+channel of every generator (and of the interleaved circuit) once; a
+sequence is then mat-vecs on vec(|00><00|) along each Clifford's
+generator word, and the unitary product only finds the recovery.  A
+table of all 11520 element channels (about 47 MB, built at set-up) is
+deliberately not kept.  Sequence fidelity is the ground-state return
+probability.  Decays are fitted to A p^m + B and interleaved gate
+errors extracted with the ratio formula r = (1 - p_int/p_ref)(d - 1)/d.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .circuits import Circuit, Gate, circuit_unitary
-from .simulator import NoiseModel, apply_circuit, basis_state
+from .simulator import DensityState, NoiseModel, circuit_channel
 
 SINGLE_QUBIT_ORDER = 24
 TWO_QUBIT_ORDER = 11520
@@ -148,22 +152,46 @@ def clifford_group(two_qubit: bool = True) -> CliffordGroup:
     return _GROUP_CACHE[n]
 
 
-def _sequence_return_probability(group, indices, interleaved, noise):
+def _rb_channels(group: CliffordGroup, interleaved: Circuit | None,
+                 noise: NoiseModel):
+    """Generator channels, and None or the interleaved (channel, unitary)."""
+    pair = None
+    if interleaved is not None:
+        if interleaved.qubit_count != group.qubit_count:
+            raise ValueError("interleaved circuit has wrong qubit count")
+        u = circuit_unitary(interleaved)
+        if not group.contains_unitary(u):
+            raise ValueError(
+                "interleaved circuit is not a Clifford; unitary:\n"
+                f"{np.round(u, 4)}"
+            )
+        pair = (circuit_channel(interleaved, noise), u)
+    generators = [circuit_channel(g, noise) for g in group.generators]
+    return generators, pair
+
+
+def _sequence_return_probability(group, indices, generators, interleaved):
+    """Ground-state return probability of one sequence plus recovery."""
     n = group.qubit_count
-    state = basis_state(n)
-    total = np.eye(2 ** n, dtype=complex)
-    acc_gates: list[Gate] = []
+    dim = 2 ** n
+    vec = np.zeros(dim * dim, dtype=complex)
+    vec[0] = 1.0
+    total = np.eye(dim, dtype=complex)
     for idx in indices:
-        acc_gates.extend(group.decomposition(idx).gates)
-        total = group.elements[idx].unitary @ total
+        element = group.elements[idx]
+        for gi in element.word:
+            vec = generators[gi] @ vec
+        total = element.unitary @ total
         if interleaved is not None:
-            acc_gates.extend(interleaved.gates)
-            total = circuit_unitary(interleaved) @ total
+            channel, u = interleaved
+            vec = channel @ vec
+            total = u @ total
     recovery = group.index_of(total.conj().T)
     if recovery is None:
         raise ClosureError("sequence product left the Clifford group")
-    acc_gates.extend(group.decomposition(recovery).gates)
-    out = apply_circuit(state, Circuit(n, tuple(acc_gates)), noise)
+    for gi in group.elements[recovery].word:
+        vec = generators[gi] @ vec
+    out = DensityState(vec.reshape(dim, dim), n)
     return float(out.probabilities()[0])
 
 
@@ -178,15 +206,7 @@ def rb_run(m_values, k_sequences: int, interleaved: Circuit | None,
     """
     if group is None:
         group = clifford_group(two_qubit=True)
-    if interleaved is not None:
-        if interleaved.qubit_count != group.qubit_count:
-            raise ValueError("interleaved circuit has wrong qubit count")
-        u = circuit_unitary(interleaved)
-        if not group.contains_unitary(u):
-            raise ValueError(
-                "interleaved circuit is not a Clifford; unitary:\n"
-                f"{np.round(u, 4)}"
-            )
+    generators, pair = _rb_channels(group, interleaved, noise)
     ms = sorted(int(m) for m in m_values)
     if any(m < 1 for m in ms):
         raise ValueError("sequence lengths must be >= 1")
@@ -200,7 +220,7 @@ def rb_run(m_values, k_sequences: int, interleaved: Circuit | None,
             )
             indices = rng.integers(order, size=m)
             vals.append(_sequence_return_probability(
-                group, indices, interleaved, noise))
+                group, indices, generators, pair))
         vals = np.array(vals)
         means.append(float(vals.mean()))
         errs.append(float(vals.std(ddof=1) / math.sqrt(len(vals)))

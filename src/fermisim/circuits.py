@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pauli import PAULI_MATRICES, CapacityError
+
 GATE_KINDS = (
     "RX", "RY", "RZ", "PI_X", "PI_Y", "VIRTUAL_Z", "IDLE", "DETUNE", "CZPHI",
 )
@@ -42,15 +44,6 @@ DURATION_CLASS = {
 
 UNITARY_TOL = 1e-10
 CIRCUIT_QUBIT_LIMIT = 12
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-class CapacityError(ValueError):
-    """Raised when a dense circuit unitary exceeds the qubit guard."""
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -88,9 +81,9 @@ def gate_unitary(g: Gate) -> np.ndarray:
     if g.kind == "RZ":
         return np.diag([np.exp(-1j * th / 2), np.exp(1j * th / 2)])
     if g.kind == "PI_X":
-        return -1j * _SX
+        return -1j * PAULI_MATRICES["X"]
     if g.kind == "PI_Y":
-        return -1j * _SY
+        return -1j * PAULI_MATRICES["Y"]
     if g.kind == "VIRTUAL_Z":
         return np.diag([1.0, np.exp(1j * th)])
     if g.kind in ("IDLE", "DETUNE"):
@@ -116,13 +109,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def extended(self, gates, **meta) -> Circuit:
-        return Circuit(
-            self.qubit_count,
-            self.gates + tuple(gates),
-            {**self.metadata, **meta},
-        )
 
     def concat(self, other: Circuit) -> Circuit:
         if other.qubit_count != self.qubit_count:
@@ -157,10 +143,12 @@ class Circuit:
 
 def apply_gate_to_tensor(block: np.ndarray, u: np.ndarray,
                          targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a 1- or 2-qubit unitary to the first n axes of a tensor.
+    """Apply a 2^k x 2^k matrix to k of the first n axes of a tensor.
 
     ``block`` has shape (2,)*n + trailing axes; trailing axes are batch
     dimensions (e.g. the column index when building a full unitary).
+    The matrix is a gate unitary, or a gate's local superoperator acting
+    on the ket and bra axes of a density tensor.
     """
     k = len(targets)
     axes = list(targets)

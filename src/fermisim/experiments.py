@@ -37,8 +37,13 @@ from .benchmarking import (
     fit_decay,
     rb_run,
 )
-from .circuits import gate_census, validate_phase_range
+from .circuits import (
+    census_single_qubit_total,
+    gate_census,
+    validate_phase_range,
+)
 from .compiler import (
+    PHASE_RANGE,
     Schedule,
     compile_trotter_step,
     compile_zz_block,
@@ -75,8 +80,6 @@ EXPERIMENT_IDS = (
 ORDERING_ALIASES = {"s5": "canonical_s5", "s6": "odd_even_s6",
                     "canonical_s5": "canonical_s5",
                     "odd_even_s6": "odd_even_s6"}
-
-PRACTICAL_PHASE_RANGE = (0.5, 4.0)
 
 
 class ConfigError(ValueError):
@@ -518,12 +521,10 @@ def _run_census(config: ExperimentConfig, out: Path) -> dict:
         census = gate_census(step)
         entries[tag] = {
             "census": census,
-            "single_qubit_total": sum(
-                census[k] for k in ("microwave", "idle", "detune", "virtual")
-            ),
+            "single_qubit_total": census_single_qubit_total(census),
             "error_budget": error_budget(census, noise),
             "phase_range_violations": len(
-                validate_phase_range(step, *PRACTICAL_PHASE_RANGE)),
+                validate_phase_range(step, *PHASE_RANGE)),
         }
     path = out / "census_table_s1.json"
     write_json(path, entries)

@@ -97,10 +97,6 @@ class PauliString:
     def is_ladder(self) -> bool:
         return any(f in LADDER_LABELS for f in self.factors)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(f == "I" for f in self.factors)
-
     def label(self) -> str:
         if self.is_ladder:
             raise ValueError("ladder strings have no compact label")

@@ -12,6 +12,12 @@ Idles and detunes carry the single-qubit error; virtual-Z and RZ frame
 rotations are error-free.  Noisy evolution is exact channel algebra, no
 trajectory sampling, so every run is deterministic.
 
+Every density run goes through one channel kernel: rho is a tensor with
+2n axes (kets, then bras, then optional batch axes) and each gate applies
+its local superoperator D_p o (U (x) U*), 4x4 or 16x16, to the axes
+(targets, targets + n), with p = 0 for noiseless runs.
+:func:`circuit_channel` runs the same loop on the identity batch.
+
 States live in the dense qubit frame of :mod:`fermisim.fermions`; all
 occupation I/O converts through that module's mode/qubit mapping.
 """
@@ -23,10 +29,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import (
+    CIRCUIT_QUBIT_LIMIT,
+    CapacityError,
     Circuit,
     Gate,
     apply_circuit_vector,
     apply_gate_to_tensor,
+    census_single_qubit_total,
     gate_unitary,
 )
 from .fermions import index_occupations, mode_qubit, occupation_basis_index
@@ -64,11 +73,6 @@ class NoiseModel:
         d = 2 ** n_targets
         eps = self.eps_2q if n_targets == 2 else self.eps_1q
         return min(1.0, eps * d / (d - 1))
-
-
-def typical_noise() -> NoiseModel:
-    """The default per-gate errors (selected by the CLI value `paper`)."""
-    return NoiseModel()
 
 
 @dataclass(frozen=True)
@@ -174,40 +178,44 @@ def prepare_input(kind: str, method: str = "direct") -> PureState:
     raise ValueError("method must be 'direct' or 'circuit'")
 
 
-def _embedded_unitary(g: Gate, n: int) -> np.ndarray:
-    dim = 2 ** n
-    block = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    block = apply_gate_to_tensor(block, gate_unitary(g), g.targets, n)
-    return block.reshape(dim, dim)
+def _gate_channel(g: Gate, noise: NoiseModel | None) -> np.ndarray:
+    """D_p o (U (x) U*) on row-major vec of the targets' density block.
+
+    D_p(X) = (1 - p) X + p tr(X) I/d; unitaries keep the trace, so the
+    depolarized part needs no unitary factor.  Virtual gates are free.
+    """
+    u = gate_unitary(g)
+    d = len(u)
+    # np.kron(u, u.conj()) written out; kron's overhead dominates on
+    # 2x2 and 4x4 blocks
+    s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, -1)
+    if noise is not None and g.duration_class != "virtual":
+        p = noise.channel_probability(len(g.targets))
+        vec_id = np.eye(d).reshape(-1)
+        s = (1.0 - p) * s + (p / d) * np.outer(vec_id, vec_id)
+    return s
 
 
-def partial_trace(rho: np.ndarray, drop: tuple[int, ...],
-                  n: int) -> np.ndarray:
-    """Trace out the given qubits of an n-qubit density matrix."""
-    keep = [q for q in range(n) if q not in drop]
-    t = rho.reshape((2,) * (2 * n))
-    for q in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
-        # axes after q shift down by one in both bra and ket groups
-    dim = 2 ** len(keep)
-    return t.reshape(dim, dim)
+def _evolve_density(t: np.ndarray, circuit: Circuit,
+                    noise: NoiseModel | None) -> np.ndarray:
+    """Apply each gate's channel to a (kets, bras, batch...) tensor."""
+    n = circuit.qubit_count
+    for g in circuit.gates:
+        axes = g.targets + tuple(q + n for q in g.targets)
+        t = apply_gate_to_tensor(t, _gate_channel(g, noise), axes, 2 * n)
+    return t
 
 
-def _depolarize(rho: np.ndarray, targets: tuple[int, ...], p: float,
-                n: int) -> np.ndarray:
-    """(1 - p) rho + p * (maximally mixed on targets) x (reduced rest)."""
-    if p <= 0.0:
-        return rho
-    k = len(targets)
-    reduced = partial_trace(rho, targets, n)
-    keep = [q for q in range(n) if q not in targets]
-    mixed = np.kron(reduced, np.eye(2 ** k, dtype=complex) / 2 ** k)
-    # mixed is ordered (keep..., targets...); permute back
-    order = keep + list(targets)
-    perm = [order.index(q) for q in range(n)]
-    t = mixed.reshape((2,) * (2 * n))
-    t = np.transpose(t, perm + [pq + n for pq in perm])
-    return (1.0 - p) * rho + p * t.reshape(rho.shape)
+def circuit_channel(circuit: Circuit,
+                    noise: NoiseModel | None = None) -> np.ndarray:
+    """4^n x 4^n matrix of a (noisy) circuit acting on rho.reshape(-1)."""
+    n = circuit.qubit_count
+    if 2 * n > CIRCUIT_QUBIT_LIMIT:  # as large as a 2n-qubit unitary
+        raise CapacityError(f"circuit channel capped at "
+                            f"{CIRCUIT_QUBIT_LIMIT // 2} qubits")
+    dim = 4 ** n
+    t = np.eye(dim, dtype=complex).reshape((2,) * (2 * n) + (dim,))
+    return _evolve_density(t, circuit, noise).reshape(dim, dim)
 
 
 def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None):
@@ -215,25 +223,12 @@ def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None):
     n = circuit.qubit_count
     if getattr(state, "qubit_count", None) != n:
         raise ValueError("state and circuit qubit counts differ")
-    if noise is None:
-        if isinstance(state, PureState):
-            amps = apply_circuit_vector(circuit, state.amplitudes)
-            return PureState(amps, n)
-        rho = state.rho
-        for g in circuit.gates:
-            u = _embedded_unitary(g, n)
-            rho = u @ rho @ u.conj().T
-        return DensityState(rho, n)
+    if noise is None and isinstance(state, PureState):
+        amps = apply_circuit_vector(circuit, state.amplitudes)
+        return PureState(amps, n)
     dense = state.to_density() if isinstance(state, PureState) else state
-    rho = dense.rho
-    for g in circuit.gates:
-        u = _embedded_unitary(g, n)
-        rho = u @ rho @ u.conj().T
-        if g.duration_class == "virtual":
-            continue
-        p = noise.channel_probability(len(g.targets))
-        rho = _depolarize(rho, g.targets, p, n)
-    return DensityState(rho, n)
+    t = _evolve_density(dense.rho.reshape((2,) * (2 * n)), circuit, noise)
+    return DensityState(t.reshape(dense.rho.shape), n)
 
 
 def exact_evolve(hamiltonian: WeightedPauliSum, t: float,
@@ -304,9 +299,8 @@ def error_budget(census: dict[str, int], noise: NoiseModel) -> float:
     detune, and the software phase gates) at eps_1q, matching the
     published budget arithmetic for the canonical steps.
     """
-    n_single = (census["microwave"] + census["idle"] + census["detune"]
-                + census["virtual"])
-    return census["entangling"] * noise.eps_2q + n_single * noise.eps_1q
+    return (census["entangling"] * noise.eps_2q
+            + census_single_qubit_total(census) * noise.eps_1q)
 
 
 def accessible_indices(hoppings, n_modes: int,

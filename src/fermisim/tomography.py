@@ -30,20 +30,16 @@ from scipy.optimize import minimize
 
 from .circuits import Circuit, Gate, circuit_unitary
 from .compiler import compile_zz_block, conjugate_basis
-from .simulator import DensityState, NoiseModel, apply_circuit, basis_state
+from .pauli import PAULI_MATRICES
+from .simulator import DensityState, NoiseModel, circuit_channel
 
 BASIS_TAG = "IXYZ*IXYZ:row-major"
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
 PAULI_BASIS_LABELS = tuple(
     a + b for a in "IXYZ" for b in "IXYZ"
 )
 PAULI_BASIS = np.stack([
-    np.kron(_SINGLE[l[0]], _SINGLE[l[1]]) for l in PAULI_BASIS_LABELS
+    np.kron(PAULI_MATRICES[l[0]], PAULI_MATRICES[l[1]])
+    for l in PAULI_BASIS_LABELS
 ])
 
 PREP_GATE_LABELS = ("I", "X/2", "Y/2", "X")
@@ -230,11 +226,8 @@ class QPTDataset:
 
 
 def _prep_states() -> np.ndarray:
-    vecs = np.zeros((16, 4), dtype=complex)
-    for i in range(16):
-        st = apply_circuit(basis_state(2), tomography_rotation(i))
-        vecs[i] = st.amplitudes
-    return vecs
+    """Row i is rotation i applied to |00>."""
+    return _analysis_unitaries()[:, :, 0]
 
 
 def _analysis_unitaries() -> np.ndarray:
@@ -248,25 +241,27 @@ def simulate_qpt_dataset(process, noise: NoiseModel | None = None
     """Deterministic synthetic dataset for a circuit or chi process.
 
     Preparation and analysis rotations are ideal; optional gate noise
-    applies to the process circuit only.
+    applies to the process circuit only.  A circuit process is turned
+    into its channel matrix once and applied to all 16 preparations.
     """
-    preps = _prep_states()
     analyses = _analysis_unitaries()
+    inputs = [DensityState(np.outer(v, v.conj()), 2).rho
+              for v in _prep_states()]
+    if isinstance(process, ProcessMatrix):
+        if noise is not None:
+            raise ValueError(
+                "noise applies to circuit processes; chi matrices are "
+                "already channels"
+            )
+        outputs = [process.apply(rho) for rho in inputs]
+    elif isinstance(process, Circuit):
+        channel = circuit_channel(process, noise)
+        outputs = [DensityState((channel @ rho.reshape(-1)).reshape(4, 4),
+                                2).rho for rho in inputs]
+    else:
+        raise TypeError("process must be a Circuit or ProcessMatrix")
     probs = np.zeros((16, 16, 4))
-    for i in range(16):
-        rho_in = np.outer(preps[i], preps[i].conj())
-        if isinstance(process, ProcessMatrix):
-            if noise is not None:
-                raise ValueError(
-                    "noise applies to circuit processes; chi matrices are "
-                    "already channels"
-                )
-            rho_out = process.apply(rho_in)
-        elif isinstance(process, Circuit):
-            state = DensityState(rho_in, 2)
-            rho_out = apply_circuit(state, process, noise).rho
-        else:
-            raise TypeError("process must be a Circuit or ProcessMatrix")
+    for i, rho_out in enumerate(outputs):
         for j in range(16):
             rotated = analyses[j] @ rho_out @ analyses[j].conj().T
             probs[i, j] = np.clip(np.diag(rotated).real, 0.0, None)
@@ -396,7 +391,7 @@ def anticommutation_experiment(noise: NoiseModel | None = None,
     Returns their fidelities to the ideal processes; the composed
     process is compared against the identity channel.
     """
-    sx, sy = _SINGLE["X"], _SINGLE["Y"]
+    sx, sy = PAULI_MATRICES["X"], PAULI_MATRICES["Y"]
     gen = (np.kron(sx, sx) + np.kron(sy, sy)) / 2
     ideal_1 = chi_of_unitary(expm(-1j * math.pi / 2 * gen))
     ideal_2 = chi_of_unitary(expm(1j * math.pi / 2 * gen))

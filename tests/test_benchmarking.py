@@ -1,5 +1,7 @@
 """Clifford group closure and randomized benchmarking self-consistency."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from fermisim.benchmarking import (
     DecayFit,
     FitError,
+    _rb_channels,
+    _sequence_return_probability,
     clifford_group,
     extract_interleaved_error,
     fit_decay,
@@ -16,8 +20,12 @@ from fermisim.benchmarking import (
 from fermisim.circuits import Circuit, Gate, circuit_unitary, equal_up_to_phase
 from fermisim.compiler import compile_zz_block, plan_for_model, \
     compile_trotter_step
+from fermisim.experiments import quarter_angle_step_circuit
 from fermisim.fermions import two_mode_model
-from fermisim.simulator import NoiseModel
+from fermisim.simulator import NoiseModel, apply_circuit, basis_state
+from fermisim.tomography import simulate_qpt_dataset
+
+GOLDEN = Path(__file__).parent / "data" / "pre_kernel_golden.json"
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +212,59 @@ class TestTrotterStepInterleave:
         plan = plan_for_model(two_mode_model(1.0, 1.0), 1.0, 1)
         step = compile_trotter_step(plan, 0)
         assert not group2.contains_unitary(circuit_unitary(step))
+
+
+def _interleaved_circuits():
+    return {"ref": None,
+            "zz": compile_zz_block(np.pi / 2, (0, 1)),
+            "step": quarter_angle_step_circuit()}
+
+
+class TestSequenceChannels:
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("tag", ["ref", "zz", "step"])
+    def test_matches_gate_by_gate_simulation(self, group2, scale, tag):
+        # generator-channel mat-vecs equal running the whole expanded
+        # sequence, recovery included, through apply_circuit
+        interleaved = _interleaved_circuits()[tag]
+        noise = NoiseModel().scaled(scale)
+        generators, pair = _rb_channels(group2, interleaved, noise)
+        rng = np.random.default_rng(int(10 * scale) + len(tag))
+        for _ in range(3):
+            indices = rng.integers(len(group2), size=int(rng.integers(1, 7)))
+            circuit = Circuit(2)
+            total = np.eye(4, dtype=complex)
+            for idx in indices:
+                circuit = circuit.concat(group2.decomposition(idx))
+                total = group2.elements[idx].unitary @ total
+                if interleaved is not None:
+                    circuit = circuit.concat(interleaved)
+                    total = circuit_unitary(interleaved) @ total
+            recovery = group2.index_of(total.conj().T)
+            circuit = circuit.concat(group2.decomposition(recovery))
+            want = apply_circuit(basis_state(2), circuit,
+                                 noise).probabilities()[0]
+            got = _sequence_return_probability(group2, indices, generators,
+                                               pair)
+            assert abs(got - want) < 1e-13
+
+
+class TestPreKernelGolden:
+    """Outputs recorded with the simulator the channel kernel replaced."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    @pytest.mark.parametrize("tag", ["ref", "zz", "step"])
+    def test_rb_means(self, group2, golden, tag):
+        want = golden["rb"][tag]
+        table = rb_run([1, 5, 20], 3, _interleaved_circuits()[tag],
+                       NoiseModel(), seed=want["seed"], group=group2)
+        assert np.allclose(table["mean"], want["mean"], rtol=0, atol=1e-12)
+
+    def test_qpt_dataset(self, golden):
+        dataset = simulate_qpt_dataset(compile_zz_block(np.pi / 2, (0, 1)),
+                                       NoiseModel())
+        want = np.array(golden["qpt_zz_block"]).reshape(16, 16, 4)
+        assert np.allclose(dataset.probabilities, want, rtol=0, atol=1e-12)

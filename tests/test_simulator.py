@@ -3,7 +3,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from fermisim.circuits import Circuit, Gate, gate_census
+from fermisim.circuits import (
+    CIRCUIT_QUBIT_LIMIT,
+    CapacityError,
+    Circuit,
+    Gate,
+    gate_census,
+)
 from fermisim.compiler import compile_evolution, plan_for_model
 from fermisim.fermions import (
     occupation_basis_index,
@@ -19,12 +25,12 @@ from fermisim.simulator import (
     accessible_indices,
     apply_circuit,
     basis_state,
+    circuit_channel,
     error_budget,
     exact_evolve,
     input_circuit,
     mode_occupations,
     other_state_population,
-    partial_trace,
     prepare_input,
     state_fidelity,
 )
@@ -117,23 +123,33 @@ class TestApplyCircuit:
             apply_circuit(prepare_input("two_mode"), Circuit(3))
 
 
-class TestPartialTrace:
-    def test_product_state(self):
+def _noisy_idle(target, p, n):
+    """Kernel run of one idle on ``target`` at channel probability p."""
+    noise = NoiseModel(eps_2q=0.0, eps_1q=p / 2)  # p = 2 eps for one qubit
+    return Circuit(n, (Gate("IDLE", (target,)),)), noise
+
+
+class TestDepolarizingKernel:
+    def test_full_depolarization_traces_out_target(self):
+        # p = 1 replaces the target by I/2 and keeps the reduced rest
         a = np.outer([1, 0], [1, 0]).astype(complex)
         b = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        rho = np.kron(a, b)
-        assert np.allclose(partial_trace(rho, (1,), 2), a, atol=1e-12)
-        assert np.allclose(partial_trace(rho, (0,), 2), b, atol=1e-12)
+        rho = DensityState(np.kron(a, b), 2)
+        mixed = np.eye(2) / 2
+        out = apply_circuit(rho, *_noisy_idle(1, 1.0, 2))
+        assert np.allclose(out.rho, np.kron(a, mixed), atol=1e-12)
+        out = apply_circuit(rho, *_noisy_idle(0, 1.0, 2))
+        assert np.allclose(out.rho, np.kron(mixed, b), atol=1e-12)
 
     def test_matches_pauli_sum_channel(self):
-        # depolarizing via partial trace equals the Pauli-sum form
+        # the kernel's depolarizing equals the Pauli-sum form
         rng = np.random.default_rng(8)
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = m @ m.conj().T
         rho /= np.trace(rho)
-        from fermisim.simulator import _depolarize
         p = 0.37
-        got = _depolarize(rho, (1,), p, 3)
+        got = apply_circuit(DensityState(rho, 3),
+                            *_noisy_idle(1, p, 3)).rho
         paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
                   np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
         acc = np.zeros_like(rho)
@@ -142,6 +158,18 @@ class TestPartialTrace:
             acc += full @ rho @ full.conj().T
         want = (1 - p) * rho + p * acc / 4
         assert np.allclose(got, want, atol=1e-12)
+
+
+class TestCircuitChannel:
+    def test_virtual_gates_are_noiseless(self):
+        c = Circuit(1, (Gate("VIRTUAL_Z", (0,), 0.7),
+                        Gate("RZ", (0,), -0.2)))
+        assert np.allclose(circuit_channel(c, NoiseModel(0.5, 0.5)),
+                           circuit_channel(c), atol=1e-15)
+
+    def test_capacity_guard(self):
+        with pytest.raises(CapacityError):
+            circuit_channel(Circuit(CIRCUIT_QUBIT_LIMIT // 2 + 1))
 
 
 class TestExactEvolve:
