@@ -32,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .fermions import (
-    FermionModel,
-    spin_hamiltonian,
-    three_mode_model,
-    two_mode_model,
-)
+from .fermions import SCHEDULE_MODELS, FermionModel, spin_hamiltonian
 from .pauli import WeightedPauliSum
 
 PHASE_RANGE = (0.5, 4.0)
@@ -414,6 +409,25 @@ class Schedule:
                 * (b - a)
         return total / (t1 - t0)
 
+    def averages(self, knots, edges) -> np.ndarray:
+        """Exact means over the slices [edges[i], edges[i + 1]].
+
+        A slice without a knot strictly inside sees a linear profile,
+        whose mean is (f(a) + f(b)) / 2; only slices holding a knot go
+        through :meth:`average`.
+        """
+        edges = np.asarray(edges, dtype=float)
+        if not np.all(np.diff(edges) > 0):
+            raise ValueError("slice edges must increase")
+        ts = np.array([p[0] for p in knots])
+        f = np.interp(edges, ts, np.array([p[1] for p in knots]))
+        out = 0.5 * (f[:-1] + f[1:])
+        inner = ts[(ts > edges[0]) & (ts < edges[-1])]
+        slots = np.searchsorted(edges, inner, side="right") - 1
+        for i in np.unique(slots[edges[slots] < inner]):
+            out[i] = self.average(knots, edges[i], edges[i + 1])
+        return out
+
     def to_json_dict(self) -> dict:
         return {
             "T": self.duration,
@@ -441,8 +455,7 @@ def digitize_schedule(schedule: Schedule, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    builders = {2: two_mode_model, 3: three_mode_model}
-    if mode_count not in builders:
+    if mode_count not in SCHEDULE_MODELS:
         raise ValueError("schedules support 2- or 3-mode models")
     dt = schedule.duration / steps
     plans = []
@@ -450,7 +463,7 @@ def digitize_schedule(schedule: Schedule, steps: int,
         t0, t1 = k * dt, (k + 1) * dt
         vbar = schedule.average(schedule.v_knots, t0, t1)
         ubar = schedule.average(schedule.u_knots, t0, t1)
-        model = builders[mode_count](vbar, ubar)
+        model = SCHEDULE_MODELS[mode_count](vbar, ubar)
         plans.append(
             TrotterPlan(spin_hamiltonian(model), dt, 1, window=(t0, t1))
         )

@@ -14,6 +14,12 @@ Experiments:
   four-mode runs with per-step fidelity drops.
 * ``fig5_2mode`` / ``fig5_3mode`` - insulating-to-metallic ramp of the
   hopping under constant repulsion, digitised with interval averages.
+  The exact time-dependent reference cuts each step into
+  ``EXACT_SLICES`` slices under the exact slice averages; since the
+  Hamiltonian is V H_hop + U H_rep, each slice grid is built from the
+  two term matrices of :func:`fermisim.fermions.coupling_matrices` and
+  evolved with one batched eigendecomposition
+  (:func:`fermisim.simulator.evolve_slices`).
 * ``digital_error_s4`` / ``digital_error_s5`` - noiseless digitisation
   error against the exact evolution, constant and ramped couplings.
 * ``rb_s3`` - interleaved randomized benchmarking of the two-qubit
@@ -21,11 +27,16 @@ Experiments:
 * ``anticommutation_fig2d`` - process tomography of the two exchange
   halves and their composition.
 * ``census_table_s1`` - canonical step gate censuses and error budgets.
+
+Constant-coupling and ramped series share one checkpoint loop: each
+step's circuit runs on the digital and the (noisy) run state, and both
+are compared with the exact state at the step's end.
 """
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -51,7 +62,9 @@ from .compiler import (
     plan_for_model,
 )
 from .fermions import (
+    SCHEDULE_MODELS,
     FermionModel,
+    coupling_matrices,
     four_mode_ahm,
     spin_hamiltonian,
     three_mode_model,
@@ -62,6 +75,7 @@ from .simulator import (
     accessible_indices,
     apply_circuit,
     error_budget,
+    evolve_slices,
     exact_evolve,
     mode_occupations,
     other_state_population,
@@ -82,6 +96,11 @@ ORDERING_ALIASES = {"s5": "canonical_s5", "s6": "odd_even_s6",
                     "odd_even_s6": "odd_even_s6"}
 
 
+# Slices per digitisation step of the exact schedule reference; 2400
+# agree with it to an infidelity below 1e-10 (tests/test_experiments.py).
+EXACT_SLICES = 600
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field."""
 
@@ -98,23 +117,46 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        """Reject a malformed config before any work is done."""
         if self.experiment not in EXPERIMENT_IDS:
             raise ConfigError(
                 f"experiment: unknown id {self.experiment!r}; "
                 f"choose from {EXPERIMENT_IDS}"
             )
-        if self.steps is not None and self.steps < 1:
-            raise ConfigError("steps: must be >= 1")
-        if self.noise_scale is not None and self.noise_scale < 0:
-            raise ConfigError("noise_scale: must be >= 0")
+        if self.steps is not None and not (_is_int(self.steps)
+                                           and self.steps >= 1):
+            raise ConfigError("steps: must be an integer >= 1")
+        if self.noise_scale is not None:
+            if not (_is_real(self.noise_scale) and self.noise_scale >= 0):
+                raise ConfigError("noise_scale: must be a finite number >= 0")
+            try:
+                self.noise_model()
+            except ValueError as exc:
+                raise ConfigError(f"noise_scale: {exc}") from None
         if self.ordering not in ORDERING_ALIASES:
             raise ConfigError(
                 f"ordering: unknown value {self.ordering!r}"
             )
-        if self.total_time is not None and self.total_time <= 0:
-            raise ConfigError("total_time: must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed: must be non-negative")
+        if self.total_time is not None and not (_is_real(self.total_time)
+                                                and self.total_time > 0):
+            raise ConfigError("total_time: must be a finite number > 0")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError("seed: must be a non-negative integer")
+        if not isinstance(self.params, dict):
+            raise ConfigError("params: must be an object")
+        if "schedule" in self.params:
+            self.schedule()
+
+    def schedule(self) -> Schedule:
+        """``params.schedule`` parsed, or the default ramp."""
+        if "schedule" not in self.params:
+            return default_ramp_schedule()
+        try:
+            return Schedule.from_json_dict(self.params["schedule"])
+        except KeyError as exc:
+            raise ConfigError(f"params.schedule: missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"params.schedule: {exc}") from None
 
     @property
     def canonical_ordering(self) -> str:
@@ -135,6 +177,15 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"config: unknown fields {sorted(unknown)}")
         return cls(**payload)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _fmt(value) -> str:
@@ -163,95 +214,82 @@ _SERIES_FID_COLS = ["fidelity_vs_digital", "fidelity_vs_exact",
                     "overlap_vs_digital", "overlap_vs_exact"]
 
 
-def _series_rows(model: FermionModel, total_time: float, steps: int,
-                 noise: NoiseModel | None, ordering: str):
-    """Occupations and fidelities at every digitisation checkpoint.
+def _series_rows(model: FermionModel, checkpoints,
+                 noise: NoiseModel | None):
+    """Occupations and fidelities at t = 0 and after every step.
 
-    The run's own state (noisy when noise is on) is compared against
-    the ideal digitised state and the exact evolution at the same
-    simulated time, both via the measurement-side distribution metric
-    (``fidelity_*``) and via the exact state overlap (``overlap_*``).
+    ``checkpoints`` lists (end time, step circuit, exact state at that
+    time) per step.  The run's own state (noisy when noise is on) is
+    compared against the ideal digitised state and the exact evolution
+    at the same simulated time, both via the measurement-side
+    distribution metric (``fidelity_*``) and via the exact state
+    overlap (``overlap_*``).
     """
     n = model.mode_count
-    h = spin_hamiltonian(model)
-    plan = plan_for_model(model, total_time, steps, ordering)
     psi0 = prepare_input(_input_kind(n))
     accessible = accessible_indices(model.hoppings, n, psi0)
     digital = psi0
     run_state = psi0.to_density() if noise is not None else psi0
     rows = []
-    dt = total_time / steps
-    for k in range(steps + 1):
-        t = k * dt
-        exact = exact_evolve(h, t, psi0)
-        p_digital = digital.probabilities()
-        p_run = run_state.probabilities()
-        occ = mode_occupations(run_state)
-        row = (t, *occ,
-               other_state_population(run_state, accessible),
-               state_fidelity(p_digital, p_run),
-               state_fidelity(exact.probabilities(), p_run),
-               state_overlap(digital, run_state),
-               state_overlap(exact, run_state))
-        rows.append(row)
-        if k < steps:
-            step_circuit = compile_trotter_step(plan, k)
+    for t, step_circuit, exact in [(0.0, None, psi0), *checkpoints]:
+        if step_circuit is not None:
             digital = apply_circuit(digital, step_circuit)
             run_state = apply_circuit(run_state, step_circuit, noise)
+        p_run = run_state.probabilities()
+        rows.append((t, *mode_occupations(run_state),
+                     other_state_population(run_state, accessible),
+                     state_fidelity(digital.probabilities(), p_run),
+                     state_fidelity(exact.probabilities(), p_run),
+                     state_overlap(digital, run_state),
+                     state_overlap(exact, run_state)))
     header = ["time"] + [f"p_mode{i + 1}" for i in range(n)] + \
         ["p_other"] + _SERIES_FID_COLS
     return header, rows
 
 
-def _schedule_series_rows(schedule: Schedule, mode_count: int, steps: int,
-                          noise: NoiseModel | None, exact_slices: int = 600):
-    """Checkpoint rows for a time-dependent (digitised schedule) run."""
+def _model_checkpoints(model: FermionModel, total_time: float, steps: int,
+                       ordering: str) -> list:
+    """Checkpoints of a constant-coupling run: exp(-iHt) at each step."""
+    h = spin_hamiltonian(model)
+    plan = plan_for_model(model, total_time, steps, ordering)
+    psi0 = prepare_input(_input_kind(model.mode_count))
+    dt = total_time / steps
+    return [((k + 1) * dt, compile_trotter_step(plan, k),
+             exact_evolve(h, (k + 1) * dt, psi0)) for k in range(steps)]
+
+
+def _schedule_checkpoints(schedule: Schedule, mode_count: int,
+                          steps: int) -> list:
+    """Checkpoints of a digitised schedule run, exact by fine slicing."""
     plans = digitize_schedule(schedule, steps, mode_count)
-    nominal = {2: two_mode_model(1.0, 1.0),
-               3: three_mode_model(1.0, 1.0)}[mode_count]
-    psi0 = prepare_input(_input_kind(mode_count))
-    accessible = accessible_indices(nominal.hoppings, mode_count, psi0)
-    digital = psi0
-    run_state = psi0.to_density() if noise is not None else psi0
-    rows = []
-    t = 0.0
-    exact = psi0
-    for k in range(steps + 1):
-        p_digital = digital.probabilities()
-        p_run = run_state.probabilities()
-        occ = mode_occupations(run_state)
-        rows.append((t, *occ,
-                     other_state_population(run_state, accessible),
-                     state_fidelity(p_digital, p_run),
-                     state_fidelity(exact.probabilities(), p_run),
-                     state_overlap(digital, run_state),
-                     state_overlap(exact, run_state)))
-        if k < steps:
-            plan = plans[k]
-            step_circuit = compile_trotter_step(plan, k)
-            digital = apply_circuit(digital, step_circuit)
-            run_state = apply_circuit(run_state, step_circuit, noise)
-            exact = _advance_exact(exact, schedule, mode_count,
-                                   plan.window, exact_slices)
-            t = plan.window[1]
-    header = ["time"] + [f"p_mode{i + 1}" for i in range(mode_count)] + \
-        ["p_other"] + _SERIES_FID_COLS
-    return header, rows
+    exact = _advance_exact(prepare_input(_input_kind(mode_count)), schedule,
+                           mode_count, [plan.window for plan in plans],
+                           EXACT_SLICES)
+    return [(plan.window[1], compile_trotter_step(plan, k), state)
+            for k, (plan, state) in enumerate(zip(plans, exact))]
 
 
 def _advance_exact(state, schedule: Schedule, mode_count: int,
-                   window: tuple[float, float], slices: int):
-    """Exact time-dependent evolution via finely sliced exact averages."""
-    builders = {2: two_mode_model, 3: three_mode_model}
-    t0, t1 = window
-    dt = (t1 - t0) / slices
-    for i in range(slices):
-        a, b = t0 + i * dt, t0 + (i + 1) * dt
-        vbar = schedule.average(schedule.v_knots, a, b)
-        ubar = schedule.average(schedule.u_knots, a, b)
-        h = spin_hamiltonian(builders[mode_count](vbar, ubar))
-        state = exact_evolve(h, dt, state)
-    return state
+                   windows, slices: int) -> list:
+    """Exact time-dependent evolution through consecutive windows.
+
+    Each window is cut into ``slices`` equal slices, each evolved under
+    the exact interval-averaged couplings as V H_hop + U H_rep; all
+    slices of all windows share one batched eigendecomposition.  Returns
+    the state at the end of every window.
+    """
+    v, u, durations = [], [], []
+    for t0, t1 in windows:
+        dt = (t1 - t0) / slices
+        edges = t0 + np.arange(slices + 1) * dt
+        v.append(schedule.averages(schedule.v_knots, edges))
+        u.append(schedule.averages(schedule.u_knots, edges))
+        durations.append(np.full(slices, dt))
+    couplings = np.stack([np.concatenate(v), np.concatenate(u)], axis=1)
+    hamiltonians = np.tensordot(couplings,
+                                np.stack(coupling_matrices(mode_count)), 1)
+    return evolve_slices(hamiltonians, np.concatenate(durations), state,
+                         every=slices)
 
 
 def _fidelity_slope(xs, fids) -> float:
@@ -288,15 +326,17 @@ def _run_fig3(config: ExperimentConfig, out: Path) -> dict:
     end_overlap = {}
     end_estimator = {}
     files = []
+    model = two_mode_model(1.0, 1.0)
     for n in range(1, max_steps + 1):
-        header, rows = _series_rows(two_mode_model(1.0, 1.0), total_time, n,
-                                    noise, config.canonical_ordering)
+        header, rows = _series_rows(
+            model, _model_checkpoints(model, total_time, n,
+                                      config.canonical_ordering), noise)
         path = out / f"fig3_steps{n}.csv"
         write_csv(path, header, rows)
         files.append(path.name)
         end_overlap[n] = rows[-1][-2]     # overlap_vs_digital at T
         end_estimator[n] = rows[-1][-4]   # fidelity_vs_digital at T
-    plan = plan_for_model(two_mode_model(1.0, 1.0), total_time, max_steps,
+    plan = plan_for_model(model, total_time, max_steps,
                           config.canonical_ordering)
     census = gate_census(compile_trotter_step(plan, 0))
     summary = {
@@ -330,8 +370,9 @@ def _run_fig4(config: ExperimentConfig, out: Path, four_mode: bool) -> dict:
     files = []
     name = "fig4_4mode" if four_mode else "fig4_3mode"
     for tag, model in models.items():
-        header, rows = _series_rows(model, total_time, steps, noise,
-                                    config.canonical_ordering)
+        header, rows = _series_rows(
+            model, _model_checkpoints(model, total_time, steps,
+                                      config.canonical_ordering), noise)
         path = out / f"{name}_{tag}.csv"
         write_csv(path, header, rows)
         files.append(path.name)
@@ -362,24 +403,24 @@ def _run_fig4(config: ExperimentConfig, out: Path, four_mode: bool) -> dict:
 
 def _run_fig5(config: ExperimentConfig, out: Path, mode_count: int) -> dict:
     steps = config.steps or (2 if mode_count == 2 else 1)
-    schedule = default_ramp_schedule()
-    if "schedule" in config.params:
-        schedule = Schedule.from_json_dict(config.params["schedule"])
+    schedule = config.schedule()
     noise = config.noise_model()
-    header, rows = _schedule_series_rows(schedule, mode_count, steps, noise)
+    header, rows = _series_rows(
+        SCHEDULE_MODELS[mode_count](1.0, 1.0),
+        _schedule_checkpoints(schedule, mode_count, steps), noise)
     name = f"fig5_{mode_count}mode"
     path = out / f"{name}.csv"
     write_csv(path, header, rows)
     # dense exact reference for plotting the continuous line
-    dense_rows = []
-    state = prepare_input(_input_kind(mode_count))
+    psi0 = prepare_input(_input_kind(mode_count))
     samples = 60
     dt = schedule.duration / samples
-    dense_rows.append((0.0, *mode_occupations(state)))
-    for i in range(samples):
-        state = _advance_exact(state, schedule, mode_count,
-                               (i * dt, (i + 1) * dt), 20)
-        dense_rows.append(((i + 1) * dt, *mode_occupations(state)))
+    states = _advance_exact(psi0, schedule, mode_count,
+                            [(i * dt, (i + 1) * dt) for i in range(samples)],
+                            20)
+    dense_rows = [(0.0, *mode_occupations(psi0))]
+    dense_rows += [((i + 1) * dt, *mode_occupations(state))
+                   for i, state in enumerate(states)]
     exact_path = out / f"{name}_exact.csv"
     write_csv(exact_path,
               ["time"] + [f"p_mode{i + 1}" for i in range(mode_count)],
@@ -412,8 +453,9 @@ def _run_digital_error_s4(config: ExperimentConfig, out: Path) -> dict:
         fidelities = {}
         overlaps = {}
         for n in step_counts:
-            header, rows = _series_rows(model, total_time, int(n), None,
-                                        config.canonical_ordering)
+            header, rows = _series_rows(
+                model, _model_checkpoints(model, total_time, int(n),
+                                          config.canonical_ordering), None)
             path = out / f"digital_error_s4_{tag}_steps{n}.csv"
             write_csv(path, header, rows)
             files.append(path.name)
@@ -435,8 +477,9 @@ def _run_digital_error_s5(config: ExperimentConfig, out: Path) -> dict:
     results = {}
     files = []
     for mode_count, steps in ((2, 2), (3, 1)):
-        header, rows = _schedule_series_rows(schedule, mode_count, steps,
-                                             None)
+        header, rows = _series_rows(
+            SCHEDULE_MODELS[mode_count](1.0, 1.0),
+            _schedule_checkpoints(schedule, mode_count, steps), None)
         path = out / f"digital_error_s5_{mode_count}mode.csv"
         write_csv(path, header, rows)
         files.append(path.name)

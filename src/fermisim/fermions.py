@@ -18,9 +18,14 @@ Supported models: the two-mode hop/repel pair, the three-mode chain
 (hopping and on-site repulsion on both adjacent pairs), and the
 four-mode two-site, two-species asymmetric model with per-species
 hoppings ``(V1, V2)`` and per-site repulsions ``(Ux, Uy)``.
+
+The image is linear in the couplings, so the two- and three-mode
+shapes driven by schedules are also available as their two dense term
+matrices, H(V, U) = V H_hop + U H_rep (:func:`coupling_matrices`).
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -173,6 +178,10 @@ def three_mode_model(V: float, U: float) -> FermionModel:
     return FermionModel(3, ((0, 1, V), (1, 2, V)), reps)
 
 
+# Model shape of each schedule-driven (ramped) mode count.
+SCHEDULE_MODELS = {2: two_mode_model, 3: three_mode_model}
+
+
 def four_mode_ahm(V1: float, V2: float, Ux: float, Uy: float) -> FermionModel:
     """Two sites x two species; repulsion couples same-site mode pairs."""
     hops = ((0, 1, V1), (2, 3, V2))
@@ -207,3 +216,25 @@ def spin_hamiltonian(model: FermionModel) -> WeightedPauliSum:
     if not h.is_hermitian():
         raise AssertionError("spin Hamiltonian failed Hermiticity check")
     return h
+
+
+@functools.cache
+def coupling_matrices(mode_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only dense (H_hop, H_rep) of a schedule model shape.
+
+    ``SCHEDULE_MODELS[mode_count](V, U)`` has the dense Hamiltonian
+    ``V * H_hop + U * H_rep`` (offset included).  Built on first use
+    from the unit-coupling models, then cached.  Both are real
+    symmetric (XX, YY, ZZ and Z strings only) and stored as real arrays.
+    """
+    if mode_count not in SCHEDULE_MODELS:
+        raise ValueError("schedules support 2- or 3-mode models")
+    terms = []
+    for v, u in ((1.0, 0.0), (0.0, 1.0)):
+        m = spin_hamiltonian(SCHEDULE_MODELS[mode_count](v, u)).to_dense()
+        if m.imag.any() or not np.array_equal(m, m.T):
+            raise AssertionError("coupling matrix is not real symmetric")
+        m = m.real.copy()
+        m.setflags(write=False)
+        terms.append(m)
+    return tuple(terms)

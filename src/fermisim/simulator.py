@@ -18,6 +18,11 @@ its local superoperator D_p o (U (x) U*), 4x4 or 16x16, to the axes
 (targets, targets + n), with p = 0 for noiseless runs.
 :func:`circuit_channel` runs the same loop on the identity batch.
 
+Exact evolution diagonalises dense Hamiltonians.  :func:`evolve_slices`
+takes a (slices, d, d) stack, as the exact ramp reference builds it,
+through one batched eigendecomposition and applies the slice
+propagators in order; :func:`exact_evolve` is its one-slice case.
+
 States live in the dense qubit frame of :mod:`fermisim.fermions`; all
 occupation I/O converts through that module's mode/qubit mapping.
 """
@@ -231,19 +236,42 @@ def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None):
     return DensityState(t.reshape(dense.rho.shape), n)
 
 
+def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
+                  every: int | None = None) -> list[PureState]:
+    """Apply exp(-i H_k dt_k) for k = 0, 1, ... in order.
+
+    ``hamiltonians`` is a (slices, d, d) stack of dense Hermitian
+    matrices, diagonalised in one batched eigendecomposition (which
+    reads only their lower triangles: Hermiticity is the caller's
+    check); ``durations`` holds each slice's dt_k.  Returns the state
+    after every ``every`` slices (default: only the final state).
+    """
+    hs = np.asarray(hamiltonians)
+    dim = 2 ** state.qubit_count
+    if hs.ndim != 3 or hs.shape[1:] != (dim, dim):
+        raise ValueError("Hamiltonian and state qubit counts differ")
+    every = every or len(hs)
+    if len(hs) % every:
+        raise ValueError("slice count must be a multiple of 'every'")
+    vals, vecs = np.linalg.eigh(hs)
+    phases = np.exp(-1j * vals * np.asarray(durations, dtype=float)[:, None])
+    amps = state.amplitudes
+    out = []
+    for k, (v, ph) in enumerate(zip(vecs, phases), 1):
+        amps = v @ (ph * (v.conj().T @ amps))
+        if k % every == 0:
+            out.append(PureState(amps, state.qubit_count))
+    return out
+
+
 def exact_evolve(hamiltonian: WeightedPauliSum, t: float,
                  state: PureState) -> PureState:
-    """exp(-i H t)|psi> via eigendecomposition of the dense Hamiltonian."""
+    """exp(-i H t)|psi>, offset included, via the dense Hamiltonian."""
     if not hamiltonian.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian")
     if hamiltonian.qubit_count != state.qubit_count:
         raise ValueError("Hamiltonian and state qubit counts differ")
-    h = hamiltonian.to_dense()
-    vals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * vals * t)
-    amps = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
-    amps = amps * np.exp(-1j * hamiltonian.scalar_offset * t)
-    return PureState(amps, state.qubit_count)
+    return evolve_slices(hamiltonian.to_dense()[None], [t], state)[0]
 
 
 def mode_occupations(state) -> np.ndarray:

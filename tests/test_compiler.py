@@ -313,6 +313,25 @@ class TestSchedule:
         u = circuit_unitary(c)
         assert np.allclose(np.abs(u), np.eye(4), atol=1e-9)
 
+    @pytest.mark.parametrize("t0,t1,slices", [
+        (0.0, 3.0, 600), (0.0, 1.5, 7), (1.5, 3.0, 3), (0.95, 2.05, 11),
+        (1.0, 2.0, 4), (0.0, 3.0, 1)])
+    def test_averages_match_scalar_average(self, t0, t1, slices):
+        s = Schedule(3.0, v_knots=((0.0, 0.0), (1.0, 0.0), (1.3, 0.7),
+                                   (2.0, 1.0), (3.0, 1.0)),
+                     u_knots=((0.0, 1.0), (3.0, 0.4)))
+        dt = (t1 - t0) / slices
+        edges = t0 + np.arange(slices + 1) * dt
+        for knots in (s.v_knots, s.u_knots):
+            want = [s.average(knots, a, b) for a, b in zip(edges, edges[1:])]
+            assert np.allclose(s.averages(knots, edges), want,
+                               rtol=0, atol=1e-15)
+
+    def test_averages_reject_unordered_edges(self):
+        s = self.ramp()
+        with pytest.raises(ValueError):
+            s.averages(s.v_knots, [0.0, 1.0, 1.0])
+
     def test_windows_cover_duration(self):
         plans = digitize_schedule(self.ramp(), 2, 3)
         assert plans[0].window == (0.0, 1.5)

@@ -1,18 +1,27 @@
 """Experiment harness: emitted files, summaries, determinism, CLI codes."""
 import json
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fermisim.experiments as experiments
 from fermisim.cli import main
+from fermisim.compiler import Schedule, digitize_schedule
 from fermisim.experiments import (
+    EXACT_SLICES,
     ConfigError,
     ExperimentConfig,
+    _advance_exact,
     default_ramp_schedule,
     quarter_angle_step_circuit,
     run,
     sweep,
 )
+from fermisim.simulator import prepare_input
+
+GOLDEN = Path(__file__).parent / "data" / "pre_batched_ramp_golden.json"
 
 
 def read_csv(path):
@@ -146,6 +155,57 @@ class TestFig5:
         assert summary["schedule"]["T"] == 2.0
 
 
+def drawn_ramp(seed: int) -> Schedule:
+    """A hopping ramp under a ramped repulsion, drawn at random."""
+    rng = random.Random(seed)
+    duration = rng.uniform(2.5, 3.5)
+    t_on = duration * rng.uniform(0.2, 0.4)
+    t_off = duration * rng.uniform(0.6, 0.8)
+    v_end = rng.uniform(0.6, 1.4)
+    return Schedule.from_json_dict({
+        "T": duration,
+        "V": [[0.0, 0.0], [t_on, 0.0], [t_off, v_end], [duration, v_end]],
+        "U": [[0.0, rng.uniform(0.6, 1.4)], [duration, rng.uniform(0.6, 1.4)]],
+    })
+
+
+class TestExactReference:
+    @pytest.mark.parametrize("mode_count,steps", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("schedule", [default_ramp_schedule(),
+                                          drawn_ramp(2024)])
+    def test_converged_against_four_times_finer(self, schedule, mode_count,
+                                                 steps):
+        windows = [p.window for p in
+                   digitize_schedule(schedule, steps, mode_count)]
+        psi0 = prepare_input({2: "two_mode", 3: "three_mode"}[mode_count])
+        coarse = _advance_exact(psi0, schedule, mode_count, windows,
+                                EXACT_SLICES)
+        fine = _advance_exact(psi0, schedule, mode_count, windows,
+                              4 * EXACT_SLICES)
+        for a, b in zip(coarse, fine):
+            infidelity = 1 - abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+            assert infidelity <= 1e-10
+
+
+class TestPreBatchedRampGolden:
+    """Ramp CSV values recorded with the per-slice exact reference."""
+
+    CASES = json.loads(GOLDEN.read_text())["cases"]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_csv_values(self, case, tmp_path, monkeypatch):
+        want = self.CASES[case]
+        written = {}
+        monkeypatch.setattr(
+            experiments, "write_csv",
+            lambda path, header, rows: written.__setitem__(path.name, rows))
+        run(ExperimentConfig(out_dir=str(tmp_path), **want["config"]))
+        assert sorted(written) == sorted(want["csv"])
+        for name, rows in want["csv"].items():
+            assert np.allclose(np.array(written[name], dtype=float), rows,
+                               rtol=0, atol=1e-12), name
+
+
 class TestSweep:
     def test_steps_axis(self, tmp_path):
         cfg = ExperimentConfig("fig3", str(tmp_path), noise_scale=None,
@@ -239,6 +299,33 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 0
+
+    @pytest.mark.parametrize("change,field", [
+        ({"params": {"schedule": {"T": 3.0, "U": [[0.0, 1.0], [3.0, 1.0]]}}},
+         "params.schedule"),
+        ({"params": {"schedule": {"T": 3.0, "V": [[0.0, 0.0], [2.0, 1.0]],
+                                  "U": [[0.0, 1.0], [3.0, 1.0]]}}},
+         "params.schedule"),
+        ({"steps": "2"}, "steps"),
+        ({"seed": 1.5}, "seed"),
+        ({"noise_scale": 1000.0}, "noise_scale"),
+    ])
+    def test_malformed_config_exit_two(self, tmp_path, capsys, change,
+                                       field):
+        cfg = {"experiment": "fig5_2mode", "out_dir": str(tmp_path / "out"),
+               **change}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert f"configuration error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_exit_two(self, tmp_path, capsys, value):
+        code = main(["run", "--experiment", "fig5_2mode", "--noise", value,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "configuration error: noise_scale" in capsys.readouterr().err
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         # two distinct sequence lengths cannot support a decay fit

@@ -4,13 +4,18 @@ The oracle builds fermionic operators by explicit kron products of
 hard-coded 2x2 matrices and verifies canonical anticommutation and the
 fermionic -> spin Hamiltonian identity as dense matrices.
 """
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from fermisim.fermions import (
+    SCHEDULE_MODELS,
     FermionModel,
     ahm_modes,
     anticommutator,
+    coupling_matrices,
     four_mode_ahm,
     index_occupations,
     jw_annihilation,
@@ -227,3 +232,27 @@ class TestModelPlumbing:
         vec = np.zeros(4)
         vec[occupation_basis_index((0, 1))] = 1.0
         assert vec @ n_op @ vec == pytest.approx(0.0)
+
+
+class TestCouplingMatrices:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_linear_in_the_couplings(self, n):
+        hop, rep = coupling_matrices(n)
+        for v, u in ((0.0, 1.0), (1.0, 0.0), (0.37, 1.21), (-0.8, 0.0)):
+            want = spin_hamiltonian(SCHEDULE_MODELS[n](v, u)).to_dense()
+            assert np.allclose(v * hop + u * rep, want, rtol=0, atol=1e-14)
+
+    def test_cached_read_only(self):
+        hop, rep = coupling_matrices(3)
+        assert coupling_matrices(3)[0] is hop
+        with pytest.raises(ValueError):
+            rep[0, 0] = 1.0
+
+    def test_unsupported_mode_count(self):
+        with pytest.raises(ValueError, match="2- or 3-mode"):
+            coupling_matrices(4)
+
+    def test_not_built_at_import(self):
+        code = ("import fermisim, fermisim.fermions as f; "
+                "assert f.coupling_matrices.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True)

@@ -27,6 +27,7 @@ from fermisim.simulator import (
     basis_state,
     circuit_channel,
     error_budget,
+    evolve_slices,
     exact_evolve,
     input_circuit,
     mode_occupations,
@@ -201,6 +202,52 @@ class TestExactEvolve:
         bad = WeightedPauliSum.from_terms(1, [(1j, "X")])
         with pytest.raises(ValueError):
             exact_evolve(bad, 1.0, basis_state(1))
+
+    @pytest.mark.parametrize("h,state", [
+        (WeightedPauliSum.identity(1, 1.0), basis_state(1)),
+        (WeightedPauliSum.identity(2, -0.6), prepare_input("two_mode")),
+        (spin_hamiltonian(two_mode_model(1.0, 1.0)),
+         prepare_input("two_mode")),
+    ])
+    def test_phase_matches_expm(self, h, state):
+        # the offset contributes its global phase exactly once
+        t = 1.0
+        want = expm(-1j * h.to_dense() * t) @ state.amplitudes
+        out = exact_evolve(h, t, state)
+        assert np.allclose(out.amplitudes, want, rtol=0, atol=1e-12)
+
+
+class TestEvolveSlices:
+    def slices(self, count=6):
+        rng = np.random.default_rng(3)
+        return [spin_hamiltonian(two_mode_model(v, u))
+                for v, u in rng.uniform(0, 2, (count, 2))]
+
+    def test_matches_sequential_exact_evolve(self):
+        hs = self.slices()
+        dts = np.linspace(0.1, 0.6, len(hs))
+        state = prepare_input("two_mode")
+        out = evolve_slices(np.stack([h.to_dense() for h in hs]), dts, state,
+                            every=2)
+        assert len(out) == 3
+        for k, h in enumerate(hs):
+            state = exact_evolve(h, dts[k], state)
+            if k % 2 == 1:
+                assert np.allclose(out[k // 2].amplitudes, state.amplitudes,
+                                   rtol=0, atol=1e-13)
+
+    def test_default_returns_final_state(self):
+        hs = np.stack([h.to_dense() for h in self.slices()])
+        out = evolve_slices(hs, np.full(len(hs), 0.2),
+                            prepare_input("two_mode"))
+        assert len(out) == 1
+
+    def test_shape_and_grouping_checked(self):
+        hs = np.stack([h.to_dense() for h in self.slices(4)])
+        with pytest.raises(ValueError, match="qubit counts"):
+            evolve_slices(hs, np.ones(4), prepare_input("three_mode"))
+        with pytest.raises(ValueError, match="multiple"):
+            evolve_slices(hs, np.ones(4), prepare_input("two_mode"), every=3)
 
 
 class TestOccupations:
