@@ -5,8 +5,10 @@
     fermisim sweep --experiment fig3 --axis steps --from 1 --to 8 \
         --out results/
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures (fit or reconstruction breakdowns).
+Exit codes: 0 on success, 2 on configuration errors (including a config
+file that is missing, unreadable or not a JSON object), 3 on numerical
+failures (fit, optimiser or reconstruction breakdowns), 4 when the
+output directory or its files cannot be written.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from .tomography import ReconstructionError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_IO = 4
 
 
 def _parse_noise(text: str) -> float | None:
@@ -44,11 +47,26 @@ def _parse_noise(text: str) -> float | None:
         ) from None
 
 
+def _read_config(path: str) -> dict:
+    try:
+        with open(path, encoding="ascii") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: "
+                          f"{exc.strerror or exc}") from None
+    except ValueError as exc:  # malformed JSON or non-ASCII bytes
+        raise ConfigError(f"config: {path} is not valid JSON: "
+                          f"{exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config: {path} must hold a JSON object, "
+                          f"not {type(payload).__name__}")
+    return payload
+
+
 def _build_config(args) -> ExperimentConfig:
     payload = {}
     if args.config:
-        with open(args.config, encoding="ascii") as fh:
-            payload = json.load(fh)
+        payload = _read_config(args.config)
     if args.experiment is not None:
         payload["experiment"] = args.experiment
     if args.out is not None:
@@ -137,6 +155,9 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # the config was read above: this is output
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -282,7 +282,11 @@ def _emit_block(section: _Section, n: int, dt: float,
 
 
 def compile_trotter_step(plan: TrotterPlan, step_index: int = 0) -> Circuit:
-    """One digitised evolution step as a hardware circuit."""
+    """One digitised evolution step as a hardware circuit.
+
+    The gates depend on ``step_index`` only through its parity, and only
+    under the odd/even ordering (see :func:`step_templates`).
+    """
     n = plan.hamiltonian.qubit_count
     dt = plan.dt
     sections = _classify(plan.hamiltonian)
@@ -314,6 +318,16 @@ def compile_trotter_step(plan: TrotterPlan, step_index: int = 0) -> Circuit:
     return Circuit(n, tuple(gates),
                    {"trotter_step": step_index, "ordering": plan.ordering,
                     "dt": dt})
+
+
+def step_templates(plan: TrotterPlan) -> list[Circuit]:
+    """The distinct step circuits of a plan: step k is ``[k % len]``.
+
+    Only the odd/even ordering alternates its sections between steps;
+    every other ordering repeats one circuit.
+    """
+    count = 2 if plan.ordering == "odd_even_s6" and plan.steps > 1 else 1
+    return [compile_trotter_step(plan, k) for k in range(count)]
 
 
 def _boundary_rotation(gates: list[Gate], q: int, reverse: bool):

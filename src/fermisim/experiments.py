@@ -60,13 +60,13 @@ from .compiler import (
     compile_zz_block,
     digitize_schedule,
     plan_for_model,
+    step_templates,
 )
 from .fermions import (
     SCHEDULE_MODELS,
     FermionModel,
     coupling_matrices,
     four_mode_ahm,
-    spin_hamiltonian,
     three_mode_model,
     two_mode_model,
 )
@@ -76,7 +76,8 @@ from .simulator import (
     apply_circuit,
     error_budget,
     evolve_slices,
-    exact_evolve,
+    exact_trajectory,
+    lower_circuit,
     mode_occupations,
     other_state_population,
     prepare_input,
@@ -123,9 +124,8 @@ class ExperimentConfig:
                 f"experiment: unknown id {self.experiment!r}; "
                 f"choose from {EXPERIMENT_IDS}"
             )
-        if self.steps is not None and not (_is_int(self.steps)
-                                           and self.steps >= 1):
-            raise ConfigError("steps: must be an integer >= 1")
+        if self.steps is not None:
+            _positive_int("steps", self.steps)
         if self.noise_scale is not None:
             if not (_is_real(self.noise_scale) and self.noise_scale >= 0):
                 raise ConfigError("noise_scale: must be a finite number >= 0")
@@ -144,19 +144,22 @@ class ExperimentConfig:
             raise ConfigError("seed: must be a non-negative integer")
         if not isinstance(self.params, dict):
             raise ConfigError("params: must be an object")
-        if "schedule" in self.params:
-            self.schedule()
+        allowed = PARAMS_SCHEMA.get(self.experiment, {})
+        unknown = sorted(set(self.params) - set(allowed))
+        if unknown:
+            raise ConfigError(
+                f"params: unknown keys {unknown} for {self.experiment}; "
+                f"allowed: {sorted(allowed) or 'none'}"
+            )
+        for key, check in allowed.items():
+            if key in self.params:
+                check(f"params.{key}", self.params[key])
 
     def schedule(self) -> Schedule:
         """``params.schedule`` parsed, or the default ramp."""
         if "schedule" not in self.params:
             return default_ramp_schedule()
-        try:
-            return Schedule.from_json_dict(self.params["schedule"])
-        except KeyError as exc:
-            raise ConfigError(f"params.schedule: missing {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params.schedule: {exc}") from None
+        return _parse_schedule("params.schedule", self.params["schedule"])
 
     @property
     def canonical_ordering(self) -> str:
@@ -181,6 +184,38 @@ class ExperimentConfig:
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _positive_int(name: str, value) -> None:
+    if not (_is_int(value) and value >= 1):
+        raise ConfigError(f"{name}: must be an integer >= 1")
+
+
+def _positive_int_list(name: str, value) -> None:
+    if not (isinstance(value, (list, tuple)) and value
+            and all(_is_int(v) and v >= 1 for v in value)):
+        raise ConfigError(f"{name}: must be a non-empty list of "
+                          f"integers >= 1")
+
+
+def _parse_schedule(name: str, value) -> Schedule:
+    try:
+        return Schedule.from_json_dict(value)
+    except KeyError as exc:
+        raise ConfigError(f"{name}: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+# Accepted ``params`` keys per experiment, each with the check of its
+# value; an experiment not listed takes no params.
+PARAMS_SCHEMA = {
+    "fig5_2mode": {"schedule": _parse_schedule},
+    "fig5_3mode": {"schedule": _parse_schedule},
+    "digital_error_s4": {"step_counts": _positive_int_list},
+    "rb_s3": {"m_values": _positive_int_list,
+              "k_sequences": _positive_int},
+}
 
 
 def _is_real(value) -> bool:
@@ -219,7 +254,8 @@ def _series_rows(model: FermionModel, checkpoints,
     """Occupations and fidelities at t = 0 and after every step.
 
     ``checkpoints`` lists (end time, step circuit, exact state at that
-    time) per step.  The run's own state (noisy when noise is on) is
+    time) per step; steps that repeat one circuit object share its
+    lowering.  The run's own state (noisy when noise is on) is
     compared against the ideal digitised state and the exact evolution
     at the same simulated time, both via the measurement-side
     distribution metric (``fidelity_*``) and via the exact state
@@ -230,11 +266,20 @@ def _series_rows(model: FermionModel, checkpoints,
     accessible = accessible_indices(model.hoppings, n, psi0)
     digital = psi0
     run_state = psi0.to_density() if noise is not None else psi0
+    lowered = {}  # id of a step circuit -> (pure, noisy) lowerings
     rows = []
     for t, step_circuit, exact in [(0.0, None, psi0), *checkpoints]:
         if step_circuit is not None:
-            digital = apply_circuit(digital, step_circuit)
-            run_state = apply_circuit(run_state, step_circuit, noise)
+            if id(step_circuit) not in lowered:
+                lowered[id(step_circuit)] = (
+                    lower_circuit(step_circuit, density=False),
+                    None if noise is None
+                    else lower_circuit(step_circuit, noise))
+            pure, noisy = lowered[id(step_circuit)]
+            digital = apply_circuit(digital, step_circuit, lowered=pure)
+            # a noiseless run is the digital state itself
+            run_state = digital if noise is None else apply_circuit(
+                run_state, step_circuit, noise, lowered=noisy)
         p_run = run_state.probabilities()
         rows.append((t, *mode_occupations(run_state),
                      other_state_population(run_state, accessible),
@@ -250,12 +295,14 @@ def _series_rows(model: FermionModel, checkpoints,
 def _model_checkpoints(model: FermionModel, total_time: float, steps: int,
                        ordering: str) -> list:
     """Checkpoints of a constant-coupling run: exp(-iHt) at each step."""
-    h = spin_hamiltonian(model)
     plan = plan_for_model(model, total_time, steps, ordering)
-    psi0 = prepare_input(_input_kind(model.mode_count))
+    templates = step_templates(plan)
     dt = total_time / steps
-    return [((k + 1) * dt, compile_trotter_step(plan, k),
-             exact_evolve(h, (k + 1) * dt, psi0)) for k in range(steps)]
+    times = [(k + 1) * dt for k in range(steps)]
+    exact = exact_trajectory(plan.hamiltonian, times,
+                             prepare_input(_input_kind(model.mode_count)))
+    return [(t, templates[k % len(templates)], state)
+            for k, (t, state) in enumerate(zip(times, exact))]
 
 
 def _schedule_checkpoints(schedule: Schedule, mode_count: int,

@@ -13,15 +13,22 @@ rotations are error-free.  Noisy evolution is exact channel algebra, no
 trajectory sampling, so every run is deterministic.
 
 Every density run goes through one channel kernel: rho is a tensor with
-2n axes (kets, then bras, then optional batch axes) and each gate applies
-its local superoperator D_p o (U (x) U*), 4x4 or 16x16, to the axes
-(targets, targets + n), with p = 0 for noiseless runs.
-:func:`circuit_channel` runs the same loop on the identity batch.
+2n axes (kets, then bras, then optional batch axes) and each gate's
+local superoperator D_p o (U (x) U*), 4x4 or 16x16, acts on the axes
+(targets, targets + n), with p = 0 for noiseless runs.  A circuit is
+first lowered into entangler blocks (:func:`lower_circuit`): each
+qubit's run of one-qubit gates is multiplied into the next CZPHI on that
+qubit, so a step runs as one 16x16 contraction per entangling gate
+(4x4 unitaries on the pure backend) plus one per leftover run.
+:func:`circuit_channel` runs the same blocks on the identity batch;
+callers that run one circuit many times lower it once and pass the
+lowering to :func:`apply_circuit`.
 
 Exact evolution diagonalises dense Hamiltonians.  :func:`evolve_slices`
 takes a (slices, d, d) stack, as the exact ramp reference builds it,
 through one batched eigendecomposition and applies the slice
-propagators in order; :func:`exact_evolve` is its one-slice case.
+propagators in order; :func:`exact_trajectory` gives the states at
+many times of one constant Hamiltonian from one eigendecomposition.
 
 States live in the dense qubit frame of :mod:`fermisim.fermions`; all
 occupation I/O converts through that module's mode/qubit mapping.
@@ -38,9 +45,9 @@ from .circuits import (
     CapacityError,
     Circuit,
     Gate,
-    apply_circuit_vector,
     apply_gate_to_tensor,
     census_single_qubit_total,
+    entangler_blocks,
     gate_unitary,
 )
 from .fermions import index_occupations, mode_qubit, occupation_basis_index
@@ -201,13 +208,48 @@ def _gate_channel(g: Gate, noise: NoiseModel | None) -> np.ndarray:
     return s
 
 
-def _evolve_density(t: np.ndarray, circuit: Circuit,
-                    noise: NoiseModel | None) -> np.ndarray:
-    """Apply each gate's channel to a (kets, bras, batch...) tensor."""
+@dataclass(frozen=True, eq=False)
+class LoweredCircuit:
+    """A circuit as entangler blocks, ready to run on one backend.
+
+    Each block is (matrix, axes) for :func:`apply_gate_to_tensor`: on
+    the pure backend a unitary on ket axes, on the density backend a
+    superoperator, ``noise`` included, on (ket, bra) axes.  Lowering
+    folds every one-qubit gate into a neighbouring entangling block
+    (:func:`fermisim.circuits.entangler_blocks`).
+    """
+
+    circuit: Circuit
+    noise: NoiseModel | None
+    density: bool
+    blocks: tuple
+
+
+def lower_circuit(circuit: Circuit, noise: NoiseModel | None = None,
+                  density: bool = True) -> LoweredCircuit:
+    """Lower for the density backend, or (noiseless) for pure states.
+
+    Lower a circuit once to run it many times through
+    :func:`apply_circuit`.
+    """
     n = circuit.qubit_count
-    for g in circuit.gates:
-        axes = g.targets + tuple(q + n for q in g.targets)
-        t = apply_gate_to_tensor(t, _gate_channel(g, noise), axes, 2 * n)
+    if not density:
+        if noise is not None:
+            raise ValueError("noise needs the density backend")
+        blocks = tuple(entangler_blocks(circuit, gate_unitary))
+    else:
+        blocks = tuple(
+            (m, targets + tuple(q + n for q in targets))
+            for m, targets in entangler_blocks(
+                circuit, lambda g: _gate_channel(g, noise), legs=2))
+    return LoweredCircuit(circuit, noise, density, blocks)
+
+
+def _run_blocks(t: np.ndarray, lowered: LoweredCircuit) -> np.ndarray:
+    """Apply the blocks to a (kets[, bras], batch...) tensor."""
+    width = lowered.circuit.qubit_count * (2 if lowered.density else 1)
+    for m, axes in lowered.blocks:
+        t = apply_gate_to_tensor(t, m, axes, width)
     return t
 
 
@@ -220,19 +262,32 @@ def circuit_channel(circuit: Circuit,
                             f"{CIRCUIT_QUBIT_LIMIT // 2} qubits")
     dim = 4 ** n
     t = np.eye(dim, dtype=complex).reshape((2,) * (2 * n) + (dim,))
-    return _evolve_density(t, circuit, noise).reshape(dim, dim)
+    return _run_blocks(t, lower_circuit(circuit, noise)).reshape(dim, dim)
 
 
-def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None):
-    """Run a circuit; a noisy run promotes pure states to densities."""
+def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None,
+                  lowered: LoweredCircuit | None = None):
+    """Run a circuit; a noisy run promotes pure states to densities.
+
+    Noiseless runs on pure states use the pure backend, all others the
+    density backend.  ``lowered``, from :func:`lower_circuit` on this
+    circuit, noise and backend, skips lowering the circuit again.
+    """
     n = circuit.qubit_count
     if getattr(state, "qubit_count", None) != n:
         raise ValueError("state and circuit qubit counts differ")
-    if noise is None and isinstance(state, PureState):
-        amps = apply_circuit_vector(circuit, state.amplitudes)
-        return PureState(amps, n)
+    density = noise is not None or not isinstance(state, PureState)
+    if lowered is None:
+        lowered = lower_circuit(circuit, noise, density)
+    elif (lowered.circuit is not circuit or lowered.noise != noise
+          or lowered.density != density):
+        raise ValueError("lowered circuit belongs to another circuit, "
+                         "noise model or backend")
+    if not density:
+        amps = _run_blocks(state.amplitudes.reshape((2,) * n), lowered)
+        return PureState(amps.reshape(-1), n)
     dense = state.to_density() if isinstance(state, PureState) else state
-    t = _evolve_density(dense.rho.reshape((2,) * (2 * n)), circuit, noise)
+    t = _run_blocks(dense.rho.reshape((2,) * (2 * n)), lowered)
     return DensityState(t.reshape(dense.rho.shape), n)
 
 
@@ -264,14 +319,26 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     return out
 
 
-def exact_evolve(hamiltonian: WeightedPauliSum, t: float,
-                 state: PureState) -> PureState:
-    """exp(-i H t)|psi>, offset included, via the dense Hamiltonian."""
+def exact_trajectory(hamiltonian: WeightedPauliSum, times,
+                     state: PureState) -> list[PureState]:
+    """exp(-i H t)|psi> for every t in ``times``, offset included.
+
+    All times share one eigendecomposition of the dense Hamiltonian.
+    """
     if not hamiltonian.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian")
     if hamiltonian.qubit_count != state.qubit_count:
         raise ValueError("Hamiltonian and state qubit counts differ")
-    return evolve_slices(hamiltonian.to_dense()[None], [t], state)[0]
+    vals, vecs = np.linalg.eigh(hamiltonian.to_dense())
+    coeffs = vecs.conj().T @ state.amplitudes
+    return [PureState(vecs @ (np.exp(-1j * vals * t) * coeffs),
+                      state.qubit_count) for t in times]
+
+
+def exact_evolve(hamiltonian: WeightedPauliSum, t: float,
+                 state: PureState) -> PureState:
+    """exp(-i H t)|psi>, offset included, via the dense Hamiltonian."""
+    return exact_trajectory(hamiltonian, [t], state)[0]
 
 
 def mode_occupations(state) -> np.ndarray:

@@ -9,15 +9,23 @@ without it.
 Synthetic datasets prepare the 16 product states reached by
 {I, X/2, Y/2, X} on each qubit, apply the process under test (optionally
 with gate noise), analyse with the same 16 rotations, and record the
-four computational-basis outcome probabilities.  Reconstruction fits chi
-to the 1024 quadratic constraints by least squares, parameterising
-chi = T T^dag (Cholesky factor) to enforce Hermitian positive
-semidefiniteness and driving trace preservation with a scheduled
-penalty, then verifies the constraint set.  On clean data from a unitary
-the fit recovers the exact rank-1 chi.
+four computational-basis outcome probabilities.  Each probability is
+W_r chi W_r^dag for one row of a fixed 1024 x 16 design matrix W.
+
+Reconstruction seeds its fit with the linear inversion of the 1024
+constraints, solved through the normal equations: the right-hand side
+is W^H diag(y) W, and the 256 x 256 Gram matrix of the constraint map
+is factored once per process (lazily, read-only).  It then fits chi to
+the constraints by least squares, parameterising chi = T T^dag
+(Cholesky factor) to enforce Hermitian positive semidefiniteness and
+driving trace preservation with a scheduled penalty; an optimiser stage
+that reports failure, or a result that misses trace preservation,
+raises ReconstructionError.  On clean data from a unitary the fit
+recovers the exact rank-1 chi.
 """
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -25,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import cho_solve, expm
 from scipy.optimize import minimize
 
 from .circuits import Circuit, Gate, circuit_unitary
@@ -269,12 +277,50 @@ def simulate_qpt_dataset(process, noise: NoiseModel | None = None
     return QPTDataset(probs)
 
 
-def _design_tensor() -> np.ndarray:
-    """W[i, j, k, m] = <k| R_j E_m |prep_i>; prob = W chi W^dag."""
+@functools.cache
+def _design_matrix() -> np.ndarray:
+    """W[r, m] = <k| R_j E_m |prep_i> with r = (i, j, k) row-major.
+
+    The model probability of row r is W_r chi W_r^dag.  Built once,
+    read-only.
+    """
     preps = _prep_states()
     analyses = _analysis_unitaries()
     tmp = np.einsum("mab,ib->mia", PAULI_BASIS, preps)
-    return np.einsum("jka,mia->ijkm", analyses, tmp)
+    w = np.einsum("jka,mia->ijkm", analyses, tmp).reshape(-1, 16)
+    w.flags.writeable = False
+    return w
+
+
+@functools.cache
+def _gram_factor() -> np.ndarray:
+    """Lower Cholesky factor of the linear-inversion Gram matrix M^H M.
+
+    M[r, (m, n)] = W[r, m] conj(W[r, n]) maps vec(chi) to the 1024
+    probabilities; the 16 x 16 x 4 tomography set determines chi, so
+    M^H M (256 x 256) is positive definite.  Built once, read-only.
+    """
+    w = _design_matrix()
+    m = (w[:, :, None] * w.conj()[:, None, :]).reshape(len(w), -1)
+    factor = np.linalg.cholesky(m.conj().T @ m)
+    factor.flags.writeable = False
+    return factor
+
+
+def _linear_inversion(y: np.ndarray) -> np.ndarray:
+    """Least-squares chi of prob = M vec(chi), via the normal equations.
+
+    M^H y = vec(W^H diag(y) W), solved with the cached Gram factor.
+    """
+    w = _design_matrix()
+    rhs = (w.conj().T @ (y[:, None] * w)).reshape(-1)
+    chi_vec = cho_solve((_gram_factor(), True), rhs)
+    return chi_vec.reshape(16, 16)
+
+
+def _model_probabilities(w: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """W_r chi W_r^dag for every row r of the design matrix."""
+    return np.einsum("rm,rm->r", w @ chi, w.conj()).real
 
 
 _TRIL = np.tril_indices(16)
@@ -302,24 +348,27 @@ def _fit_objective(x: np.ndarray, weight: float, w: np.ndarray,
                    y: np.ndarray):
     """Penalised misfit and its gradient in the Cholesky parameters.
 
+    ``w`` is the flat design matrix and ``y`` the flat probabilities.
     With chi = T T^dag the model probability is |T^T W|^2, so the
     Wirtinger derivative with respect to conj(T) is conj(G) T, where G
     is the entrywise chi-gradient; both G terms below are Hermitian.
     """
     t = _params_to_t(x)
     chi = t @ t.conj().T
-    model = np.einsum("ijkm,mn,ijkn->ijk", w, chi, w.conj()).real
-    resid = model - y
+    resid = _model_probabilities(w, chi) - y
     defect = _tp_operator(chi)
     value = float(np.sum(resid ** 2)) \
         + weight * float(np.sum(np.abs(defect) ** 2))
-    g_chi = 2.0 * np.einsum("ijk,ijkm,ijkn->mn", resid, w, w.conj())
+    g_chi = 2.0 * (w.T @ (resid[:, None] * w.conj()))
     g_chi += 2.0 * weight * np.einsum(
         "nba,mbc,ca->mn", PAULI_BASIS.conj(), PAULI_BASIS, defect
     )
     d_tbar = g_chi.conj() @ t
     grad = np.concatenate([2 * d_tbar.real[_TRIL], 2 * d_tbar.imag[_TRIL]])
     return value, grad
+
+
+_PENALTY_WEIGHTS = (1e2, 1e4, 1e6)
 
 
 def reconstruct_chi(dataset: QPTDataset, return_info: bool = False,
@@ -329,15 +378,12 @@ def reconstruct_chi(dataset: QPTDataset, return_info: bool = False,
     Linear inversion seeds a Cholesky-parameterised refinement
     (chi = T T^dag, so Hermitian PSD by construction) that minimises
     misfit plus a trace-preservation penalty on an increasing weight
-    schedule.  Raises ReconstructionError if the result fails the
-    physicality checks.
+    schedule.  Raises ReconstructionError if an optimiser stage reports
+    failure or the result fails the physicality checks.
     """
-    w = _design_tensor()
-    y = dataset.probabilities
-    # linear inversion: prob[ijk] = sum_mn chi_mn W_m conj(W_n)
-    m_flat = np.einsum("ijkm,ijkn->ijkmn", w, w.conj()).reshape(-1, 256)
-    chi_vec, *_ = np.linalg.lstsq(m_flat, y.reshape(-1), rcond=None)
-    chi0 = chi_vec.reshape(16, 16)
+    w = _design_matrix()
+    y = dataset.probabilities.reshape(-1)
+    chi0 = _linear_inversion(y)
     chi0 = (chi0 + chi0.conj().T) / 2
     vals, vecs = np.linalg.eigh(chi0)
     vals = np.clip(vals, 1e-12, None)
@@ -345,18 +391,22 @@ def reconstruct_chi(dataset: QPTDataset, return_info: bool = False,
     t0 = np.linalg.cholesky(chi0 + 1e-12 * np.eye(16))
 
     x = _t_to_params(t0)
-    result = None
-    for weight in (1e2, 1e4, 1e6):
+    for stage, weight in enumerate(_PENALTY_WEIGHTS, 1):
         result = minimize(
             _fit_objective, x, args=(weight, w, y), jac=True,
             method="L-BFGS-B", options={"maxiter": max_iterations},
         )
+        if not result.success:
+            raise ReconstructionError(
+                f"optimiser failed at stage {stage}/{len(_PENALTY_WEIGHTS)} "
+                f"(penalty weight {weight:g}): {result.message}"
+            )
         x = result.x
     t = _params_to_t(x)
     chi = t @ t.conj().T
     process = ProcessMatrix(chi)
-    model = np.einsum("ijkm,mn,ijkn->ijk", w, chi, w.conj()).real
-    residual = float(np.sqrt(np.mean((model - y) ** 2)))
+    residual = float(np.sqrt(np.mean((_model_probabilities(w, chi) - y)
+                                     ** 2)))
     defect = process.tp_defect()
     if defect > TP_TOL:
         raise ReconstructionError(
@@ -366,7 +416,7 @@ def reconstruct_chi(dataset: QPTDataset, return_info: bool = False,
     info = {
         "rms_residual": residual,
         "tp_defect": defect,
-        "iterations": int(result.nit) if result is not None else 0,
+        "iterations": int(result.nit),
     }
     return (process, info) if return_info else process
 

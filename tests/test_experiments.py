@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult, minimize
 
 import fermisim.experiments as experiments
-from fermisim.cli import main
+from fermisim.cli import EXIT_IO, main
 from fermisim.compiler import Schedule, digitize_schedule
 from fermisim.experiments import (
     EXACT_SLICES,
@@ -22,6 +23,7 @@ from fermisim.experiments import (
 from fermisim.simulator import prepare_input
 
 GOLDEN = Path(__file__).parent / "data" / "pre_batched_ramp_golden.json"
+FUSION_GOLDEN = Path(__file__).parent / "data" / "pre_fusion_golden.json"
 
 
 def read_csv(path):
@@ -206,6 +208,43 @@ class TestPreBatchedRampGolden:
                                rtol=0, atol=1e-12), name
 
 
+class TestPreFusionGolden:
+    """Step-count and tomography outputs recorded before one-qubit gates
+    were folded into entangler blocks, steps were lowered once per run
+    and QPT linear inversion used the normal equations."""
+
+    CASES = json.loads(FUSION_GOLDEN.read_text())["cases"]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outputs(self, case, tmp_path, monkeypatch):
+        want = self.CASES[case]
+        csv, chi = {}, {}
+        monkeypatch.setattr(
+            experiments, "write_csv",
+            lambda path, header, rows: csv.__setitem__(path.name, rows))
+        write_json = experiments.write_json
+
+        def capture_json(path, payload):
+            if path.name.startswith("chi_"):
+                chi[path.name] = payload
+            write_json(path, payload)
+
+        monkeypatch.setattr(experiments, "write_json", capture_json)
+        summary = run(ExperimentConfig(out_dir=str(tmp_path),
+                                       **want["config"]))
+        assert sorted(csv) == sorted(want.get("csv", {}))
+        for name, rows in want.get("csv", {}).items():
+            assert np.allclose(np.array(csv[name], dtype=float), rows,
+                               rtol=0, atol=1e-12), name
+        assert sorted(chi) == sorted(want.get("chi", {}))
+        for name, payload in want.get("chi", {}).items():
+            for part in ("re", "im"):
+                assert np.allclose(chi[name][part], payload[part],
+                                   rtol=0, atol=1e-9), name
+        for key, value in want.get("summary", {}).items():
+            assert summary[key] == pytest.approx(value, rel=0, abs=1e-9)
+
+
 class TestSweep:
     def test_steps_axis(self, tmp_path):
         cfg = ExperimentConfig("fig3", str(tmp_path), noise_scale=None,
@@ -326,6 +365,74 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "configuration error: noise_scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,params,field", [
+        ("fig5_2mode", {"schedul": {"T": 2.0}}, "params: unknown keys"),
+        ("fig3", {"schedule": {}}, "params: unknown keys"),
+        ("census_table_s1", {"step_counts": [1]}, "params: unknown keys"),
+        ("rb_s3", {"m_values": [0, 1, 2]}, "params.m_values"),
+        ("rb_s3", {"m_values": []}, "params.m_values"),
+        ("rb_s3", {"k_sequences": 0}, "params.k_sequences"),
+        ("rb_s3", {"k_sequences": True}, "params.k_sequences"),
+        ("digital_error_s4", {"step_counts": [1, 2.5]},
+         "params.step_counts"),
+        ("digital_error_s4", {"step_counts": 4}, "params.step_counts"),
+        ("fig5_3mode", {"schedule": [1, 2]}, "params.schedule"),
+    ])
+    def test_params_schema_exit_two(self, tmp_path, capsys, experiment,
+                                    params, field):
+        cfg = {"experiment": experiment, "out_dir": str(tmp_path / "out"),
+               "params": params}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert f"configuration error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"experiment": ',
+                                      '"fig3"'])
+    def test_config_file_not_an_object_exit_two(self, tmp_path, capsys,
+                                                text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "configuration error: config" in capsys.readouterr().err
+
+    def test_missing_config_file_exit_two(self, tmp_path, capsys):
+        code = main(["run", "--config", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error: config" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_io(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        code = main(["run", "--experiment", "census_table_s1",
+                     "--out", str(blocker / "out")])
+        assert code == EXIT_IO
+        assert "output error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage,weight", [(1, "100"), (3, "1e+06")])
+    def test_optimiser_failure_exit_three(self, tmp_path, capsys,
+                                          monkeypatch, stage, weight):
+        import fermisim.tomography as tomography
+        calls = []
+
+        def failing_at_stage(fun, x0, **kwargs):
+            calls.append(x0)
+            if len(calls) < stage:
+                return minimize(fun, x0, **kwargs)
+            return OptimizeResult(x=x0, success=False, nit=0,
+                                  message="ABNORMAL: line search failed")
+
+        monkeypatch.setattr(tomography, "minimize", failing_at_stage)
+        code = main(["run", "--experiment", "anticommutation_fig2d",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert (f"numerical failure: optimiser failed at stage {stage}/3 "
+                f"(penalty weight {weight}): ABNORMAL") in err
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         # two distinct sequence lengths cannot support a decay fit

@@ -29,7 +29,9 @@ from fermisim.simulator import (
     error_budget,
     evolve_slices,
     exact_evolve,
+    exact_trajectory,
     input_circuit,
+    lower_circuit,
     mode_occupations,
     other_state_population,
     prepare_input,
@@ -123,6 +125,30 @@ class TestApplyCircuit:
         with pytest.raises(ValueError):
             apply_circuit(prepare_input("two_mode"), Circuit(3))
 
+    def test_lowered_circuit_is_reused(self):
+        st = prepare_input("two_mode")
+        c = Circuit(2, (Gate("RY", (0,), 0.7), Gate("CZPHI", (1, 0), 1.1),
+                        Gate("RX", (1,), 0.3)))
+        noise = NoiseModel()
+        pure = lower_circuit(c, density=False)
+        noisy = lower_circuit(c, noise)
+        assert np.array_equal(apply_circuit(st, c, lowered=pure).amplitudes,
+                              apply_circuit(st, c).amplitudes)
+        assert np.array_equal(apply_circuit(st, c, noise, noisy).rho,
+                              apply_circuit(st, c, noise).rho)
+
+    def test_lowered_circuit_must_match(self):
+        st = prepare_input("two_mode")
+        c = Circuit(2, (Gate("RY", (0,), 0.7),))
+        other = Circuit(2, (Gate("RY", (0,), 0.7),))
+        noisy = lower_circuit(c, NoiseModel())
+        for args in ((st, other, NoiseModel()), (st, c, NoiseModel(0.0)),
+                     (st, c, None)):
+            with pytest.raises(ValueError, match="lowered"):
+                apply_circuit(*args, lowered=noisy)
+        with pytest.raises(ValueError, match="density"):
+            lower_circuit(c, NoiseModel(), density=False)
+
 
 def _noisy_idle(target, p, n):
     """Kernel run of one idle on ``target`` at channel probability p."""
@@ -215,6 +241,22 @@ class TestExactEvolve:
         want = expm(-1j * h.to_dense() * t) @ state.amplitudes
         out = exact_evolve(h, t, state)
         assert np.allclose(out.amplitudes, want, rtol=0, atol=1e-12)
+
+
+class TestExactTrajectory:
+    def test_equals_one_slice_evolution_bit_for_bit(self):
+        # each time's state is the one-slice eigendecomposition result
+        h = spin_hamiltonian(three_mode_model(1.0, 1.0))
+        st = prepare_input("three_mode")
+        times = [0.4 * k for k in range(1, 6)]
+        for t, out in zip(times, exact_trajectory(h, times, st)):
+            want = evolve_slices(h.to_dense()[None], [t], st)[0]
+            assert np.array_equal(out.amplitudes, want.amplitudes)
+
+    def test_non_hermitian_rejected(self):
+        bad = WeightedPauliSum.from_terms(1, [(1j, "X")])
+        with pytest.raises(ValueError, match="Hermitian"):
+            exact_trajectory(bad, [1.0, 2.0], basis_state(1))
 
 
 class TestEvolveSlices:

@@ -217,10 +217,10 @@ class TestReconstruction:
 
     def test_gradient_matches_finite_differences(self):
         # the analytic Wirtinger gradient in the fit is load-bearing
-        from fermisim.tomography import _design_tensor, _fit_objective
+        from fermisim.tomography import _design_matrix, _fit_objective
         rng = np.random.default_rng(14)
-        w = _design_tensor()
-        y = simulate_qpt_dataset(Circuit(2)).probabilities
+        w = _design_matrix()
+        y = simulate_qpt_dataset(Circuit(2)).probabilities.reshape(-1)
         x0 = rng.normal(scale=0.2, size=272)
         _, grad = _fit_objective(x0, 10.0, w, y)
         eps = 1e-6
