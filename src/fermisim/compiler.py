@@ -424,22 +424,23 @@ class Schedule:
         return total / (t1 - t0)
 
     def averages(self, knots, edges) -> np.ndarray:
-        """Exact means over the slices [edges[i], edges[i + 1]].
+        """Exact means over the slices [edges[..., i], edges[..., i + 1]].
 
-        A slice without a knot strictly inside sees a linear profile,
-        whose mean is (f(a) + f(b)) / 2; only slices holding a knot go
-        through :meth:`average`.
+        ``edges`` is one increasing row of slice edges or a stack of
+        such rows, each row a window.  A slice without a knot strictly
+        inside sees a linear profile, whose mean is (f(a) + f(b)) / 2;
+        only slices holding a knot go through :meth:`average`.
         """
         edges = np.asarray(edges, dtype=float)
         if not np.all(np.diff(edges) > 0):
             raise ValueError("slice edges must increase")
         ts = np.array([p[0] for p in knots])
         f = np.interp(edges, ts, np.array([p[1] for p in knots]))
-        out = 0.5 * (f[:-1] + f[1:])
-        inner = ts[(ts > edges[0]) & (ts < edges[-1])]
-        slots = np.searchsorted(edges, inner, side="right") - 1
-        for i in np.unique(slots[edges[slots] < inner]):
-            out[i] = self.average(knots, edges[i], edges[i + 1])
+        out = 0.5 * (f[..., :-1] + f[..., 1:])
+        lo, hi = edges[..., :-1], edges[..., 1:]
+        holds_knot = ((lo[..., None] < ts) & (ts < hi[..., None])).any(-1)
+        for i in zip(*np.nonzero(holds_knot)):
+            out[i] = self.average(knots, lo[i], hi[i])
         return out
 
     def to_json_dict(self) -> dict:

@@ -15,11 +15,13 @@ Experiments:
 * ``fig5_2mode`` / ``fig5_3mode`` - insulating-to-metallic ramp of the
   hopping under constant repulsion, digitised with interval averages.
   The exact time-dependent reference cuts each step into
-  ``EXACT_SLICES`` slices under the exact slice averages; since the
-  Hamiltonian is V H_hop + U H_rep, each slice grid is built from the
-  two term matrices of :func:`fermisim.fermions.coupling_matrices` and
-  evolved with one batched eigendecomposition
-  (:func:`fermisim.simulator.evolve_slices`).
+  ``EXACT_SLICES`` slices under the exact slice averages, taken for
+  all windows in one :meth:`Schedule.averages` pass per profile over
+  the (windows, slices + 1) edge grid; since the Hamiltonian is
+  V H_hop + U H_rep, each slice grid is built from the two term
+  matrices of :func:`fermisim.fermions.coupling_matrices` and evolved
+  with one batched eigendecomposition, each window's slices multiplied
+  into one window propagator (:func:`fermisim.simulator.evolve_slices`).
 * ``digital_error_s4`` / ``digital_error_s5`` - noiseless digitisation
   error against the exact evolution, constant and ramped couplings.
 * ``rb_s3`` - interleaved randomized benchmarking of the two-qubit
@@ -321,21 +323,21 @@ def _advance_exact(state, schedule: Schedule, mode_count: int,
     """Exact time-dependent evolution through consecutive windows.
 
     Each window is cut into ``slices`` equal slices, each evolved under
-    the exact interval-averaged couplings as V H_hop + U H_rep; all
-    slices of all windows share one batched eigendecomposition.  Returns
-    the state at the end of every window.
+    the exact interval-averaged couplings as V H_hop + U H_rep.  The
+    (windows, slices + 1) edge grid is one array, each profile is
+    averaged over it in one pass, and all slices of all windows share
+    one batched eigendecomposition.  Returns the state at the end of
+    every window.
     """
-    v, u, durations = [], [], []
-    for t0, t1 in windows:
-        dt = (t1 - t0) / slices
-        edges = t0 + np.arange(slices + 1) * dt
-        v.append(schedule.averages(schedule.v_knots, edges))
-        u.append(schedule.averages(schedule.u_knots, edges))
-        durations.append(np.full(slices, dt))
-    couplings = np.stack([np.concatenate(v), np.concatenate(u)], axis=1)
+    t0, t1 = np.asarray(windows, dtype=float).T
+    dt = (t1 - t0) / slices
+    edges = t0[:, None] + np.arange(slices + 1) * dt[:, None]
+    couplings = np.stack([schedule.averages(knots, edges).reshape(-1)
+                          for knots in (schedule.v_knots, schedule.u_knots)],
+                         axis=1)
     hamiltonians = np.tensordot(couplings,
                                 np.stack(coupling_matrices(mode_count)), 1)
-    return evolve_slices(hamiltonians, np.concatenate(durations), state,
+    return evolve_slices(hamiltonians, np.repeat(dt, slices), state,
                          every=slices)
 
 
@@ -652,13 +654,17 @@ def run(config: ExperimentConfig) -> dict:
 
 SWEEP_AXES = ("steps", "noise_scale", "ordering")
 
-
-def _sweep_metric(summary: dict) -> float:
-    for key in ("per_step_fidelity_slope", "per_step_fidelity_drop",
-                "min_fidelity_vs_exact", "zz_block_error", "f_composed"):
-        if key in summary:
-            return float(summary[key])
-    return float("nan")
+# The summary key each sweepable experiment reports as its sweep metric;
+# an experiment not listed cannot be swept.
+SWEEP_METRICS = {
+    "fig3": "per_step_fidelity_slope",
+    "fig4_3mode": "per_step_fidelity_drop",
+    "fig4_4mode": "per_step_fidelity_drop",
+    "fig5_2mode": "min_fidelity_vs_exact",
+    "fig5_3mode": "min_fidelity_vs_exact",
+    "rb_s3": "zz_block_error",
+    "anticommutation_fig2d": "f_composed",
+}
 
 
 def sweep(config: ExperimentConfig, axis: str, values) -> list[dict]:
@@ -666,6 +672,11 @@ def sweep(config: ExperimentConfig, axis: str, values) -> list[dict]:
     config.validate()
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis: must be one of {SWEEP_AXES}")
+    metric = SWEEP_METRICS.get(config.experiment)
+    if metric is None:
+        raise ConfigError(
+            f"experiment: {config.experiment} has no sweep metric; "
+            f"sweepable: {sorted(SWEEP_METRICS)}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = []
@@ -674,7 +685,7 @@ def sweep(config: ExperimentConfig, axis: str, values) -> list[dict]:
         fields[axis] = value
         fields["out_dir"] = str(out / f"{axis}_{value}")
         results.append(run(ExperimentConfig.from_json_dict(fields)))
-    rows = [(value, _sweep_metric(summary))
+    rows = [(value, float(summary[metric]))
             for value, summary in zip(values, results)]
     write_csv(out / f"sweep_{axis}.csv", [axis, "metric"], rows)
     write_json(out / f"sweep_{axis}.json",

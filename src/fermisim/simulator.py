@@ -26,9 +26,11 @@ lowering to :func:`apply_circuit`.
 
 Exact evolution diagonalises dense Hamiltonians.  :func:`evolve_slices`
 takes a (slices, d, d) stack, as the exact ramp reference builds it,
-through one batched eigendecomposition and applies the slice
-propagators in order; :func:`exact_trajectory` gives the states at
-many times of one constant Hamiltonian from one eigendecomposition.
+through one batched eigendecomposition, multiplies each window's slice
+propagators into one window propagator by a pairwise, time-ordered
+batched product, and applies only the window propagators to the state;
+:func:`exact_trajectory` gives the states at many times of one constant
+Hamiltonian from one eigendecomposition.
 
 States live in the dense qubit frame of :mod:`fermisim.fermions`; all
 occupation I/O converts through that module's mode/qubit mapping.
@@ -300,6 +302,11 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     reads only their lower triangles: Hermiticity is the caller's
     check); ``durations`` holds each slice's dt_k.  Returns the state
     after every ``every`` slices (default: only the final state).
+
+    With ``every`` > 1, each window's ``every`` slice propagators are
+    multiplied into one by a pairwise, time-ordered batched product
+    (all windows at once, about log2(every) levels), and only the
+    window propagators touch the state.
     """
     hs = np.asarray(hamiltonians)
     dim = 2 ** state.qubit_count
@@ -312,10 +319,21 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     phases = np.exp(-1j * vals * np.asarray(durations, dtype=float)[:, None])
     amps = state.amplitudes
     out = []
-    for k, (v, ph) in enumerate(zip(vecs, phases), 1):
-        amps = v @ (ph * (v.conj().T @ amps))
-        if k % every == 0:
+    if every == 1:
+        for v, ph in zip(vecs, phases):
+            amps = v @ (ph * (v.conj().T @ amps))
             out.append(PureState(amps, state.qubit_count))
+        return out
+    props = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    props = props.reshape(-1, every, dim, dim)
+    while props.shape[1] > 1:
+        if props.shape[1] % 2:  # pad with the identity as a last slice
+            pad = np.broadcast_to(np.eye(dim), (len(props), 1, dim, dim))
+            props = np.concatenate([props, pad], axis=1)
+        props = props[:, 1::2] @ props[:, 0::2]  # later @ earlier
+    for u in props[:, 0]:
+        amps = u @ amps
+        out.append(PureState(amps, state.qubit_count))
     return out
 
 

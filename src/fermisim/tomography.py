@@ -161,12 +161,14 @@ def superoperator(process: ProcessMatrix) -> np.ndarray:
 
 
 def chi_from_superoperator(s: np.ndarray) -> ProcessMatrix:
-    basis_ops = np.stack([
-        np.kron(PAULI_BASIS[n].conj(), PAULI_BASIS[m])
-        for m in range(16) for n in range(16)
-    ])
-    coeffs = np.einsum("kab,ab->k", basis_ops.conj(), s) / 16.0
-    return ProcessMatrix(coeffs.reshape(16, 16))
+    """Inverse of :func:`superoperator`, by orthogonality of the basis.
+
+    chi[m, n] = tr(kron(conj(E_n), E_m)^dag S) / 16, contracted factor
+    by factor instead of building the 256 Kronecker products.
+    """
+    chi = np.einsum("nik,mjl,ijkl->mn", PAULI_BASIS, PAULI_BASIS.conj(),
+                    np.asarray(s).reshape(4, 4, 4, 4), optimize=True)
+    return ProcessMatrix(chi / 16.0)
 
 
 def compose_processes(first: ProcessMatrix,
@@ -233,15 +235,15 @@ class QPTDataset:
         return cls(probs)
 
 
-def _prep_states() -> np.ndarray:
-    """Row i is rotation i applied to |00>."""
-    return _analysis_unitaries()[:, :, 0]
-
-
+@functools.cache
 def _analysis_unitaries() -> np.ndarray:
-    return np.stack([
-        circuit_unitary(tomography_rotation(j)) for j in range(16)
-    ])
+    """The 16 rotation unitaries, stacked; built once, read-only.
+
+    Column 0 of rotation i is preparation i, rotation i applied to |00>.
+    """
+    u = np.stack([circuit_unitary(tomography_rotation(j)) for j in range(16)])
+    u.flags.writeable = False
+    return u
 
 
 def simulate_qpt_dataset(process, noise: NoiseModel | None = None
@@ -254,7 +256,7 @@ def simulate_qpt_dataset(process, noise: NoiseModel | None = None
     """
     analyses = _analysis_unitaries()
     inputs = [DensityState(np.outer(v, v.conj()), 2).rho
-              for v in _prep_states()]
+              for v in analyses[:, :, 0]]
     if isinstance(process, ProcessMatrix):
         if noise is not None:
             raise ValueError(
@@ -268,13 +270,11 @@ def simulate_qpt_dataset(process, noise: NoiseModel | None = None
                                 2).rho for rho in inputs]
     else:
         raise TypeError("process must be a Circuit or ProcessMatrix")
-    probs = np.zeros((16, 16, 4))
-    for i, rho_out in enumerate(outputs):
-        for j in range(16):
-            rotated = analyses[j] @ rho_out @ analyses[j].conj().T
-            probs[i, j] = np.clip(np.diag(rotated).real, 0.0, None)
-            probs[i, j] /= probs[i, j].sum()
-    return QPTDataset(probs)
+    # probs[i, j, k] = <k| R_j rho_i R_j^dag |k>
+    probs = np.einsum("jka,iab,jkb->ijk", analyses, np.stack(outputs),
+                      analyses.conj(), optimize=True).real
+    probs = np.clip(probs, 0.0, None)
+    return QPTDataset(probs / probs.sum(axis=2, keepdims=True))
 
 
 @functools.cache
@@ -284,9 +284,8 @@ def _design_matrix() -> np.ndarray:
     The model probability of row r is W_r chi W_r^dag.  Built once,
     read-only.
     """
-    preps = _prep_states()
     analyses = _analysis_unitaries()
-    tmp = np.einsum("mab,ib->mia", PAULI_BASIS, preps)
+    tmp = np.einsum("mab,ib->mia", PAULI_BASIS, analyses[:, :, 0])
     w = np.einsum("jka,mia->ijkm", analyses, tmp).reshape(-1, 16)
     w.flags.writeable = False
     return w

@@ -1,6 +1,8 @@
 """Trotter compiler: block unitaries vs expm oracles, censuses, orderings."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fermisim.circuits import (
@@ -23,6 +25,7 @@ from fermisim.compiler import (
     conjugate_basis,
     digitize_schedule,
     plan_for_model,
+    step_templates,
 )
 from fermisim.fermions import (
     four_mode_ahm,
@@ -224,6 +227,23 @@ class TestEvolution:
             got = circuit_unitary(compile_evolution(plan))
             assert phase_distance(got, want) < 1e-9
 
+    # canonical_s5 only: odd_even_s6 splits the hopping terms, which is
+    # a real Trotter error even on two modes
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+           st.floats(0.0, 8.0, exclude_min=True), st.integers(1, 12))
+    def test_two_mode_canonical_evolution_is_exact(self, v, u, t, steps):
+        model = two_mode_model(v, u)
+        plan = plan_for_model(model, t, steps, "canonical_s5")
+        want = expm(-1j * model_dense(model) * t)
+        got = circuit_unitary(compile_evolution(plan))
+        assert phase_distance(got, want) <= 1e-12
+        templates = step_templates(plan)
+        stepped = np.eye(4)
+        for k in range(steps):
+            stepped = circuit_unitary(templates[k % len(templates)]) @ stepped
+        assert phase_distance(stepped, want) <= 1e-12
+
     def test_odd_even_cancellation_preserves_unitary(self):
         plan = plan_for_model(four_mode_ahm(1.0, 1.0, 0.0, 1.0), 1.0, 2,
                               ordering="odd_even_s6")
@@ -326,6 +346,24 @@ class TestSchedule:
             want = [s.average(knots, a, b) for a, b in zip(edges, edges[1:])]
             assert np.allclose(s.averages(knots, edges), want,
                                rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("windows,slices", [(4, 7), (60, 20),
+                                                (2, 600)])
+    def test_averages_over_a_window_grid_equal_per_row_calls(self, windows,
+                                                             slices):
+        s = Schedule(3.0, v_knots=((0.0, 0.0), (1.01, 0.0), (1.337, 0.7),
+                                   (2.0, 1.0), (3.0, 1.0)),
+                     u_knots=((0.0, 1.0), (1.7003, 0.2), (3.0, 0.4)))
+        t0 = np.arange(windows) * (3.0 / windows)
+        t1 = t0 + 3.0 / windows
+        dt = (t1 - t0) / slices
+        grid = t0[:, None] + np.arange(slices + 1) * dt[:, None]
+        ts = np.array([t for t, _ in s.v_knots])
+        # some slice holds a knot and takes the scalar fallback
+        assert ((grid[:, :-1, None] < ts) & (ts < grid[:, 1:, None])).any()
+        for knots in (s.v_knots, s.u_knots):
+            want = np.stack([s.averages(knots, row) for row in grid])
+            assert np.array_equal(s.averages(knots, grid), want)
 
     def test_averages_reject_unordered_edges(self):
         s = self.ramp()

@@ -332,6 +332,21 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sweep_steps.csv").exists()
 
+    @pytest.mark.parametrize("experiment,axis,values", [
+        ("census_table_s1", "ordering", []),
+        ("digital_error_s5", "noise_scale", ["--values", "0", "1"]),
+        ("digital_error_s4", "steps", ["--values", "1", "2"]),
+    ])
+    def test_sweep_without_metric_exit_two(self, tmp_path, capsys,
+                                           experiment, axis, values):
+        code = main(["sweep", "--experiment", experiment, "--axis", axis,
+                     *values, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error: experiment" in err
+        assert "no sweep metric" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file(self, tmp_path):
         cfg = {"experiment": "fig3", "out_dir": str(tmp_path / "out"),
                "steps": 1}

@@ -259,7 +259,34 @@ class TestExactTrajectory:
             exact_trajectory(bad, [1.0, 2.0], basis_state(1))
 
 
+def per_slice_reference(hs, durations, amps, every):
+    """exp(-i H_k dt_k) applied to the amplitudes one slice at a time."""
+    vals, vecs = np.linalg.eigh(hs)
+    out = []
+    for k, (v, lam, dt) in enumerate(zip(vecs, vals, durations), 1):
+        amps = v @ (np.exp(-1j * lam * dt) * (v.conj().T @ amps))
+        if k % every == 0:
+            out.append(amps)
+    return out
+
+
 class TestEvolveSlices:
+    @pytest.mark.parametrize("qubits", [2, 3])
+    @pytest.mark.parametrize("every", [1, 2, 3, 7, 20, 600])
+    def test_window_products_match_per_slice_loop(self, qubits, every):
+        rng = np.random.default_rng(10 * every + qubits)
+        dim = 2 ** qubits
+        m = rng.normal(size=(3 * every, dim, dim))
+        hs = m + m.transpose(0, 2, 1)
+        durations = rng.uniform(0.5, 1.5, len(hs)) / every
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = PureState(amps / np.linalg.norm(amps), qubits)
+        out = evolve_slices(hs, durations, state, every=every)
+        want = per_slice_reference(hs, durations, state.amplitudes, every)
+        assert len(out) == len(want) == 3
+        for got, ref in zip(out, want):
+            assert np.max(np.abs(got.amplitudes - ref)) <= 1e-13
+
     def slices(self, count=6):
         rng = np.random.default_rng(3)
         return [spin_hamiltonian(two_mode_model(v, u))

@@ -94,6 +94,17 @@ class TestSuperoperator:
                ).reshape(4, 4, order="F")
         assert np.allclose(lhs, u @ rho @ u.conj().T, atol=1e-12)
 
+    def test_inverse_matches_kron_basis_reference(self):
+        # chi[m, n] = tr(kron(conj(E_n), E_m)^dag S) / 16 over the 256
+        # Kronecker products built one by one
+        rng = np.random.default_rng(8)
+        s = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        basis = np.stack([np.kron(PAULI_BASIS[n].conj(), PAULI_BASIS[m])
+                          for m in range(16) for n in range(16)])
+        want = np.einsum("kab,ab->k", basis.conj(), s).reshape(16, 16) / 16
+        got = chi_from_superoperator(s).chi
+        assert np.max(np.abs(got - want)) <= 1e-14
+
 
 class TestCompose:
     def test_identity_is_neutral(self):
