@@ -10,7 +10,6 @@ benchmarking.
 """
 from .pauli import PauliString, WeightedPauliSum, commutes, multiply
 from .fermions import (
-    FermionMode,
     FermionModel,
     anticommutator,
     four_mode_ahm,
@@ -73,7 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PauliString", "WeightedPauliSum", "commutes", "multiply",
-    "FermionMode", "FermionModel", "anticommutator", "four_mode_ahm",
+    "FermionModel", "anticommutator", "four_mode_ahm",
     "jw_annihilation", "jw_creation", "spin_hamiltonian",
     "three_mode_model", "two_mode_model",
     "Circuit", "Gate", "circuit_unitary", "gate_census", "gate_unitary",

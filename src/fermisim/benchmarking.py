@@ -21,6 +21,7 @@ errors extracted with the ratio formula r = (1 - p_int/p_ref)(d - 1)/d.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .simulator import DensityState, NoiseModel, circuit_channel
 
 SINGLE_QUBIT_ORDER = 24
 TWO_QUBIT_ORDER = 11520
+KEY_DECIMALS = 8  # rounding of a phase-fixed unitary before hashing
 
 
 class ClosureError(RuntimeError):
@@ -62,7 +64,7 @@ def _generators(n: int) -> list[Circuit]:
     return gens
 
 
-def phase_fixed_key(u: np.ndarray, decimals: int = 8) -> bytes:
+def phase_fixed_key(u: np.ndarray) -> bytes:
     """Hashable fingerprint of a unitary modulo global phase.
 
     The phase reference is the first entry (row-major) whose magnitude
@@ -72,7 +74,7 @@ def phase_fixed_key(u: np.ndarray, decimals: int = 8) -> bytes:
     flat = u.reshape(-1)
     idx = int(np.argmax(np.abs(flat) > 0.1))
     fixed = u * (abs(flat[idx]) / flat[idx])
-    rounded = np.round(fixed, decimals) + 0.0  # normalise -0.0
+    rounded = np.round(fixed, KEY_DECIMALS) + 0.0  # normalise -0.0
     return rounded.tobytes()
 
 
@@ -141,15 +143,13 @@ class CliffordGroup:
         return self.index_of(u) is not None
 
 
-_GROUP_CACHE: dict[int, CliffordGroup] = {}
+# keyed on the qubit count, however the caller spells two_qubit
+_cached_group = functools.cache(CliffordGroup)
 
 
 def clifford_group(two_qubit: bool = True) -> CliffordGroup:
     """The (cached) single- or two-qubit Clifford group."""
-    n = 2 if two_qubit else 1
-    if n not in _GROUP_CACHE:
-        _GROUP_CACHE[n] = CliffordGroup(n)
-    return _GROUP_CACHE[n]
+    return _cached_group(2 if two_qubit else 1)
 
 
 def _rb_channels(group: CliffordGroup, interleaved: Circuit | None,

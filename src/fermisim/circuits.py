@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .pauli import DENSE_QUBIT_LIMIT as CIRCUIT_QUBIT_LIMIT
 from .pauli import PAULI_MATRICES, CapacityError
 
 GATE_KINDS = (
     "RX", "RY", "RZ", "PI_X", "PI_Y", "VIRTUAL_Z", "IDLE", "DETUNE", "CZPHI",
 )
-PARAMETRIC = {"RX", "RY", "RZ", "VIRTUAL_Z", "CZPHI"}
 TWO_QUBIT = {"CZPHI"}
 
 DURATION_CLASS = {
@@ -43,7 +43,6 @@ DURATION_CLASS = {
 }
 
 UNITARY_TOL = 1e-10
-CIRCUIT_QUBIT_LIMIT = 12
 
 @dataclass(frozen=True)
 class Gate:

@@ -21,6 +21,7 @@ import numpy as np
 from .benchmarking import ClosureError, FitError
 from .experiments import (
     EXPERIMENT_IDS,
+    SWEEP_AXES,
     ConfigError,
     ExperimentConfig,
     run,
@@ -107,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run_p)
     sweep_p = sub.add_parser("sweep", help="run an experiment over one axis")
     _add_common(sweep_p)
-    sweep_p.add_argument("--axis", required=True,
-                         choices=["steps", "noise_scale", "ordering"])
+    sweep_p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep_p.add_argument("--from", dest="from_", type=float)
     sweep_p.add_argument("--to", dest="to", type=float)
     sweep_p.add_argument("--values", nargs="+",
@@ -116,19 +116,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_values(args):
-    if args.values:
-        if args.axis == "ordering":
-            return list(args.values)
-        caster = int if args.axis == "steps" else float
-        return [caster(v) for v in args.values]
+def _axis_number(axis: str, value):
+    """A noise scale, or an integer step count, from text or a float."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"values: {value!r} is not a number") from None
+    if axis == "steps" and not number.is_integer():
+        raise ConfigError(f"values: {value!r} is not an integer step count")
+    return int(number) if axis == "steps" else number
+
+
+def _sweep_values(args) -> list:
     if args.axis == "ordering":
-        return ["s5", "s6"]
-    if args.from_ is None or args.to is None:
+        values = list(args.values or ["s5", "s6"])
+    elif args.values:
+        values = [_axis_number(args.axis, v) for v in args.values]
+    elif args.from_ is None or args.to is None:
         raise ConfigError("axis: need --values or --from/--to")
-    if args.axis == "steps":
-        return list(range(int(args.from_), int(args.to) + 1))
-    return [args.from_, args.to]
+    elif args.axis == "steps":
+        values = list(range(_axis_number("steps", args.from_),
+                            _axis_number("steps", args.to) + 1))
+    else:
+        values = [args.from_, args.to]
+    if not values:
+        raise ConfigError(f"values: the {args.axis} sweep is empty")
+    return values
 
 
 def main(argv=None) -> int:

@@ -38,7 +38,7 @@ from .pauli import WeightedPauliSum
 PHASE_RANGE = (0.5, 4.0)
 _SPLIT_SHIFT = math.pi / 2
 
-ORDERINGS = ("canonical_s5", "odd_even_s6", "custom")
+ORDERINGS = ("canonical_s5", "odd_even_s6")
 
 
 class CompileError(ValueError):
@@ -152,7 +152,7 @@ def _classify(hamiltonian: WeightedPauliSum) -> list[_Section]:
     return sections
 
 
-def _ordered_sections(sections, ordering, parity, custom_order):
+def _ordered_sections(sections, ordering, parity):
     hop_pairs = sorted({s.modes for s in sections if s.kind in ("xx", "yy")})
     by_key = {s.key(): s for s in sections}
     xx = [by_key[f"xx_{i}_{j}"] for i, j in hop_pairs
@@ -173,17 +173,6 @@ def _ordered_sections(sections, ordering, parity, custom_order):
         return interleaved + diag
     if ordering == "odd_even_s6":
         return (xx + diag + yy) if parity == 0 else (yy + diag + xx)
-    if ordering == "custom":
-        if custom_order is None:
-            raise CompileError("custom ordering requires an explicit order")
-        missing = set(by_key) - set(custom_order)
-        unknown = [k for k in custom_order if k not in by_key]
-        if missing or unknown:
-            raise CompileError(
-                f"custom order mismatch: missing {sorted(missing)}, "
-                f"unknown {unknown}"
-            )
-        return [by_key[k] for k in custom_order]
     raise CompileError(f"unknown ordering {ordering!r}")
 
 
@@ -195,7 +184,6 @@ class TrotterPlan:
     total_time: float
     steps: int
     ordering: str = "canonical_s5"
-    custom_order: tuple[str, ...] | None = None
     window: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -209,19 +197,6 @@ class TrotterPlan:
     @property
     def dt(self) -> float:
         return self.total_time / self.steps
-
-    @property
-    def phase_map(self) -> dict[str, float]:
-        """Per-block phases for one step.
-
-        A term ``c * P`` evolves as ``exp(-i c dt P)``; the corresponding
-        block parameter is ``2 c dt`` (ZZ blocks impart diag phase phi =
-        2 c dt, virtual-Z gates rotate by the same angle).
-        """
-        return {
-            s.key(): 2.0 * s.coeff * self.dt
-            for s in _classify(self.hamiltonian)
-        }
 
 
 def plan_for_model(model: FermionModel, total_time: float, steps: int,
@@ -291,8 +266,7 @@ def compile_trotter_step(plan: TrotterPlan, step_index: int = 0) -> Circuit:
     dt = plan.dt
     sections = _classify(plan.hamiltonian)
     parity = step_index % 2
-    ordered = _ordered_sections(sections, plan.ordering, parity,
-                                plan.custom_order)
+    ordered = _ordered_sections(sections, plan.ordering, parity)
     shape = _shape_key(sections, n)
     alignment = _ALIGNMENT.get(shape, {})
     gates: list[Gate] = []
@@ -404,8 +378,8 @@ class Schedule:
                 raise ValueError(f"{name} knots must be time-ordered")
             if abs(ts[0]) > 1e-12 or abs(ts[-1] - self.duration) > 1e-12:
                 raise ValueError(f"{name} knots must cover [0, duration]")
-            if any(not math.isfinite(v) for _, v in knots):
-                raise ValueError(f"{name} values must be finite")
+            if not all(math.isfinite(x) for knot in knots for x in knot):
+                raise ValueError(f"{name} knots must be finite")
 
     def value(self, knots, t: float) -> float:
         ts = np.array([p[0] for p in knots])
@@ -484,13 +458,3 @@ def digitize_schedule(schedule: Schedule, steps: int,
         )
     return plans
 
-
-def compile_schedule(plans: list[TrotterPlan]) -> Circuit:
-    """Concatenate the single-step circuits of a digitised schedule."""
-    if not plans:
-        raise ValueError("empty schedule")
-    n = plans[0].hamiltonian.qubit_count
-    gates: list[Gate] = []
-    for k, plan in enumerate(plans):
-        gates.extend(compile_trotter_step(plan, k).gates)
-    return Circuit(n, tuple(gates), {"steps": len(plans)})

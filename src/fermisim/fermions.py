@@ -96,30 +96,6 @@ def anticommutator(a: PauliString, b: PauliString) -> WeightedPauliSum:
 
 
 @dataclass(frozen=True)
-class FermionMode:
-    """A single-particle mode with its lattice-site and species labels."""
-
-    index: int
-    site: str
-    species: int
-
-
-def ahm_modes() -> tuple[FermionMode, ...]:
-    """Canonical (site, species) -> index assignment for the 4-mode model.
-
-    The chain order is (x,1), (y,1), (y,2), (x,2): species-1 modes sit at
-    the bottom of the JW string and the site-x species-2 mode carries the
-    longest Z tail.
-    """
-    return (
-        FermionMode(0, "x", 1),
-        FermionMode(1, "y", 1),
-        FermionMode(2, "y", 2),
-        FermionMode(3, "x", 2),
-    )
-
-
-@dataclass(frozen=True)
 class FermionModel:
     """Hopping/repulsion couplings over 2-4 modes.
 

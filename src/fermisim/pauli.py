@@ -316,10 +316,6 @@ class WeightedPauliSum:
         return cls.from_json_dict(json.loads(text))
 
 
-def to_dense(p: WeightedPauliSum) -> np.ndarray:
-    return p.to_dense()
-
-
 def commutes(a: WeightedPauliSum, b: WeightedPauliSum,
              tol: float = COMMUTATOR_TOL) -> bool:
     """True iff the dense commutator vanishes (max-abs entry <= tol)."""

@@ -24,13 +24,13 @@ qubit, so a step runs as one 16x16 contraction per entangling gate
 callers that run one circuit many times lower it once and pass the
 lowering to :func:`apply_circuit`.
 
-Exact evolution diagonalises dense Hamiltonians.  :func:`evolve_slices`
-takes a (slices, d, d) stack, as the exact ramp reference builds it,
-through one batched eigendecomposition, multiplies each window's slice
-propagators into one window propagator by a pairwise, time-ordered
-batched product, and applies only the window propagators to the state;
-:func:`exact_trajectory` gives the states at many times of one constant
-Hamiltonian from one eigendecomposition.
+Exact evolution has one propagator, :func:`evolve_slices`: it takes a
+(slices, d, d) stack of dense Hamiltonians through one batched
+eigendecomposition, multiplies each window's slice propagators into one
+window propagator by a pairwise, time-ordered batched product, and
+applies only the window propagators to the state.  The exact ramp
+reference, the constant-coupling checkpoints (one slice per window) and
+:func:`exact_evolve` all run through it.
 
 States live in the dense qubit frame of :mod:`fermisim.fermions`; all
 occupation I/O converts through that module's mode/qubit mapping.
@@ -52,7 +52,7 @@ from .circuits import (
     entangler_blocks,
     gate_unitary,
 )
-from .fermions import index_occupations, mode_qubit, occupation_basis_index
+from .fermions import index_occupations, occupation_basis_index
 from .pauli import WeightedPauliSum
 
 NORM_TOL = 1e-10
@@ -69,14 +69,11 @@ class NoiseModel:
 
     eps_2q: float = TYPICAL_EPS_2Q
     eps_1q: float = TYPICAL_EPS_1Q
-    channel_kind: str = "depolarizing"
 
     def __post_init__(self):
         for eps in (self.eps_2q, self.eps_1q):
             if not 0.0 <= eps <= 1.0:
                 raise ValueError(f"gate error {eps} outside [0, 1]")
-        if self.channel_kind != "depolarizing":
-            raise ValueError("only depolarizing noise is modelled")
 
     def scaled(self, factor: float) -> NoiseModel:
         return replace(self, eps_2q=self.eps_2q * factor,
@@ -303,10 +300,10 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     check); ``durations`` holds each slice's dt_k.  Returns the state
     after every ``every`` slices (default: only the final state).
 
-    With ``every`` > 1, each window's ``every`` slice propagators are
-    multiplied into one by a pairwise, time-ordered batched product
-    (all windows at once, about log2(every) levels), and only the
-    window propagators touch the state.
+    Each window's ``every`` slice propagators are multiplied into one
+    by a pairwise, time-ordered batched product (all windows at once,
+    about log2(every) levels), and only the window propagators touch
+    the state.
     """
     hs = np.asarray(hamiltonians)
     dim = 2 ** state.qubit_count
@@ -319,11 +316,6 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     phases = np.exp(-1j * vals * np.asarray(durations, dtype=float)[:, None])
     amps = state.amplitudes
     out = []
-    if every == 1:
-        for v, ph in zip(vecs, phases):
-            amps = v @ (ph * (v.conj().T @ amps))
-            out.append(PureState(amps, state.qubit_count))
-        return out
     props = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     props = props.reshape(-1, every, dim, dim)
     while props.shape[1] > 1:
@@ -337,40 +329,19 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     return out
 
 
-def exact_trajectory(hamiltonian: WeightedPauliSum, times,
-                     state: PureState) -> list[PureState]:
-    """exp(-i H t)|psi> for every t in ``times``, offset included.
-
-    All times share one eigendecomposition of the dense Hamiltonian.
-    """
-    if not hamiltonian.is_hermitian():
-        raise ValueError("Hamiltonian must be Hermitian")
-    if hamiltonian.qubit_count != state.qubit_count:
-        raise ValueError("Hamiltonian and state qubit counts differ")
-    vals, vecs = np.linalg.eigh(hamiltonian.to_dense())
-    coeffs = vecs.conj().T @ state.amplitudes
-    return [PureState(vecs @ (np.exp(-1j * vals * t) * coeffs),
-                      state.qubit_count) for t in times]
-
-
 def exact_evolve(hamiltonian: WeightedPauliSum, t: float,
                  state: PureState) -> PureState:
     """exp(-i H t)|psi>, offset included, via the dense Hamiltonian."""
-    return exact_trajectory(hamiltonian, [t], state)[0]
+    if not hamiltonian.is_hermitian():
+        raise ValueError("Hamiltonian must be Hermitian")
+    return evolve_slices(hamiltonian.to_dense()[None], [t], state)[0]
 
 
 def mode_occupations(state) -> np.ndarray:
     """P(mode i occupied), i.e. its qubit in the occupied level."""
     n = state.qubit_count
-    probs = state.probabilities()
-    out = np.zeros(n)
-    for mode in range(n):
-        q = mode_qubit(mode, n)
-        weight = 2 ** (n - 1 - q)
-        idx = np.arange(2 ** n)
-        occupied = ((idx // weight) % 2) == 0
-        out[mode] = probs[occupied].sum()
-    return out
+    return np.array(index_occupations(np.arange(2 ** n), n)) \
+        @ state.probabilities()
 
 
 def state_overlap(reference: PureState, state) -> float:

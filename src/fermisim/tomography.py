@@ -26,7 +26,6 @@ recovers the exact rank-1 chi.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
 import warnings
@@ -39,7 +38,7 @@ from scipy.optimize import minimize
 from .circuits import Circuit, Gate, circuit_unitary
 from .compiler import compile_zz_block, conjugate_basis
 from .pauli import PAULI_MATRICES
-from .simulator import DensityState, NoiseModel, circuit_channel
+from .simulator import PSD_TOL, DensityState, NoiseModel, circuit_channel
 
 BASIS_TAG = "IXYZ*IXYZ:row-major"
 PAULI_BASIS_LABELS = tuple(
@@ -52,7 +51,6 @@ PAULI_BASIS = np.stack([
 
 PREP_GATE_LABELS = ("I", "X/2", "Y/2", "X")
 
-PSD_TOL = 1e-8
 TP_TOL = 1e-6
 
 
@@ -98,10 +96,7 @@ class ProcessMatrix:
         return herm and psd and self.tp_defect() <= tp_tol
 
     def tp_defect(self) -> float:
-        acc = np.einsum(
-            "mn,nba,mbc->ac", self.chi, PAULI_BASIS.conj(), PAULI_BASIS
-        )
-        return float(np.max(np.abs(acc - np.eye(4))))
+        return float(np.max(np.abs(_tp_operator(self.chi))))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return np.einsum(
@@ -145,11 +140,6 @@ def identity_process() -> ProcessMatrix:
     return chi_of_unitary(np.eye(4, dtype=complex))
 
 
-def depolarizing_process(p: float = 1.0) -> ProcessMatrix:
-    chi = (1 - p) * identity_process().chi + p * np.eye(16) / 16
-    return ProcessMatrix(chi)
-
-
 def superoperator(process: ProcessMatrix) -> np.ndarray:
     """Column-stacking superoperator: vec(Lambda(rho)) = S vec(rho).
 
@@ -180,14 +170,6 @@ def compose_processes(first: ProcessMatrix,
                                   superoperator(first))
 
 
-def divide_reference(process: ProcessMatrix,
-                     reference: ProcessMatrix) -> ProcessMatrix:
-    """Strip a reference (zero-time idle) process from a measured one."""
-    s_ref = superoperator(reference)
-    return chi_from_superoperator(superoperator(process) @
-                                  np.linalg.inv(s_ref))
-
-
 def process_fidelity(a: ProcessMatrix, b: ProcessMatrix) -> float:
     """Tr(a b) for a an ideal (rank-1) chi; clamped to [0, 1]."""
     if a.basis != b.basis:
@@ -214,25 +196,6 @@ class QPTDataset:
         sums = probs.sum(axis=2)
         if np.max(np.abs(sums - 1.0)) > 1e-6:
             raise ValueError("outcome rows must be normalised")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("prep_index,meas_index,p00,p01,p10,p11\n")
-        for i in range(16):
-            for j in range(16):
-                row = ",".join(f"{p:.12g}" for p in self.probabilities[i, j])
-                buf.write(f"{i},{j},{row}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> QPTDataset:
-        probs = np.zeros((16, 16, 4))
-        lines = [ln for ln in text.strip().splitlines()[1:] if ln]
-        for ln in lines:
-            parts = ln.split(",")
-            i, j = int(parts[0]), int(parts[1])
-            probs[i, j] = [float(x) for x in parts[2:6]]
-        return cls(probs)
 
 
 @functools.cache
@@ -368,10 +331,10 @@ def _fit_objective(x: np.ndarray, weight: float, w: np.ndarray,
 
 
 _PENALTY_WEIGHTS = (1e2, 1e4, 1e6)
+_MAX_ITERATIONS = 400  # L-BFGS-B iteration cap of each penalty stage
 
 
-def reconstruct_chi(dataset: QPTDataset, return_info: bool = False,
-                    max_iterations: int = 400):
+def reconstruct_chi(dataset: QPTDataset, return_info: bool = False):
     """Physical chi minimising the quadratic data misfit.
 
     Linear inversion seeds a Cholesky-parameterised refinement
@@ -393,7 +356,7 @@ def reconstruct_chi(dataset: QPTDataset, return_info: bool = False,
     for stage, weight in enumerate(_PENALTY_WEIGHTS, 1):
         result = minimize(
             _fit_objective, x, args=(weight, w, y), jac=True,
-            method="L-BFGS-B", options={"maxiter": max_iterations},
+            method="L-BFGS-B", options={"maxiter": _MAX_ITERATIONS},
         )
         if not result.success:
             raise ReconstructionError(

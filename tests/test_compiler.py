@@ -18,7 +18,6 @@ from fermisim.compiler import (
     Schedule,
     TrotterPlan,
     compile_evolution,
-    compile_schedule,
     compile_trotter_step,
     compile_zz_block,
     canonical_phase,
@@ -157,16 +156,6 @@ class TestTrotterStep:
         with pytest.raises(CompileError, match="XY"):
             compile_trotter_step(plan, 0)
 
-    def test_phase_map(self):
-        plan = plan_for_model(two_mode_model(1.0, 1.0), 5.0, 8)
-        pm = plan.phase_map
-        dt = 5.0 / 8
-        assert pm["xx_0_1"] == pytest.approx(1.0 * dt)
-        assert pm["yy_0_1"] == pytest.approx(1.0 * dt)
-        assert pm["zz_0_1"] == pytest.approx(0.5 * dt)
-        assert pm["vz_0"] == pytest.approx(0.5 * dt)
-        assert pm["vz_1"] == pytest.approx(0.5 * dt)
-
 
 TABLE_CENSUS = {
     "two": {"entangling": 6, "microwave": 20, "idle": 6, "detune": 0,
@@ -289,19 +278,6 @@ class TestEvolution:
                 + 1e-12
         assert devs[8] < devs[2] / 2
 
-    def test_custom_ordering(self):
-        plan = plan_for_model(
-            two_mode_model(1.0, 1.0), 1.0, 1, ordering="custom")
-        plan = TrotterPlan(plan.hamiltonian, 1.0, 1, "custom",
-                           ("zz_0_1", "vz_0", "vz_1", "yy_0_1", "xx_0_1"))
-        c = compile_trotter_step(plan, 0)
-        kinds = [g.kind for g in c.gates if g.kind == "CZPHI"]
-        assert len(kinds) == 6
-        with pytest.raises(CompileError):
-            bad = TrotterPlan(plan.hamiltonian, 1.0, 1, "custom",
-                              ("zz_0_1",))
-            compile_trotter_step(bad, 0)
-
 
 class TestSchedule:
     def ramp(self):
@@ -314,7 +290,8 @@ class TestSchedule:
     def test_constant_average(self):
         s = Schedule(5.0, ((0.0, 1.0), (5.0, 1.0)), ((0.0, 0.5), (5.0, 0.5)))
         for plan in digitize_schedule(s, 4, 2):
-            assert plan.phase_map["xx_0_1"] == pytest.approx(1.0 * 1.25)
+            assert 2 * plan.hamiltonian.term_dict["XX"] * plan.dt \
+                == pytest.approx(1.0 * 1.25)
 
     def test_ramp_segment_average(self):
         s = self.ramp()
@@ -374,8 +351,6 @@ class TestSchedule:
         plans = digitize_schedule(self.ramp(), 2, 3)
         assert plans[0].window == (0.0, 1.5)
         assert plans[1].window == (1.5, 3.0)
-        c = compile_schedule(plans)
-        assert c.qubit_count == 3
 
     def test_json_round_trip(self):
         s = self.ramp()

@@ -1,5 +1,6 @@
 """Experiment harness: emitted files, summaries, determinism, CLI codes."""
 import json
+import math
 import random
 from pathlib import Path
 
@@ -363,6 +364,18 @@ class TestCli:
         ({"steps": "2"}, "steps"),
         ({"seed": 1.5}, "seed"),
         ({"noise_scale": 1000.0}, "noise_scale"),
+        ({"out_dir": 5}, "out_dir"),
+        ({"out_dir": None}, "out_dir"),
+        ({"out_dir": ""}, "out_dir"),
+        ({"ordering": ["s5"]}, "ordering"),
+        ({"noise_scale": 10 ** 400}, "noise_scale"),
+        ({"total_time": 10 ** 400}, "total_time"),
+        ({"params": {"schedule": {"T": 10 ** 400, "V": [], "U": []}}},
+         "params.schedule"),
+        ({"params": {"schedule": {
+            "T": 3.0, "V": [[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0],
+                            [3.0, 1.0]],
+            "U": [[0.0, 1.0], [3.0, 1.0]]}}}, "params.schedule"),
     ])
     def test_malformed_config_exit_two(self, tmp_path, capsys, change,
                                        field):
@@ -372,6 +385,23 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert f"configuration error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("axis,values", [
+        ("steps", ["--values", "1.5"]),
+        ("steps", ["--values", "2", "1e400"]),
+        ("noise_scale", ["--values", "abc"]),
+        ("steps", ["--from", "1", "--to", "nan"]),
+        ("steps", ["--from", "1", "--to", "inf"]),
+        ("steps", ["--from", "5", "--to", "1"]),
+    ])
+    def test_bad_sweep_values_exit_two(self, tmp_path, capsys, axis, values):
+        code = main(["sweep", "--experiment", "fig3", "--axis", axis,
+                     *values, "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "configuration error: values" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -13,7 +13,6 @@ import pytest
 from fermisim.fermions import (
     SCHEDULE_MODELS,
     FermionModel,
-    ahm_modes,
     anticommutator,
     coupling_matrices,
     four_mode_ahm,
@@ -200,15 +199,6 @@ class TestModelPlumbing:
             FermionModel(2, ((0, 3, 1.0),))
         with pytest.raises(ValueError):
             FermionModel(2, ((0, 1, float("nan")),))
-
-    def test_ahm_mode_table(self):
-        modes = ahm_modes()
-        assert [(m.site, m.species) for m in modes] == [
-            ("x", 1), ("y", 1), ("y", 2), ("x", 2)
-        ]
-        assert [m.index for m in modes] == [0, 1, 2, 3]
-        # (site, species) -> index is a bijection
-        assert len({(m.site, m.species) for m in modes}) == 4
 
     def test_occupation_index_round_trip(self):
         for n in (2, 3, 4):

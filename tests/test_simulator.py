@@ -11,7 +11,9 @@ from fermisim.circuits import (
     gate_census,
 )
 from fermisim.compiler import compile_evolution, plan_for_model
+from fermisim.experiments import _model_checkpoints
 from fermisim.fermions import (
+    four_mode_ahm,
     occupation_basis_index,
     spin_hamiltonian,
     three_mode_model,
@@ -29,7 +31,6 @@ from fermisim.simulator import (
     error_budget,
     evolve_slices,
     exact_evolve,
-    exact_trajectory,
     input_circuit,
     lower_circuit,
     mode_occupations,
@@ -243,22 +244,6 @@ class TestExactEvolve:
         assert np.allclose(out.amplitudes, want, rtol=0, atol=1e-12)
 
 
-class TestExactTrajectory:
-    def test_equals_one_slice_evolution_bit_for_bit(self):
-        # each time's state is the one-slice eigendecomposition result
-        h = spin_hamiltonian(three_mode_model(1.0, 1.0))
-        st = prepare_input("three_mode")
-        times = [0.4 * k for k in range(1, 6)]
-        for t, out in zip(times, exact_trajectory(h, times, st)):
-            want = evolve_slices(h.to_dense()[None], [t], st)[0]
-            assert np.array_equal(out.amplitudes, want.amplitudes)
-
-    def test_non_hermitian_rejected(self):
-        bad = WeightedPauliSum.from_terms(1, [(1j, "X")])
-        with pytest.raises(ValueError, match="Hermitian"):
-            exact_trajectory(bad, [1.0, 2.0], basis_state(1))
-
-
 def per_slice_reference(hs, durations, amps, every):
     """exp(-i H_k dt_k) applied to the amplitudes one slice at a time."""
     vals, vecs = np.linalg.eigh(hs)
@@ -286,6 +271,23 @@ class TestEvolveSlices:
         assert len(out) == len(want) == 3
         for got, ref in zip(out, want):
             assert np.max(np.abs(got.amplitudes - ref)) <= 1e-13
+
+    def test_constant_stack_matches_expm(self):
+        # the constant-coupling checkpoints: one slice of dt per step
+        model = four_mode_ahm(1.0, 1.0, 0.0, 1.0)
+        h = spin_hamiltonian(model).to_dense()
+        psi = prepare_input("four_mode")
+        dt = 0.37
+        direct = evolve_slices(np.broadcast_to(h, (8, 16, 16)),
+                               np.full(8, dt), psi, every=1)
+        checkpoints = _model_checkpoints(model, 8 * dt, 8, "canonical_s5")
+        assert len(direct) == len(checkpoints) == 8
+        for k, (got, (t, _, state)) in enumerate(zip(direct, checkpoints),
+                                                  1):
+            want = expm(-1j * h * k * dt) @ psi.amplitudes
+            assert t == pytest.approx(k * dt, rel=1e-15)
+            for out in (got, state):
+                assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
 
     def slices(self, count=6):
         rng = np.random.default_rng(3)
