@@ -56,11 +56,10 @@ def _phase_gates(q: int) -> tuple[Gate, ...]:
 def _generators(n: int) -> list[Circuit]:
     gens = []
     for q in range(n):
-        gens.append(Circuit(n, _hadamard_gates(q), {"gen": f"h{q}"}))
-        gens.append(Circuit(n, _phase_gates(q), {"gen": f"s{q}"}))
+        gens.append(Circuit(n, _hadamard_gates(q)))
+        gens.append(Circuit(n, _phase_gates(q)))
     if n == 2:
-        gens.append(Circuit(2, (Gate("CZPHI", (0, 1), math.pi),),
-                            {"gen": "cz"}))
+        gens.append(Circuit(2, (Gate("CZPHI", (0, 1), math.pi),)))
     return gens
 
 
@@ -86,7 +85,7 @@ class CliffordElement:
 
 
 class CliffordGroup:
-    """Closure of the generator set with decomposition and inverse lookup."""
+    """Closure of the generator set with decomposition and lookup."""
 
     def __init__(self, qubit_count: int):
         if qubit_count not in (1, 2):
@@ -119,9 +118,6 @@ class CliffordGroup:
             )
         self.elements = elements
         self._lookup = lookup
-        self._inverse = [
-            lookup[phase_fixed_key(el.unitary.conj().T)] for el in elements
-        ]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -129,15 +125,11 @@ class CliffordGroup:
     def index_of(self, u: np.ndarray) -> int | None:
         return self._lookup.get(phase_fixed_key(u))
 
-    def inverse_index(self, index: int) -> int:
-        return self._inverse[index]
-
     def decomposition(self, index: int) -> Circuit:
         gates: list[Gate] = []
         for gi in self.elements[index].word:
             gates.extend(self.generators[gi].gates)
-        return Circuit(self.qubit_count, tuple(gates),
-                       {"clifford": index})
+        return Circuit(self.qubit_count, tuple(gates))
 
     def contains_unitary(self, u: np.ndarray) -> bool:
         return self.index_of(u) is not None

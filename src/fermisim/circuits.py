@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ def gate_unitary(g: Gate) -> np.ndarray:
 class Circuit:
     qubit_count: int
     gates: tuple[Gate, ...] = ()
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         for g in self.gates:
@@ -112,8 +111,7 @@ class Circuit:
     def concat(self, other: Circuit) -> Circuit:
         if other.qubit_count != self.qubit_count:
             raise ValueError("qubit counts differ")
-        return Circuit(self.qubit_count, self.gates + other.gates,
-                       dict(self.metadata))
+        return Circuit(self.qubit_count, self.gates + other.gates)
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,11 +139,11 @@ class Circuit:
 
 
 def apply_gate_to_tensor(block: np.ndarray, u: np.ndarray,
-                         targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to k of the first n axes of a tensor.
+                         targets: tuple[int, ...]) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix to k two-level axes of a tensor.
 
-    ``block`` has shape (2,)*n + trailing axes; trailing axes are batch
-    dimensions (e.g. the column index when building a full unitary).
+    ``block`` has one axis of length 2 per qubit leg, then any batch
+    axes (e.g. the column index when building a full unitary).
     The matrix is a gate unitary, or a gate's local superoperator acting
     on the ket and bra axes of a density tensor.
     """
@@ -200,14 +198,15 @@ def entangler_blocks(c: Circuit, local, legs: int = 1):
         yield m, (q,)
 
 
-def apply_circuit_vector(c: Circuit, vec: np.ndarray) -> np.ndarray:
-    """Apply a circuit to a dense state vector (or batch of columns)."""
-    n = c.qubit_count
-    batch = vec.shape[1:] if vec.ndim > 1 else ()
-    block = vec.reshape((2,) * n + batch)
-    for u, targets in entangler_blocks(c, gate_unitary):
-        block = apply_gate_to_tensor(block, u, targets, n)
-    return block.reshape((2 ** n,) + batch)
+def run_blocks(t: np.ndarray, blocks) -> np.ndarray:
+    """Apply (matrix, axes) blocks to a tensor in order.
+
+    The one loop behind every circuit run: the unitary, the channel
+    matrix and both simulator backends.
+    """
+    for m, axes in blocks:
+        t = apply_gate_to_tensor(t, m, axes)
+    return t
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
@@ -218,7 +217,9 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
             f"circuit unitary capped at {CIRCUIT_QUBIT_LIMIT} qubits"
         )
     dim = 2 ** n
-    return apply_circuit_vector(c, np.eye(dim, dtype=complex))
+    eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    return run_blocks(eye, entangler_blocks(c, gate_unitary)).reshape(
+        dim, dim)
 
 
 def phase_distance(a: np.ndarray, b: np.ndarray) -> float:

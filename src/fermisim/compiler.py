@@ -84,8 +84,7 @@ def compile_zz_block(phi: float, qubits: tuple[int, int],
     if correction is not None:
         gates.append(Gate("VIRTUAL_Z", (a,), correction))
         gates.append(Gate("VIRTUAL_Z", (b,), correction))
-    return Circuit(max(qubits) + 1, tuple(gates),
-                   {"block": "zz", "phi": phi, "qubits": qubits})
+    return Circuit(max(qubits) + 1, tuple(gates))
 
 
 def _block_qubits(zz_circuit: Circuit) -> tuple[int, int]:
@@ -106,11 +105,8 @@ def conjugate_basis(zz_circuit: Circuit, axis: str) -> Circuit:
         post = [Gate("RX", (a,), -math.pi / 2), Gate("RX", (b,), -math.pi / 2)]
     else:
         raise ValueError("axis must be 'XX' or 'YY'")
-    return Circuit(
-        zz_circuit.qubit_count,
-        tuple(pre) + zz_circuit.gates + tuple(post),
-        {**zz_circuit.metadata, "basis": axis},
-    )
+    return Circuit(zz_circuit.qubit_count,
+                   tuple(pre) + zz_circuit.gates + tuple(post))
 
 
 @dataclass(frozen=True)
@@ -289,9 +285,7 @@ def compile_trotter_step(plan: TrotterPlan, step_index: int = 0) -> Circuit:
         gates.append(Gate("RX", (target,), 2 * math.pi))
     for k in range(alignment.get("idle", 0)):
         gates.append(Gate("IDLE", (k % n,)))
-    return Circuit(n, tuple(gates),
-                   {"trotter_step": step_index, "ordering": plan.ordering,
-                    "dt": dt})
+    return Circuit(n, tuple(gates))
 
 
 def step_templates(plan: TrotterPlan) -> list[Circuit]:
@@ -353,9 +347,7 @@ def compile_evolution(plan: TrotterPlan) -> Circuit:
         if plan.ordering == "odd_even_s6" and acc:
             _cancel_boundary(acc, step, n)
         acc.extend(step)
-    return Circuit(n, tuple(acc),
-                   {"steps": plan.steps, "ordering": plan.ordering,
-                    "total_time": plan.total_time})
+    return Circuit(n, tuple(acc))
 
 
 @dataclass(frozen=True)

@@ -683,13 +683,15 @@ def sweep(config: ExperimentConfig, axis: str, values) -> list[dict]:
             f"experiment: {config.experiment} has no sweep metric; "
             f"sweepable: {sorted(SWEEP_METRICS)}")
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    results = []
-    for value in values:
+    configs = []
+    for value in values:  # every value is checked before any work starts
         fields = config.to_json_dict()
         fields[axis] = value
         fields["out_dir"] = str(out / f"{axis}_{value}")
-        results.append(run(ExperimentConfig.from_json_dict(fields)))
+        configs.append(ExperimentConfig.from_json_dict(fields))
+        configs[-1].validate()
+    out.mkdir(parents=True, exist_ok=True)
+    results = [run(c) for c in configs]
     rows = [(value, float(summary[metric]))
             for value, summary in zip(values, results)]
     write_csv(out / f"sweep_{axis}.csv", [axis, "metric"], rows)

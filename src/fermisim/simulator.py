@@ -20,9 +20,13 @@ first lowered into entangler blocks (:func:`lower_circuit`): each
 qubit's run of one-qubit gates is multiplied into the next CZPHI on that
 qubit, so a step runs as one 16x16 contraction per entangling gate
 (4x4 unitaries on the pure backend) plus one per leftover run.
-:func:`circuit_channel` runs the same blocks on the identity batch;
-callers that run one circuit many times lower it once and pass the
-lowering to :func:`apply_circuit`.
+:func:`circuit_channel` runs the same blocks on the identity batch
+and returns the matrix acting on the row-major ``rho.reshape(-1)``:
+the package's one channel convention, in which the tomography module's
+``superoperator`` returns the same matrix for a chi process.  One loop,
+:func:`fermisim.circuits.run_blocks`, applies the blocks for both
+backends and the channel.  Callers that run one circuit many times
+lower it once and pass the lowering to :func:`apply_circuit`.
 
 Exact evolution has one propagator, :func:`evolve_slices`: it takes a
 (slices, d, d) stack of dense Hamiltonians through one batched
@@ -47,10 +51,10 @@ from .circuits import (
     CapacityError,
     Circuit,
     Gate,
-    apply_gate_to_tensor,
     census_single_qubit_total,
     entangler_blocks,
     gate_unitary,
+    run_blocks,
 )
 from .fermions import index_occupations, occupation_basis_index
 from .pauli import WeightedPauliSum
@@ -168,25 +172,19 @@ def _bell_pair(a: int, b: int) -> list[Gate]:
 def input_circuit(kind: str) -> Circuit:
     """State-preparation circuit acting on the all-zeros qubit state."""
     if kind == "two_mode":
-        return Circuit(2, (Gate("RY", (1,), math.pi / 2),),
-                       {"prep": kind})
+        return Circuit(2, (Gate("RY", (1,), math.pi / 2),))
     if kind == "three_mode":
-        return Circuit(3, tuple(_bell_pair(0, 1)), {"prep": kind})
+        return Circuit(3, tuple(_bell_pair(0, 1)))
     if kind == "four_mode":
-        return Circuit(4, tuple(_bell_pair(0, 1) + _bell_pair(2, 3)),
-                       {"prep": kind})
+        return Circuit(4, tuple(_bell_pair(0, 1) + _bell_pair(2, 3)))
     raise ValueError(f"unknown input kind {kind!r}")
 
 
-def prepare_input(kind: str, method: str = "direct") -> PureState:
+def prepare_input(kind: str) -> PureState:
     if kind not in _INPUT_TARGETS:
         raise ValueError(f"unknown input kind {kind!r}")
     n, kets = _INPUT_TARGETS[kind]
-    if method == "direct":
-        return state_from_occupations({k: 1.0 for k in kets}, n)
-    if method == "circuit":
-        return apply_circuit(basis_state(n), input_circuit(kind))
-    raise ValueError("method must be 'direct' or 'circuit'")
+    return state_from_occupations({k: 1.0 for k in kets}, n)
 
 
 def _gate_channel(g: Gate, noise: NoiseModel | None) -> np.ndarray:
@@ -211,8 +209,8 @@ def _gate_channel(g: Gate, noise: NoiseModel | None) -> np.ndarray:
 class LoweredCircuit:
     """A circuit as entangler blocks, ready to run on one backend.
 
-    Each block is (matrix, axes) for :func:`apply_gate_to_tensor`: on
-    the pure backend a unitary on ket axes, on the density backend a
+    Each block is (matrix, axes) for :func:`fermisim.circuits.run_blocks`:
+    on the pure backend a unitary on ket axes, on the density backend a
     superoperator, ``noise`` included, on (ket, bra) axes.  Lowering
     folds every one-qubit gate into a neighbouring entangling block
     (:func:`fermisim.circuits.entangler_blocks`).
@@ -244,14 +242,6 @@ def lower_circuit(circuit: Circuit, noise: NoiseModel | None = None,
     return LoweredCircuit(circuit, noise, density, blocks)
 
 
-def _run_blocks(t: np.ndarray, lowered: LoweredCircuit) -> np.ndarray:
-    """Apply the blocks to a (kets[, bras], batch...) tensor."""
-    width = lowered.circuit.qubit_count * (2 if lowered.density else 1)
-    for m, axes in lowered.blocks:
-        t = apply_gate_to_tensor(t, m, axes, width)
-    return t
-
-
 def circuit_channel(circuit: Circuit,
                     noise: NoiseModel | None = None) -> np.ndarray:
     """4^n x 4^n matrix of a (noisy) circuit acting on rho.reshape(-1)."""
@@ -261,7 +251,8 @@ def circuit_channel(circuit: Circuit,
                             f"{CIRCUIT_QUBIT_LIMIT // 2} qubits")
     dim = 4 ** n
     t = np.eye(dim, dtype=complex).reshape((2,) * (2 * n) + (dim,))
-    return _run_blocks(t, lower_circuit(circuit, noise)).reshape(dim, dim)
+    t = run_blocks(t, lower_circuit(circuit, noise).blocks)
+    return t.reshape(dim, dim)
 
 
 def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None,
@@ -283,10 +274,10 @@ def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None,
         raise ValueError("lowered circuit belongs to another circuit, "
                          "noise model or backend")
     if not density:
-        amps = _run_blocks(state.amplitudes.reshape((2,) * n), lowered)
+        amps = run_blocks(state.amplitudes.reshape((2,) * n), lowered.blocks)
         return PureState(amps.reshape(-1), n)
     dense = state.to_density() if isinstance(state, PureState) else state
-    t = _run_blocks(dense.rho.reshape((2,) * (2 * n)), lowered)
+    t = run_blocks(dense.rho.reshape((2,) * (2 * n)), lowered.blocks)
     return DensityState(t.reshape(dense.rho.shape), n)
 
 

@@ -6,6 +6,12 @@ II, IX, IY, IZ, XI, ... (first qubit major).  That order is pinned in
 ``PAULI_BASIS_LABELS`` and used everywhere; chi matrices are meaningless
 without it.
 
+A channel as a matrix has one convention in the package: it acts on
+the row-major vectorisation ``rho.reshape(-1)``.  :func:`superoperator`
+returns S = sum_mn chi[m,n] E_m (x) conj(E_n), the same matrix that
+:func:`fermisim.simulator.circuit_channel` returns for a circuit, and
+datasets, composition and the chi conversions all go through it.
+
 Synthetic datasets prepare the 16 product states reached by
 {I, X/2, Y/2, X} on each qubit, apply the process under test (optionally
 with gate noise), analyse with the same 16 rotations, and record the
@@ -98,12 +104,6 @@ class ProcessMatrix:
     def tp_defect(self) -> float:
         return float(np.max(np.abs(_tp_operator(self.chi))))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return np.einsum(
-            "mn,mab,bc,ndc->ad", self.chi, PAULI_BASIS, rho,
-            PAULI_BASIS.conj(),
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "basis": self.basis,
@@ -141,22 +141,23 @@ def identity_process() -> ProcessMatrix:
 
 
 def superoperator(process: ProcessMatrix) -> np.ndarray:
-    """Column-stacking superoperator: vec(Lambda(rho)) = S vec(rho).
+    """Row-major superoperator: Lambda(rho).reshape(-1) = S rho.reshape(-1).
 
-    S = sum_mn chi[m, n] kron(conj(E_n), E_m).
+    S = sum_mn chi[m, n] kron(E_m, conj(E_n)), the convention of
+    :func:`fermisim.simulator.circuit_channel`.
     """
     return np.einsum(
-        "mn,nab,mcd->acbd", process.chi, PAULI_BASIS.conj(), PAULI_BASIS
+        "mn,mab,ncd->acbd", process.chi, PAULI_BASIS, PAULI_BASIS.conj()
     ).reshape(16, 16)
 
 
 def chi_from_superoperator(s: np.ndarray) -> ProcessMatrix:
     """Inverse of :func:`superoperator`, by orthogonality of the basis.
 
-    chi[m, n] = tr(kron(conj(E_n), E_m)^dag S) / 16, contracted factor
+    chi[m, n] = tr(kron(E_m, conj(E_n))^dag S) / 16, contracted factor
     by factor instead of building the 256 Kronecker products.
     """
-    chi = np.einsum("nik,mjl,ijkl->mn", PAULI_BASIS, PAULI_BASIS.conj(),
+    chi = np.einsum("mik,njl,ijkl->mn", PAULI_BASIS.conj(), PAULI_BASIS,
                     np.asarray(s).reshape(4, 4, 4, 4), optimize=True)
     return ProcessMatrix(chi / 16.0)
 
@@ -214,25 +215,24 @@ def simulate_qpt_dataset(process, noise: NoiseModel | None = None
     """Deterministic synthetic dataset for a circuit or chi process.
 
     Preparation and analysis rotations are ideal; optional gate noise
-    applies to the process circuit only.  A circuit process is turned
-    into its channel matrix once and applied to all 16 preparations.
+    applies to the process circuit only.  The process is turned into its
+    row-major channel matrix once and applied to all 16 preparations.
     """
-    analyses = _analysis_unitaries()
-    inputs = [DensityState(np.outer(v, v.conj()), 2).rho
-              for v in analyses[:, :, 0]]
     if isinstance(process, ProcessMatrix):
         if noise is not None:
             raise ValueError(
                 "noise applies to circuit processes; chi matrices are "
                 "already channels"
             )
-        outputs = [process.apply(rho) for rho in inputs]
+        channel = superoperator(process)
     elif isinstance(process, Circuit):
         channel = circuit_channel(process, noise)
-        outputs = [DensityState((channel @ rho.reshape(-1)).reshape(4, 4),
-                                2).rho for rho in inputs]
     else:
         raise TypeError("process must be a Circuit or ProcessMatrix")
+    analyses = _analysis_unitaries()
+    outputs = [DensityState((channel @ np.outer(v, v.conj()).reshape(-1))
+                            .reshape(4, 4), 2).rho
+               for v in analyses[:, :, 0]]
     # probs[i, j, k] = <k| R_j rho_i R_j^dag |k>
     probs = np.einsum("jka,iab,jkb->ijk", analyses, np.stack(outputs),
                       analyses.conj(), optimize=True).real

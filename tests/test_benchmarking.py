@@ -62,9 +62,9 @@ class TestCliffordGroup:
     def test_inverses(self, group2):
         rng = np.random.default_rng(1)
         for idx in rng.integers(len(group2), size=25):
-            inv = group2.inverse_index(int(idx))
-            prod = group2.elements[inv].unitary @ \
-                group2.elements[int(idx)].unitary
+            u = group2.elements[int(idx)].unitary
+            inv = group2.index_of(u.conj().T)
+            prod = group2.elements[inv].unitary @ u
             assert equal_up_to_phase(prod, np.eye(4), tol=1e-8)
 
     def test_decompositions_reproduce_unitaries(self, group2):

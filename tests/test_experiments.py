@@ -404,6 +404,13 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_bad_sweep_value_runs_nothing(self, tmp_path, capsys):
+        code = main(["sweep", "--experiment", "fig3", "--axis", "steps",
+                     "--values", "1", "0", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error: steps" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "steps_1").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_noise_exit_two(self, tmp_path, capsys, value):
         code = main(["run", "--experiment", "fig5_2mode", "--noise", value,

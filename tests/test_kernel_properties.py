@@ -21,6 +21,11 @@ from fermisim.simulator import (
     apply_circuit,
     circuit_channel,
 )
+from fermisim.tomography import (
+    chi_from_superoperator,
+    chi_of_circuit,
+    superoperator,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -104,8 +109,7 @@ def reference_density_run(t: np.ndarray, circuit: Circuit,
     n = circuit.qubit_count
     for g in circuit.gates:
         axes = g.targets + tuple(q + n for q in g.targets)
-        t = apply_gate_to_tensor(t, reference_superoperator(g, noise),
-                                 axes, 2 * n)
+        t = apply_gate_to_tensor(t, reference_superoperator(g, noise), axes)
     return t
 
 
@@ -113,7 +117,7 @@ def reference_vector_run(vec: np.ndarray, circuit: Circuit) -> np.ndarray:
     n = circuit.qubit_count
     t = vec.reshape((2,) * n)
     for g in circuit.gates:
-        t = apply_gate_to_tensor(t, gate_unitary(g), g.targets, n)
+        t = apply_gate_to_tensor(t, gate_unitary(g), g.targets)
     return t.reshape(-1)
 
 
@@ -170,3 +174,14 @@ def test_folded_channel_matches_gate_by_gate(circuit, scale):
     want = reference_density_run(batch, circuit, noise).reshape(dim, dim)
     assert np.allclose(circuit_channel(circuit, noise), want,
                        rtol=0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(circuits(max_qubits=2).filter(lambda c: c.qubit_count == 2), scales)
+def test_chi_and_circuit_channel_share_one_convention(circuit, scale):
+    noise = NoiseModel().scaled(scale)
+    channel = circuit_channel(circuit, noise)
+    back = superoperator(chi_from_superoperator(channel))
+    assert np.max(np.abs(back - channel)) <= 1e-12
+    ideal = superoperator(chi_of_circuit(circuit))
+    assert np.max(np.abs(ideal - circuit_channel(circuit))) <= 1e-12

@@ -71,7 +71,8 @@ class TestChiOfUnitary:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = m @ m.conj().T
         rho /= np.trace(rho)
-        assert np.allclose(p.apply(rho), u @ rho @ u.conj().T, atol=1e-12)
+        out = (superoperator(p) @ rho.reshape(-1)).reshape(4, 4)
+        assert np.allclose(out, u @ rho @ u.conj().T, atol=1e-12)
 
 
 class TestSuperoperator:
@@ -81,23 +82,22 @@ class TestSuperoperator:
         back = chi_from_superoperator(superoperator(p))
         assert np.allclose(back.chi, p.chi, atol=1e-12)
 
-    def test_column_stacking_action(self):
+    def test_row_major_action(self):
         rng = np.random.default_rng(6)
         u = random_unitary(rng)
         p = chi_of_unitary(u)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = m @ m.conj().T
         rho /= np.trace(rho)
-        lhs = (superoperator(p) @ rho.reshape(-1, order="F")
-               ).reshape(4, 4, order="F")
+        lhs = (superoperator(p) @ rho.reshape(-1)).reshape(4, 4)
         assert np.allclose(lhs, u @ rho @ u.conj().T, atol=1e-12)
 
     def test_inverse_matches_kron_basis_reference(self):
-        # chi[m, n] = tr(kron(conj(E_n), E_m)^dag S) / 16 over the 256
+        # chi[m, n] = tr(kron(E_m, conj(E_n))^dag S) / 16 over the 256
         # Kronecker products built one by one
         rng = np.random.default_rng(8)
         s = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        basis = np.stack([np.kron(PAULI_BASIS[n].conj(), PAULI_BASIS[m])
+        basis = np.stack([np.kron(PAULI_BASIS[m], PAULI_BASIS[n].conj())
                           for m in range(16) for n in range(16)])
         want = np.einsum("kab,ab->k", basis.conj(), s).reshape(16, 16) / 16
         got = chi_from_superoperator(s).chi
