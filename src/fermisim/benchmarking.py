@@ -2,9 +2,14 @@
 
 The one- and two-qubit Clifford groups (orders 24 and 11520) are built
 by breadth-first closure over generator unitaries, deduplicated with a
-global-phase-fixed hash.  Each element stores its generator word, which
-doubles as a hardware gate decomposition (H as a half-turn plus pi
-pulse, S as a virtual phase, CZ as the pi-phase entangler), and an
+global-phase-fixed hash.  The closure runs a BFS level at a time: blocks
+of frontier elements are multiplied by every generator in one stacked
+matmul and keyed in one vectorised pass, and Python only numbers the
+new keys, in (frontier element, generator) order.  Each element stores
+its generator word, which doubles as a hardware gate decomposition (H
+as a half-turn plus pi pulse, S as a virtual phase, CZ as the pi-phase
+entangler), and a read-only view of its unitary into its level's
+array; the group is cached per process and built on first use.  An
 inverse is found by hashing the adjoint.
 
 Benchmarking runs sequences of uniformly random Cliffords (optionally
@@ -35,6 +40,7 @@ from .simulator import DensityState, NoiseModel, circuit_channel
 SINGLE_QUBIT_ORDER = 24
 TWO_QUBIT_ORDER = 11520
 KEY_DECIMALS = 8  # rounding of a phase-fixed unitary before hashing
+_KEY_BLOCK = 64  # frontier rows per stacked product; bounds temporaries
 
 
 class ClosureError(RuntimeError):
@@ -63,25 +69,38 @@ def _generators(n: int) -> list[Circuit]:
     return gens
 
 
-def phase_fixed_key(u: np.ndarray) -> bytes:
-    """Hashable fingerprint of a unitary modulo global phase.
+def _phase_fixed_keys(stack: np.ndarray) -> list[bytes]:
+    """Hashable fingerprints of a (count, d, d) stack of unitaries, each
+    modulo global phase, in stack order.
 
     The phase reference is the first entry (row-major) whose magnitude
     clears a fixed threshold; Clifford entries are either ~0 or at least
     1/4, so the choice is stable against accumulated rounding.
     """
-    flat = u.reshape(-1)
-    idx = int(np.argmax(np.abs(flat) > 0.1))
-    fixed = u * (abs(flat[idx]) / flat[idx])
+    flat = stack.reshape(len(stack), -1)
+    ref = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 0.1, axis=1)]
+    fixed = flat * (np.abs(ref) / ref)[:, None]
     rounded = np.round(fixed, KEY_DECIMALS) + 0.0  # normalise -0.0
-    return rounded.tobytes()
+    rows = np.ascontiguousarray(rounded)
+    row = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    return rows.view(row)[:, 0].tolist()  # one bytes object per row
 
 
-@dataclass(frozen=True)
+def phase_fixed_key(u: np.ndarray) -> bytes:
+    """Fingerprint of one unitary modulo global phase: the closure's key."""
+    return _phase_fixed_keys(np.asarray(u)[None])[0]
+
+
+@dataclass(frozen=True, slots=True)
 class CliffordElement:
     index: int
     word: tuple[int, ...]       # generator indices, applied in order
-    unitary: np.ndarray
+    unitary: np.ndarray         # read-only view into its BFS level's array
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class CliffordGroup:
@@ -92,24 +111,34 @@ class CliffordGroup:
             raise ValueError("only 1- and 2-qubit groups are supported")
         self.qubit_count = qubit_count
         self.generators = _generators(qubit_count)
-        gen_unitaries = [circuit_unitary(g) for g in self.generators]
+        gens = np.array([circuit_unitary(g) for g in self.generators])
         dim = 2 ** qubit_count
-        elements = [CliffordElement(0, (), np.eye(dim, dtype=complex))]
-        lookup = {phase_fixed_key(elements[0].unitary): 0}
-        frontier = [elements[0]]
+        level = _read_only(np.eye(dim, dtype=complex)[None])
+        elements = [CliffordElement(0, (), level[0])]
+        lookup = {phase_fixed_key(level[0]): 0}
+        frontier = elements
         while frontier:
-            next_frontier = []
-            for el in frontier:
-                for gi, gu in enumerate(gen_unitaries):
-                    u = gu @ el.unitary
-                    key = phase_fixed_key(u)
-                    if key in lookup:
-                        continue
-                    new = CliffordElement(len(elements), el.word + (gi,), u)
-                    elements.append(new)
-                    lookup[key] = new.index
-                    next_frontier.append(new)
-            frontier = next_frontier
+            fresh, parts = [], []  # (frontier row, generator); unitaries
+            for start in range(0, len(level), _KEY_BLOCK):
+                # products[f, g] = gens[g] @ level[start + f], numbered in
+                # this (frontier element, generator) order
+                products = gens[None] @ level[start:start + _KEY_BLOCK, None]
+                products = products.reshape(-1, dim, dim)
+                kept = []
+                for pos, key in enumerate(_phase_fixed_keys(products)):
+                    if key not in lookup:
+                        lookup[key] = len(elements) + len(fresh)
+                        fresh.append((start + pos // len(gens),
+                                      pos % len(gens)))
+                        kept.append(pos)
+                parts.append(products[kept])
+            level = _read_only(np.concatenate(parts))
+            frontier = [
+                CliffordElement(len(elements) + j,
+                                frontier[f].word + (g,), level[j])
+                for j, (f, g) in enumerate(fresh)
+            ]
+            elements.extend(frontier)
         expected = SINGLE_QUBIT_ORDER if qubit_count == 1 else TWO_QUBIT_ORDER
         if len(elements) != expected:
             raise ClosureError(

@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+MAX_STEP_RANGE = 1000  # values one --from/--to step sweep may span
 
 
 def _parse_noise(text: str) -> float | None:
@@ -135,8 +136,12 @@ def _sweep_values(args) -> list:
     elif args.from_ is None or args.to is None:
         raise ConfigError("axis: need --values or --from/--to")
     elif args.axis == "steps":
-        values = list(range(_axis_number("steps", args.from_),
-                            _axis_number("steps", args.to) + 1))
+        start, stop = (_axis_number("steps", v) for v in (args.from_, args.to))
+        if stop - start >= MAX_STEP_RANGE:
+            raise ConfigError(
+                f"values: a --from/--to step range spans at most "
+                f"{MAX_STEP_RANGE} values, not {stop - start + 1}")
+        values = list(range(start, stop + 1))
     else:
         values = [args.from_, args.to]
     if not values:

@@ -1,12 +1,17 @@
 """Clifford group closure and randomized benchmarking self-consistency."""
+import inspect
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fermisim.benchmarking as benchmarking
 from fermisim.benchmarking import (
+    KEY_DECIMALS,
     DecayFit,
     FitError,
     _rb_channels,
@@ -96,6 +101,81 @@ class TestCliffordGroup:
         not_clifford = circuit_unitary(
             Circuit(2, (Gate("CZPHI", (0, 1), 0.3),)))
         assert not group2.contains_unitary(not_clifford)
+
+
+def _reference_key(u):
+    """The per-unitary phase-fixed key the batched key pass replaced."""
+    flat = u.reshape(-1)
+    idx = int(np.argmax(np.abs(flat) > 0.1))
+    fixed = u * (abs(flat[idx]) / flat[idx])
+    rounded = np.round(fixed, KEY_DECIMALS) + 0.0
+    return rounded.tobytes()
+
+
+def _reference_closure(qubit_count):
+    """The per-element BFS the frontier-batched closure replaced:
+    (index, word, unitary) triples and the key -> index lookup."""
+    gen_unitaries = [circuit_unitary(g)
+                     for g in benchmarking._generators(qubit_count)]
+    elements = [(0, (), np.eye(2 ** qubit_count, dtype=complex))]
+    lookup = {_reference_key(elements[0][2]): 0}
+    frontier = [elements[0]]
+    while frontier:
+        next_frontier = []
+        for _, word, unitary in frontier:
+            for gi, gu in enumerate(gen_unitaries):
+                u = gu @ unitary
+                key = _reference_key(u)
+                if key in lookup:
+                    continue
+                new = (len(elements), word + (gi,), u)
+                elements.append(new)
+                lookup[key] = new[0]
+                next_frontier.append(new)
+        frontier = next_frontier
+    return elements, lookup
+
+
+class TestClosureBitIdentity:
+    @pytest.mark.parametrize("qubit_count", [1, 2])
+    def test_matches_per_element_closure(self, qubit_count):
+        group = clifford_group(two_qubit=qubit_count == 2)
+        elements, lookup = _reference_closure(qubit_count)
+        assert len(group.elements) == len(elements)
+        for got, (index, word, unitary) in zip(group.elements, elements):
+            assert got.index == index
+            assert got.word == word
+            assert np.array_equal(got.unitary, unitary)
+        assert group._lookup == lookup
+
+    def test_every_key_maps_back(self, group1, group2):
+        for group in (group1, group2):
+            for element in group.elements:
+                assert group.index_of(element.unitary) == element.index
+
+    def test_key_is_the_reference_key(self, group2):
+        rng = np.random.default_rng(4)
+        for idx in rng.integers(len(group2), size=25):
+            u = group2.elements[int(idx)].unitary
+            for v in (u, u.conj().T, np.exp(0.7j) * u):
+                assert phase_fixed_key(v) == _reference_key(v)
+
+
+class TestCachedGroup:
+    def test_unitaries_are_read_only(self, group2):
+        with pytest.raises(ValueError):
+            group2.elements[5].unitary[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            group2.elements[5].unitary.flags.writeable = True
+
+    def test_clifford_group_is_a_plain_function(self):
+        # the benchmark's tracer wraps it by name
+        assert inspect.isfunction(benchmarking.clifford_group)
+
+    def test_not_built_at_import(self):
+        code = ("import fermisim, fermisim.benchmarking as b; "
+                "assert b._cached_group.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestRbRun:

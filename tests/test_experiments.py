@@ -404,6 +404,16 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("stop", ["1000", "1e9"])
+    def test_overlong_step_range_exit_two(self, tmp_path, capsys, stop):
+        # rejected before the range is built: 1e9 values would take GBs
+        code = main(["sweep", "--experiment", "fig3", "--axis", "steps",
+                     "--from", "0", "--to", stop,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "spans at most 1000 values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_sweep_value_runs_nothing(self, tmp_path, capsys):
         code = main(["sweep", "--experiment", "fig3", "--axis", "steps",
                      "--values", "1", "0", "--out", str(tmp_path / "out")])
