@@ -75,9 +75,10 @@ def _phase_fixed_keys(stack: np.ndarray) -> list[bytes]:
 
     The phase reference is the first entry (row-major) whose magnitude
     clears a fixed threshold; Clifford entries are either ~0 or at least
-    1/4, so the choice is stable against accumulated rounding.
+    1/4, so the choice is stable against accumulated rounding.  A real
+    stack is keyed as complex, like the group's own unitaries.
     """
-    flat = stack.reshape(len(stack), -1)
+    flat = stack.reshape(len(stack), -1).astype(complex, copy=False)
     ref = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 0.1, axis=1)]
     fixed = flat * (np.abs(ref) / ref)[:, None]
     rounded = np.round(fixed, KEY_DECIMALS) + 0.0  # normalise -0.0

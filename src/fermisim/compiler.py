@@ -23,6 +23,10 @@ Orderings: ``canonical_s5`` emits, per step, hopping XX+YY blocks pair
 by pair followed by the diagonal section.  ``odd_even_s6`` alternates
 XX-first and YY-first step templates so that basis rotations at step
 boundaries cancel; ``compile_evolution`` performs that cancellation.
+
+Ramps: ``Schedule.averages`` is the one slice average of the profiles
+V(t), U(t); ``digitize_schedule`` and the exact ramp reference in
+``experiments`` both take their couplings from it.
 """
 from __future__ import annotations
 
@@ -352,12 +356,12 @@ def compile_evolution(plan: TrotterPlan) -> Circuit:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Piecewise-linear coupling profiles V(t), U(t) over [0, duration]."""
+    """Piecewise-linear coupling profiles V(t), U(t) over [0, duration],
+    each with knot times strictly increasing from 0 to ``duration``."""
 
     duration: float
     v_knots: tuple[tuple[float, float], ...]
     u_knots: tuple[tuple[float, float], ...]
-    default_steps: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0):
@@ -365,88 +369,73 @@ class Schedule:
         for name, knots in (("V", self.v_knots), ("U", self.u_knots)):
             if len(knots) < 2:
                 raise ValueError(f"{name} needs at least two knots")
-            ts = [t for t, _ in knots]
-            if ts != sorted(ts):
-                raise ValueError(f"{name} knots must be time-ordered")
-            if abs(ts[0]) > 1e-12 or abs(ts[-1] - self.duration) > 1e-12:
-                raise ValueError(f"{name} knots must cover [0, duration]")
             if not all(math.isfinite(x) for knot in knots for x in knot):
                 raise ValueError(f"{name} knots must be finite")
+            ts = [t for t, _ in knots]
+            if any(b <= a for a, b in zip(ts, ts[1:])):
+                raise ValueError(f"{name} knot times must strictly increase")
+            if abs(ts[0]) > 1e-12 or abs(ts[-1] - self.duration) > 1e-12:
+                raise ValueError(f"{name} knots must cover [0, duration]")
 
-    def value(self, knots, t: float) -> float:
-        ts = np.array([p[0] for p in knots])
-        vs = np.array([p[1] for p in knots])
-        return float(np.interp(t, ts, vs))
-
-    def average(self, knots, t0: float, t1: float) -> float:
-        """Exact mean of the piecewise-linear profile over [t0, t1]."""
-        if not t1 > t0:
-            raise ValueError("need t1 > t0")
-        breaks = sorted({t0, t1, *(t for t, _ in knots if t0 < t < t1)})
-        total = 0.0
-        for a, b in zip(breaks, breaks[1:]):
-            total += 0.5 * (self.value(knots, a) + self.value(knots, b)) \
-                * (b - a)
-        return total / (t1 - t0)
-
-    def averages(self, knots, edges) -> np.ndarray:
-        """Exact means over the slices [edges[..., i], edges[..., i + 1]].
+    def averages(self, edges) -> np.ndarray:
+        """Exact means of V and U over the slices [edges[..., i],
+        edges[..., i + 1]], on a trailing (V, U) axis.
 
         ``edges`` is one increasing row of slice edges or a stack of
-        such rows, each row a window.  A slice without a knot strictly
-        inside sees a linear profile, whose mean is (f(a) + f(b)) / 2;
-        only slices holding a knot go through :meth:`average`.
+        such rows, each row a window.  Each slice is clipped to every
+        linear piece [t_j, t_j+1] of a profile, giving [a, b], and its
+        mean is the sum of (b - a) / (hi - lo) * (f(a) + f(b)) / 2.  On
+        a slice without a knot inside, the weights are exactly 1 and 0.
         """
         edges = np.asarray(edges, dtype=float)
         if not np.all(np.diff(edges) > 0):
             raise ValueError("slice edges must increase")
-        ts = np.array([p[0] for p in knots])
-        f = np.interp(edges, ts, np.array([p[1] for p in knots]))
-        out = 0.5 * (f[..., :-1] + f[..., 1:])
-        lo, hi = edges[..., :-1], edges[..., 1:]
-        holds_knot = ((lo[..., None] < ts) & (ts < hi[..., None])).any(-1)
-        for i in zip(*np.nonzero(holds_knot)):
-            out[i] = self.average(knots, lo[i], hi[i])
-        return out
+        lo, hi = edges[..., :-1, None], edges[..., 1:, None]
+        means = []
+        for knots in (self.v_knots, self.u_knots):
+            ts, fs = np.array(knots).T
+            a, b = np.clip(ts[:-1], lo, hi), np.clip(ts[1:], lo, hi)
+            pieces = (np.interp(a, ts, fs) + np.interp(b, ts, fs)) / 2
+            means.append(((b - a) / (hi - lo) * pieces).sum(-1))
+        return np.stack(means, axis=-1)
 
     def to_json_dict(self) -> dict:
         return {
             "T": self.duration,
             "V": [[t, v] for t, v in self.v_knots],
             "U": [[t, u] for t, u in self.u_knots],
-            "steps": self.default_steps,
+            "steps": 1,  # summary.json and its stored references carry it
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> Schedule:
-        return cls(
+        schedule = cls(
             float(payload["T"]),
             tuple((float(t), float(v)) for t, v in payload["V"]),
             tuple((float(t), float(u)) for t, u in payload["U"]),
-            int(payload.get("steps", 1)),
         )
+        if payload.get("steps", 1) != 1:
+            raise ValueError("steps is not a schedule setting; set the "
+                             "step count with the top-level 'steps' field")
+        return schedule
 
 
-def digitize_schedule(schedule: Schedule, steps: int,
-                      mode_count: int) -> list[TrotterPlan]:
+def digitize_schedule(schedule: Schedule, steps: int, mode_count: int,
+                      ordering: str = "canonical_s5") -> list[TrotterPlan]:
     """Per-step plans using interval-averaged couplings.
 
     Step k covers [k dt, (k+1) dt] and uses the exact mean of V (and U)
     over that window, so a constant profile digitises losslessly.
+    Compile step k as ``compile_trotter_step(plans[k], k)``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if mode_count not in SCHEDULE_MODELS:
         raise ValueError("schedules support 2- or 3-mode models")
     dt = schedule.duration / steps
-    plans = []
-    for k in range(steps):
-        t0, t1 = k * dt, (k + 1) * dt
-        vbar = schedule.average(schedule.v_knots, t0, t1)
-        ubar = schedule.average(schedule.u_knots, t0, t1)
-        model = SCHEDULE_MODELS[mode_count](vbar, ubar)
-        plans.append(
-            TrotterPlan(spin_hamiltonian(model), dt, 1, window=(t0, t1))
-        )
-    return plans
-
+    edges = np.arange(steps + 1) * dt
+    means = schedule.averages(edges).tolist()
+    edges = edges.tolist()
+    return [TrotterPlan(spin_hamiltonian(SCHEDULE_MODELS[mode_count](v, u)),
+                        dt, 1, ordering, window=(t0, t1))
+            for (v, u), t0, t1 in zip(means, edges, edges[1:])]

@@ -13,13 +13,13 @@ Experiments:
 * ``fig4_3mode`` / ``fig4_4mode`` - three-step chain and asymmetric
   four-mode runs with per-step fidelity drops.
 * ``fig5_2mode`` / ``fig5_3mode`` - insulating-to-metallic ramp of the
-  hopping under constant repulsion, digitised with interval averages.
-  The exact time-dependent reference cuts each step into
-  ``EXACT_SLICES`` slices under the exact slice averages, taken for
-  all windows in one :meth:`Schedule.averages` pass per profile over
-  the (windows, slices + 1) edge grid; since the Hamiltonian is
-  V H_hop + U H_rep, each slice grid is built from the two term
-  matrices of :func:`fermisim.fermions.coupling_matrices`.
+  hopping under constant repulsion, digitised with interval averages
+  in the configured ordering.  The exact time-dependent reference cuts
+  each step into ``EXACT_SLICES`` slices and takes every slice's (V, U)
+  from one :meth:`Schedule.averages` call over the (windows, slices + 1)
+  edge grid, the function that also averages the digitised steps.
+  Since the Hamiltonian is V H_hop + U H_rep, each slice grid is built
+  from the two term matrices of :func:`fermisim.fermions.coupling_matrices`.
 * ``digital_error_s4`` / ``digital_error_s5`` - noiseless digitisation
   error against the exact evolution, constant and ramped couplings.
 * ``rb_s3`` - interleaved randomized benchmarking of the two-qubit
@@ -312,10 +312,10 @@ def _model_checkpoints(model: FermionModel, total_time: float, steps: int,
             for k, state in enumerate(exact)]
 
 
-def _schedule_checkpoints(schedule: Schedule, mode_count: int,
-                          steps: int) -> list:
+def _schedule_checkpoints(schedule: Schedule, mode_count: int, steps: int,
+                          ordering: str) -> list:
     """Checkpoints of a digitised schedule run, exact by fine slicing."""
-    plans = digitize_schedule(schedule, steps, mode_count)
+    plans = digitize_schedule(schedule, steps, mode_count, ordering)
     exact = _advance_exact(prepare_input(_input_kind(mode_count)), schedule,
                            mode_count, [plan.window for plan in plans],
                            EXACT_SLICES)
@@ -329,17 +329,15 @@ def _advance_exact(state, schedule: Schedule, mode_count: int,
 
     Each window is cut into ``slices`` equal slices, each evolved under
     the exact interval-averaged couplings as V H_hop + U H_rep.  The
-    (windows, slices + 1) edge grid is one array, each profile is
-    averaged over it in one pass, and all slices of all windows share
+    (windows, slices + 1) edge grid is one array, both profiles are
+    averaged over it in one call, and all slices of all windows share
     one batched eigendecomposition.  Returns the state at the end of
     every window.
     """
     t0, t1 = np.asarray(windows, dtype=float).T
     dt = (t1 - t0) / slices
     edges = t0[:, None] + np.arange(slices + 1) * dt[:, None]
-    couplings = np.stack([schedule.averages(knots, edges).reshape(-1)
-                          for knots in (schedule.v_knots, schedule.u_knots)],
-                         axis=1)
+    couplings = schedule.averages(edges).reshape(-1, 2)
     hamiltonians = np.tensordot(couplings,
                                 np.stack(coupling_matrices(mode_count)), 1)
     return evolve_slices(hamiltonians, np.repeat(dt, slices), state,
@@ -461,7 +459,8 @@ def _run_fig5(config: ExperimentConfig, out: Path, mode_count: int) -> dict:
     noise = config.noise_model()
     header, rows = _series_rows(
         SCHEDULE_MODELS[mode_count](1.0, 1.0),
-        _schedule_checkpoints(schedule, mode_count, steps), noise)
+        _schedule_checkpoints(schedule, mode_count, steps,
+                              config.canonical_ordering), noise)
     name = f"fig5_{mode_count}mode"
     path = out / f"{name}.csv"
     write_csv(path, header, rows)
@@ -533,7 +532,8 @@ def _run_digital_error_s5(config: ExperimentConfig, out: Path) -> dict:
     for mode_count, steps in ((2, 2), (3, 1)):
         header, rows = _series_rows(
             SCHEDULE_MODELS[mode_count](1.0, 1.0),
-            _schedule_checkpoints(schedule, mode_count, steps), None)
+            _schedule_checkpoints(schedule, mode_count, steps,
+                                  config.canonical_ordering), None)
         path = out / f"digital_error_s5_{mode_count}mode.csv"
         write_csv(path, header, rows)
         files.append(path.name)

@@ -102,6 +102,14 @@ class TestCliffordGroup:
             Circuit(2, (Gate("CZPHI", (0, 1), 0.3),)))
         assert not group2.contains_unitary(not_clifford)
 
+    def test_real_arrays_key_like_complex(self, group2):
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        for real in (np.eye(4), np.kron(hadamard, np.eye(2))):
+            assert phase_fixed_key(real) == phase_fixed_key(real + 0j)
+            assert group2.index_of(real) == group2.index_of(real + 0j)
+            assert group2.contains_unitary(real)
+        assert group2.index_of(np.eye(4)) == 0
+
 
 def _reference_key(u):
     """The per-unitary phase-fixed key the batched key pass replaced."""

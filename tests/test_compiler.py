@@ -1,7 +1,7 @@
 """Trotter compiler: block unitaries vs expm oracles, censuses, orderings."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -279,6 +279,41 @@ class TestEvolution:
         assert devs[8] < devs[2] / 2
 
 
+def reference_average(knots, t0, t1):
+    """The scalar interval mean that ``Schedule.averages`` replaced:
+    trapezoids between t0, t1 and every knot strictly inside."""
+    ts = np.array([p[0] for p in knots])
+    vs = np.array([p[1] for p in knots])
+    breaks = sorted({t0, t1, *(t for t, _ in knots if t0 < t < t1)})
+    total = 0.0
+    for a, b in zip(breaks, breaks[1:]):
+        total += 0.5 * (float(np.interp(a, ts, vs))
+                        + float(np.interp(b, ts, vs))) * (b - a)
+    return total / (t1 - t0)
+
+
+@st.composite
+def knots_and_edges(draw):
+    """A schedule with drawn strictly increasing knots, and slice edges
+    that are drawn times or knot times.  Slices are at least 1e-9 wide:
+    subnormal widths cost the scalar reference its precision."""
+    duration = draw(st.floats(0.5, 5.0))
+    values = st.floats(-5.0, 5.0)
+    profiles = []
+    for _ in range(2):
+        inner = draw(st.lists(st.floats(0.001, 0.999), max_size=5,
+                              unique=True))
+        ts = [0.0, *sorted(duration * t for t in inner), duration]
+        assume(all(b > a for a, b in zip(ts, ts[1:])))
+        profiles.append(tuple((t, draw(values)) for t in ts))
+    times = st.one_of(st.sampled_from([t for t, _ in profiles[0]]),
+                      st.floats(0.0, duration))
+    edges = sorted(draw(st.lists(times, min_size=2, max_size=12,
+                                 unique=True)))
+    assume(np.all(np.diff(edges) >= 1e-9))
+    return Schedule(duration, *profiles), np.array(edges)
+
+
 class TestSchedule:
     def ramp(self):
         return Schedule(
@@ -295,9 +330,10 @@ class TestSchedule:
 
     def test_ramp_segment_average(self):
         s = self.ramp()
-        assert s.average(s.v_knots, 1.0, 2.0) == pytest.approx(0.5)
-        assert s.average(s.v_knots, 0.0, 3.0) == pytest.approx(0.5)
-        assert s.average(s.v_knots, 0.5, 1.5) == pytest.approx(0.125)
+        assert s.averages([1.0, 2.0])[0, 0] == pytest.approx(0.5)
+        assert s.averages([0.0, 3.0])[0, 0] == pytest.approx(0.5)
+        assert s.averages([0.5, 1.5])[0, 0] == pytest.approx(0.125)
+        assert np.array_equal(s.averages([0.5, 1.5, 2.5])[:, 1], [1.0, 1.0])
 
     def test_zero_hopping_step_is_diagonal(self):
         s = Schedule(1.0, ((0.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (1.0, 1.0)))
@@ -319,10 +355,27 @@ class TestSchedule:
                      u_knots=((0.0, 1.0), (3.0, 0.4)))
         dt = (t1 - t0) / slices
         edges = t0 + np.arange(slices + 1) * dt
-        for knots in (s.v_knots, s.u_knots):
-            want = [s.average(knots, a, b) for a, b in zip(edges, edges[1:])]
-            assert np.allclose(s.averages(knots, edges), want,
-                               rtol=0, atol=1e-15)
+        got = s.averages(edges)
+        assert got.shape == (slices, 2)
+        for column, knots in enumerate((s.v_knots, s.u_knots)):
+            want = [reference_average(knots, a, b)
+                    for a, b in zip(edges, edges[1:])]
+            assert np.allclose(got[:, column], want, rtol=0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(knots_and_edges())
+    def test_averages_property(self, drawn):
+        s, edges = drawn
+        got = s.averages(edges)
+        lo, hi = edges[:-1], edges[1:]
+        for column, knots in enumerate((s.v_knots, s.u_knots)):
+            ts, fs = np.array(knots).T
+            want = [reference_average(knots, a, b) for a, b in zip(lo, hi)]
+            assert np.allclose(got[:, column], want, rtol=0, atol=1e-14)
+            # a slice without a knot inside keeps the two-point mean
+            free = ~((lo[:, None] < ts) & (ts < hi[:, None])).any(-1)
+            two_point = (np.interp(lo, ts, fs) + np.interp(hi, ts, fs)) / 2
+            assert np.array_equal(got[free, column], two_point[free])
 
     @pytest.mark.parametrize("windows,slices", [(4, 7), (60, 20),
                                                 (2, 600)])
@@ -336,16 +389,16 @@ class TestSchedule:
         dt = (t1 - t0) / slices
         grid = t0[:, None] + np.arange(slices + 1) * dt[:, None]
         ts = np.array([t for t, _ in s.v_knots])
-        # some slice holds a knot and takes the scalar fallback
+        # some slice holds a knot and is cut into two linear pieces
         assert ((grid[:, :-1, None] < ts) & (ts < grid[:, 1:, None])).any()
-        for knots in (s.v_knots, s.u_knots):
-            want = np.stack([s.averages(knots, row) for row in grid])
-            assert np.array_equal(s.averages(knots, grid), want)
+        want = np.stack([s.averages(row) for row in grid])
+        assert want.shape == (windows, slices, 2)
+        assert np.array_equal(s.averages(grid), want)
 
     def test_averages_reject_unordered_edges(self):
         s = self.ramp()
         with pytest.raises(ValueError):
-            s.averages(s.v_knots, [0.0, 1.0, 1.0])
+            s.averages([0.0, 1.0, 1.0])
 
     def test_windows_cover_duration(self):
         plans = digitize_schedule(self.ramp(), 2, 3)
@@ -363,3 +416,30 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(1.0, ((0.5, 0.0), (1.0, 1.0)),
                      ((0.0, 1.0), (1.0, 1.0)))
+
+    @pytest.mark.parametrize("v_knots", [
+        ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.0)),  # a jump at t = 1
+        ((0.0, 0.0), (1.5, 0.0), (1.0, 1.0), (2.0, 1.0)),
+    ])
+    def test_knot_times_strictly_increase(self, v_knots):
+        with pytest.raises(ValueError, match="strictly increase"):
+            Schedule(2.0, v_knots, ((0.0, 1.0), (2.0, 1.0)))
+
+    def test_steps_inside_a_schedule_rejected(self):
+        payload = self.ramp().to_json_dict()
+        assert payload["steps"] == 1
+        payload["steps"] = 5
+        with pytest.raises(ValueError, match="top-level 'steps'"):
+            Schedule.from_json_dict(payload)
+
+    def test_plans_carry_the_ordering(self):
+        ramp = Schedule(3.0, ((0.0, 0.5), (3.0, 1.0)),
+                        ((0.0, 1.0), (3.0, 1.0)))
+        plans = digitize_schedule(ramp, 3, 2, "odd_even_s6")
+        assert [p.ordering for p in plans] == ["odd_even_s6"] * 3
+        assert all(type(t) is float for p in plans for t in p.window)
+        canonical = digitize_schedule(ramp, 3, 2)
+        for k, (s5, s6) in enumerate(zip(canonical, plans)):
+            assert compile_trotter_step(s5, k) != compile_trotter_step(s6, k)
+        assert compile_trotter_step(plans[0], 0) \
+            != compile_trotter_step(plans[1], 1)

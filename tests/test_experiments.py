@@ -157,6 +157,31 @@ class TestFig5:
             "fig5_2mode", str(tmp_path), params={"schedule": sched}))
         assert summary["schedule"]["T"] == 2.0
 
+    def test_ordering_reaches_the_ramp(self, tmp_path, monkeypatch):
+        written = {}
+        monkeypatch.setattr(
+            experiments, "write_csv",
+            lambda path, header, rows: written.__setitem__(
+                path.relative_to(tmp_path).as_posix(), rows))
+        for ordering in ("s5", "s6"):
+            run(ExperimentConfig("fig5_2mode", str(tmp_path / ordering),
+                                 noise_scale=1.0, steps=3,
+                                 ordering=ordering))
+        s5, s6 = written["s5/fig5_2mode.csv"], written["s6/fig5_2mode.csv"]
+        # the first step has no hopping (V = 0 on [0, 1]); the last has
+        assert s5[:2] == s6[:2]
+        assert s5[-1] != s6[-1]
+        assert written["s5/fig5_2mode_exact.csv"] \
+            == written["s6/fig5_2mode_exact.csv"]
+        # an explicit s5 is the ordering the golden ramps were recorded in
+        want = json.loads(GOLDEN.read_text())["cases"]["fig5_2mode_steps2"]
+        run(ExperimentConfig(out_dir=str(tmp_path / "golden"),
+                             ordering="s5", **want["config"]))
+        for name, rows in want["csv"].items():
+            assert np.allclose(np.array(written[f"golden/{name}"],
+                                        dtype=float), rows,
+                               rtol=0, atol=1e-12), name
+
 
 def drawn_ramp(seed: int) -> Schedule:
     """A hopping ramp under a ramped repulsion, drawn at random."""
@@ -270,6 +295,12 @@ class TestSweep:
         results = sweep(cfg, "ordering", ["s5", "s6"])
         assert [r["config"]["ordering"] for r in results] == ["s5", "s6"]
 
+    def test_ordering_axis_on_fig5(self, tmp_path):
+        cfg = ExperimentConfig("fig5_2mode", str(tmp_path), noise_scale=1.0,
+                               steps=3)
+        s5, s6 = sweep(cfg, "ordering", ["s5", "s6"])
+        assert s5["min_fidelity_vs_exact"] != s6["min_fidelity_vs_exact"]
+
 
 class TestRbExperiment:
     def test_small_rb_run(self, tmp_path):
@@ -376,6 +407,14 @@ class TestCli:
             "T": 3.0, "V": [[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0],
                             [3.0, 1.0]],
             "U": [[0.0, 1.0], [3.0, 1.0]]}}}, "params.schedule"),
+        ({"params": {"schedule": {
+            "T": 2.0, "V": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0]],
+            "U": [[0.0, 1.0], [2.0, 1.0]]}}},
+         "params.schedule: V knot times must strictly increase"),
+        ({"params": {"schedule": {**default_ramp_schedule().to_json_dict(),
+                                  "steps": 5}}},
+         "params.schedule: steps is not a schedule setting; set the step "
+         "count with the top-level 'steps' field"),
     ])
     def test_malformed_config_exit_two(self, tmp_path, capsys, change,
                                        field):
