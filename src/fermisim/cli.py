@@ -7,8 +7,9 @@
 
 Exit codes: 0 on success, 2 on configuration errors (including a config
 file that is missing, unreadable or not a JSON object), 3 on numerical
-failures (fit, optimiser or reconstruction breakdowns), 4 when the
-output directory or its files cannot be written.
+failures (fit, optimiser or reconstruction breakdowns, an overflowing
+exact evolution), 4 when the output directory or its files cannot be
+written.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .benchmarking import ClosureError, FitError
 from .experiments import (
-    EXPERIMENT_IDS,
+    EXPERIMENTS,
     SWEEP_AXES,
     ConfigError,
     ExperimentConfig,
@@ -89,7 +90,7 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _add_common(parser) -> None:
-    parser.add_argument("--experiment", choices=EXPERIMENT_IDS)
+    parser.add_argument("--experiment", choices=list(EXPERIMENTS))
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--steps", type=int)
     parser.add_argument("--noise", help="off | paper | <scale factor>")
@@ -170,7 +171,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FitError, ReconstructionError, ClosureError,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:  # the config was read above: this is output

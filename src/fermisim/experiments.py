@@ -5,7 +5,11 @@ deterministic and randomized benchmarking derives all randomness from
 the configured seed, so re-running a config reproduces each output file
 byte for byte.
 
-Experiments:
+``EXPERIMENTS`` is the one table of experiments: each id's record holds
+its runner, the top-level config fields the runner reads, the checks
+of its ``params`` and the summary key a sweep reports.  A ``steps``,
+``noise_scale`` or ``total_time`` that is set but not read is a config
+error, and so is a sweep along an axis the experiment does not read.
 
 * ``fig3`` - two-mode constant-coupling evolution to T = 5.0 for step
   counts 1..max; occupations, digital and exact fidelities, per-step
@@ -14,12 +18,8 @@ Experiments:
   four-mode runs with per-step fidelity drops.
 * ``fig5_2mode`` / ``fig5_3mode`` - insulating-to-metallic ramp of the
   hopping under constant repulsion, digitised with interval averages
-  in the configured ordering.  The exact time-dependent reference cuts
-  each step into ``EXACT_SLICES`` slices and takes every slice's (V, U)
-  from one :meth:`Schedule.averages` call over the (windows, slices + 1)
-  edge grid, the function that also averages the digitised steps.
-  Since the Hamiltonian is V H_hop + U H_rep, each slice grid is built
-  from the two term matrices of :func:`fermisim.fermions.coupling_matrices`.
+  in the configured ordering, against an exact time-dependent
+  reference of ``EXACT_SLICES`` slices per step (:func:`_advance_exact`).
 * ``digital_error_s4`` / ``digital_error_s5`` - noiseless digitisation
   error against the exact evolution, constant and ramped couplings.
 * ``rb_s3`` - interleaved randomized benchmarking of the two-qubit
@@ -41,7 +41,9 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -88,12 +90,6 @@ from .simulator import (
 )
 from .tomography import anticommutation_experiment
 
-EXPERIMENT_IDS = (
-    "fig3", "fig4_3mode", "fig4_4mode", "fig5_2mode", "fig5_3mode",
-    "digital_error_s4", "digital_error_s5", "rb_s3",
-    "anticommutation_fig2d", "census_table_s1",
-)
-
 ORDERING_ALIASES = {"s5": "canonical_s5", "s6": "odd_even_s6",
                     "canonical_s5": "canonical_s5",
                     "odd_even_s6": "odd_even_s6"}
@@ -121,11 +117,13 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Reject a malformed config before any work is done."""
-        if self.experiment not in EXPERIMENT_IDS:
+        if not (isinstance(self.experiment, str)  # an id, and hashable
+                and self.experiment in EXPERIMENTS):
             raise ConfigError(
                 f"experiment: unknown id {self.experiment!r}; "
-                f"choose from {EXPERIMENT_IDS}"
+                f"choose from {list(EXPERIMENTS)}"
             )
+        spec = EXPERIMENTS[self.experiment]
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise ConfigError("out_dir: must be a non-empty string")
         if self.steps is not None:
@@ -147,16 +145,21 @@ class ExperimentConfig:
             raise ConfigError("total_time: must be a finite number > 0")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError("seed: must be a non-negative integer")
+        # seed and ordering are never None: set cannot be told from unset
+        for name in ("steps", "noise_scale", "total_time"):
+            if getattr(self, name) is not None and name not in spec.reads:
+                raise ConfigError(
+                    f"{name}: {self.experiment} does not read it; "
+                    f"leave it unset")
         if not isinstance(self.params, dict):
             raise ConfigError("params: must be an object")
-        allowed = PARAMS_SCHEMA.get(self.experiment, {})
-        unknown = sorted(set(self.params) - set(allowed))
+        unknown = sorted(set(self.params) - set(spec.params))
         if unknown:
             raise ConfigError(
                 f"params: unknown keys {unknown} for {self.experiment}; "
-                f"allowed: {sorted(allowed) or 'none'}"
+                f"allowed: {sorted(spec.params) or 'none'}"
             )
-        for key, check in allowed.items():
+        for key, check in spec.params.items():
             if key in self.params:
                 check(f"params.{key}", self.params[key])
 
@@ -212,17 +215,6 @@ def _parse_schedule(name: str, value) -> Schedule:
         raise ConfigError(f"{name}: {exc}") from None
 
 
-# Accepted ``params`` keys per experiment, each with the check of its
-# value; an experiment not listed takes no params.
-PARAMS_SCHEMA = {
-    "fig5_2mode": {"schedule": _parse_schedule},
-    "fig5_3mode": {"schedule": _parse_schedule},
-    "digital_error_s4": {"step_counts": _positive_int_list},
-    "rb_s3": {"m_values": _positive_int_list,
-              "k_sequences": _positive_int},
-}
-
-
 def _is_real(value) -> bool:  # finite and within float range
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
@@ -250,13 +242,10 @@ def _input_kind(mode_count: int) -> str:
     return {2: "two_mode", 3: "three_mode", 4: "four_mode"}[mode_count]
 
 
-_SERIES_FID_COLS = ["fidelity_vs_digital", "fidelity_vs_exact",
-                    "overlap_vs_digital", "overlap_vs_exact"]
-
-
-def _series_rows(model: FermionModel, checkpoints,
-                 noise: NoiseModel | None):
-    """Occupations and fidelities at t = 0 and after every step.
+def _series_rows(path: Path, files: list, model: FermionModel,
+                 checkpoints, noise: NoiseModel | None) -> list:
+    """Occupations and fidelities at t = 0 and after every step,
+    written to the CSV ``path`` (its name appended to ``files``).
 
     ``checkpoints`` lists (end time, step circuit, exact state at that
     time) per step; steps that repeat one circuit object share its
@@ -292,9 +281,11 @@ def _series_rows(model: FermionModel, checkpoints,
                      state_fidelity(exact.probabilities(), p_run),
                      state_overlap(digital, run_state),
                      state_overlap(exact, run_state)))
-    header = ["time"] + [f"p_mode{i + 1}" for i in range(n)] + \
-        ["p_other"] + _SERIES_FID_COLS
-    return header, rows
+    write_csv(path, ["time", *(f"p_mode{i + 1}" for i in range(n)),
+                     "p_other", "fidelity_vs_digital", "fidelity_vs_exact",
+                     "overlap_vs_digital", "overlap_vs_exact"], rows)
+    files.append(path.name)
+    return rows
 
 
 def _model_checkpoints(model: FermionModel, total_time: float, steps: int,
@@ -380,18 +371,16 @@ def _run_fig3(config: ExperimentConfig, out: Path) -> dict:
     files = []
     model = two_mode_model(1.0, 1.0)
     for n in range(1, max_steps + 1):
-        header, rows = _series_rows(
-            model, _model_checkpoints(model, total_time, n,
-                                      config.canonical_ordering), noise)
-        path = out / f"fig3_steps{n}.csv"
-        write_csv(path, header, rows)
-        files.append(path.name)
+        rows = _series_rows(
+            out / f"fig3_steps{n}.csv", files, model,
+            _model_checkpoints(model, total_time, n,
+                               config.canonical_ordering), noise)
         end_overlap[n] = rows[-1][-2]     # overlap_vs_digital at T
         end_estimator[n] = rows[-1][-4]   # fidelity_vs_digital at T
     plan = plan_for_model(model, total_time, max_steps,
                           config.canonical_ordering)
     census = gate_census(compile_trotter_step(plan, 0))
-    summary = {
+    return {
         "experiment": "fig3",
         "total_time": total_time,
         "end_fidelity_vs_digital": {str(k): v
@@ -406,7 +395,6 @@ def _run_fig3(config: ExperimentConfig, out: Path) -> dict:
         "step_error_budget": error_budget(census, NoiseModel()),
         "files": files,
     }
-    return summary
 
 
 def _run_fig4(config: ExperimentConfig, out: Path, four_mode: bool) -> dict:
@@ -422,12 +410,10 @@ def _run_fig4(config: ExperimentConfig, out: Path, four_mode: bool) -> dict:
     files = []
     name = "fig4_4mode" if four_mode else "fig4_3mode"
     for tag, model in models.items():
-        header, rows = _series_rows(
-            model, _model_checkpoints(model, total_time, steps,
-                                      config.canonical_ordering), noise)
-        path = out / f"{name}_{tag}.csv"
-        write_csv(path, header, rows)
-        files.append(path.name)
+        rows = _series_rows(
+            out / f"{name}_{tag}.csv", files, model,
+            _model_checkpoints(model, total_time, steps,
+                               config.canonical_ordering), noise)
         overlaps = [r[-2] for r in rows]
         runs[tag] = {
             "end_overlap_vs_digital": overlaps[-1],
@@ -437,8 +423,7 @@ def _run_fig4(config: ExperimentConfig, out: Path, four_mode: bool) -> dict:
             "end_fidelity_vs_exact": rows[-1][-3],
         }
     anchor = "ahm_uy1" if four_mode else "u1"
-    census_model = models[anchor]
-    plan = plan_for_model(census_model, total_time, steps,
+    plan = plan_for_model(models[anchor], total_time, steps,
                           config.canonical_ordering)
     census = gate_census(compile_trotter_step(plan, 0))
     return {
@@ -456,14 +441,13 @@ def _run_fig4(config: ExperimentConfig, out: Path, four_mode: bool) -> dict:
 def _run_fig5(config: ExperimentConfig, out: Path, mode_count: int) -> dict:
     steps = config.steps or (2 if mode_count == 2 else 1)
     schedule = config.schedule()
-    noise = config.noise_model()
-    header, rows = _series_rows(
-        SCHEDULE_MODELS[mode_count](1.0, 1.0),
-        _schedule_checkpoints(schedule, mode_count, steps,
-                              config.canonical_ordering), noise)
     name = f"fig5_{mode_count}mode"
-    path = out / f"{name}.csv"
-    write_csv(path, header, rows)
+    files = []
+    rows = _series_rows(
+        out / f"{name}.csv", files, SCHEDULE_MODELS[mode_count](1.0, 1.0),
+        _schedule_checkpoints(schedule, mode_count, steps,
+                              config.canonical_ordering),
+        config.noise_model())
     # dense exact reference for plotting the continuous line
     psi0 = prepare_input(_input_kind(mode_count))
     samples = 60
@@ -478,6 +462,7 @@ def _run_fig5(config: ExperimentConfig, out: Path, mode_count: int) -> dict:
     write_csv(exact_path,
               ["time"] + [f"p_mode{i + 1}" for i in range(mode_count)],
               dense_rows)
+    files.append(exact_path.name)
     fid_dig = [r[-4] for r in rows]
     fid_exact = [r[-3] for r in rows]
     return {
@@ -487,7 +472,7 @@ def _run_fig5(config: ExperimentConfig, out: Path, mode_count: int) -> dict:
         "min_fidelity_vs_digital": min(fid_dig),
         "min_fidelity_vs_exact": min(fid_exact),
         "end_fidelity_vs_exact": fid_exact[-1],
-        "files": [path.name, exact_path.name],
+        "files": files,
     }
 
 
@@ -506,12 +491,10 @@ def _run_digital_error_s4(config: ExperimentConfig, out: Path) -> dict:
         fidelities = {}
         overlaps = {}
         for n in step_counts:
-            header, rows = _series_rows(
-                model, _model_checkpoints(model, total_time, int(n),
-                                          config.canonical_ordering), None)
-            path = out / f"digital_error_s4_{tag}_steps{n}.csv"
-            write_csv(path, header, rows)
-            files.append(path.name)
+            rows = _series_rows(
+                out / f"digital_error_s4_{tag}_steps{n}.csv", files, model,
+                _model_checkpoints(model, total_time, int(n),
+                                   config.canonical_ordering), None)
             fidelities[str(n)] = rows[-1][-3]  # fidelity_vs_exact at T
             overlaps[str(n)] = rows[-1][-1]    # overlap_vs_exact at T
         summary_fids[tag] = fidelities
@@ -530,13 +513,11 @@ def _run_digital_error_s5(config: ExperimentConfig, out: Path) -> dict:
     results = {}
     files = []
     for mode_count, steps in ((2, 2), (3, 1)):
-        header, rows = _series_rows(
+        rows = _series_rows(
+            out / f"digital_error_s5_{mode_count}mode.csv", files,
             SCHEDULE_MODELS[mode_count](1.0, 1.0),
             _schedule_checkpoints(schedule, mode_count, steps,
                                   config.canonical_ordering), None)
-        path = out / f"digital_error_s5_{mode_count}mode.csv"
-        write_csv(path, header, rows)
-        files.append(path.name)
         results[f"{mode_count}mode"] = {
             "steps": steps,
             "min_fidelity_vs_exact": min(r[-3] for r in rows),
@@ -557,7 +538,7 @@ def quarter_angle_step_circuit(ordering: str = "canonical_s5"):
 
 
 def _run_rb_s3(config: ExperimentConfig, out: Path) -> dict:
-    noise = config.noise_model() or NoiseModel()
+    noise = config.noise_model()
     m_values = config.params.get("m_values", [1, 5, 10, 20, 40, 60])
     k_sequences = int(config.params.get("k_sequences", 50))
     group = clifford_group(two_qubit=True)
@@ -601,12 +582,11 @@ def _run_anticommutation(config: ExperimentConfig, out: Path) -> dict:
                                               return_processes=True)
     for key, chi in chis.items():
         write_json(out / f"chi_{key}.json", chi.to_json_dict())
-    summary = {
+    return {
         "experiment": "anticommutation_fig2d",
         **report,
         "files": [f"chi_{k}.json" for k in chis],
     }
-    return summary
 
 
 def _run_census(config: ExperimentConfig, out: Path) -> dict:
@@ -632,18 +612,47 @@ def _run_census(config: ExperimentConfig, out: Path) -> dict:
     }
 
 
-_RUNNERS = {
-    "fig3": lambda cfg, out: _run_fig3(cfg, out),
-    "fig4_3mode": lambda cfg, out: _run_fig4(cfg, out, four_mode=False),
-    "fig4_4mode": lambda cfg, out: _run_fig4(cfg, out, four_mode=True),
-    "fig5_2mode": lambda cfg, out: _run_fig5(cfg, out, mode_count=2),
-    "fig5_3mode": lambda cfg, out: _run_fig5(cfg, out, mode_count=3),
-    "digital_error_s4": lambda cfg, out: _run_digital_error_s4(cfg, out),
-    "digital_error_s5": lambda cfg, out: _run_digital_error_s5(cfg, out),
-    "rb_s3": lambda cfg, out: _run_rb_s3(cfg, out),
-    "anticommutation_fig2d": lambda cfg, out: _run_anticommutation(cfg, out),
-    "census_table_s1": lambda cfg, out: _run_census(cfg, out),
+@dataclass(frozen=True)
+class Experiment:
+    """What one experiment id runs and which config fields it takes."""
+
+    runner: Callable[[ExperimentConfig, Path], dict]
+    reads: tuple[str, ...]  # top-level config fields the runner reads
+    params: dict = field(default_factory=dict)  # key -> check of its value
+    metric: str | None = None  # summary key a sweep reports; None: no sweep
+
+
+_STEP_FIELDS = ("steps", "noise_scale", "total_time", "ordering")
+_RAMP_FIELDS = ("steps", "noise_scale", "ordering")
+_SCHEDULE = {"schedule": _parse_schedule}
+
+EXPERIMENTS = {
+    "fig3": Experiment(_run_fig3, _STEP_FIELDS,
+                       metric="per_step_fidelity_slope"),
+    "fig4_3mode": Experiment(partial(_run_fig4, four_mode=False),
+                             _STEP_FIELDS, metric="per_step_fidelity_drop"),
+    "fig4_4mode": Experiment(partial(_run_fig4, four_mode=True),
+                             _STEP_FIELDS, metric="per_step_fidelity_drop"),
+    "fig5_2mode": Experiment(partial(_run_fig5, mode_count=2), _RAMP_FIELDS,
+                             params=_SCHEDULE,
+                             metric="min_fidelity_vs_exact"),
+    "fig5_3mode": Experiment(partial(_run_fig5, mode_count=3), _RAMP_FIELDS,
+                             params=_SCHEDULE,
+                             metric="min_fidelity_vs_exact"),
+    "digital_error_s4": Experiment(
+        _run_digital_error_s4, ("total_time", "ordering"),
+        params={"step_counts": _positive_int_list}),
+    "digital_error_s5": Experiment(_run_digital_error_s5, ("ordering",)),
+    "rb_s3": Experiment(
+        _run_rb_s3, ("noise_scale", "seed", "ordering"),
+        params={"m_values": _positive_int_list,
+                "k_sequences": _positive_int},
+        metric="zz_block_error"),
+    "anticommutation_fig2d": Experiment(
+        _run_anticommutation, ("noise_scale",), metric="f_composed"),
+    "census_table_s1": Experiment(_run_census, ("ordering",)),
 }
+EXPERIMENT_IDS = tuple(EXPERIMENTS)  # imported by perfbench/
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -651,7 +660,7 @@ def run(config: ExperimentConfig) -> dict:
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _RUNNERS[config.experiment](config, out)
+    summary = EXPERIMENTS[config.experiment].runner(config, out)
     summary["config"] = config.to_json_dict()
     write_json(out / "summary.json", summary)
     return summary
@@ -659,29 +668,22 @@ def run(config: ExperimentConfig) -> dict:
 
 SWEEP_AXES = ("steps", "noise_scale", "ordering")
 
-# The summary key each sweepable experiment reports as its sweep metric;
-# an experiment not listed cannot be swept.
-SWEEP_METRICS = {
-    "fig3": "per_step_fidelity_slope",
-    "fig4_3mode": "per_step_fidelity_drop",
-    "fig4_4mode": "per_step_fidelity_drop",
-    "fig5_2mode": "min_fidelity_vs_exact",
-    "fig5_3mode": "min_fidelity_vs_exact",
-    "rb_s3": "zz_block_error",
-    "anticommutation_fig2d": "f_composed",
-}
-
 
 def sweep(config: ExperimentConfig, axis: str, values) -> list[dict]:
     """Run the experiment across one axis and aggregate the summaries."""
     config.validate()
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis: must be one of {SWEEP_AXES}")
-    metric = SWEEP_METRICS.get(config.experiment)
-    if metric is None:
+    spec = EXPERIMENTS[config.experiment]
+    if spec.metric is None:
+        sweepable = sorted(k for k, e in EXPERIMENTS.items() if e.metric)
         raise ConfigError(
             f"experiment: {config.experiment} has no sweep metric; "
-            f"sweepable: {sorted(SWEEP_METRICS)}")
+            f"sweepable: {sweepable}")
+    if axis not in spec.reads:
+        raise ConfigError(
+            f"axis: {config.experiment} does not read {axis}; "
+            f"sweepable axes: {[a for a in SWEEP_AXES if a in spec.reads]}")
     out = Path(config.out_dir)
     configs = []
     for value in values:  # every value is checked before any work starts
@@ -692,7 +694,7 @@ def sweep(config: ExperimentConfig, axis: str, values) -> list[dict]:
         configs[-1].validate()
     out.mkdir(parents=True, exist_ok=True)
     results = [run(c) for c in configs]
-    rows = [(value, float(summary[metric]))
+    rows = [(value, float(summary[spec.metric]))
             for value, summary in zip(values, results)]
     write_csv(out / f"sweep_{axis}.csv", [axis, "metric"], rows)
     write_json(out / f"sweep_{axis}.json",

@@ -100,7 +100,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amp)
         if amp.shape != (2 ** self.qubit_count,):
             raise ValueError("amplitude vector has wrong length")
-        if abs(np.vdot(amp, amp).real - 1.0) > NORM_TOL:
+        if not abs(np.vdot(amp, amp).real - 1.0) <= NORM_TOL:
             raise ValueError("state is not normalised")
 
     def probabilities(self) -> np.ndarray:
@@ -124,7 +124,7 @@ class DensityState:
             raise ValueError("density matrix has wrong shape")
         if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > NORM_TOL:
+        if not abs(np.trace(rho).real - 1.0) <= NORM_TOL:
             raise ValueError("density matrix trace is not 1")
         if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
             raise ValueError("density matrix is not positive semidefinite")
@@ -304,7 +304,8 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     if len(hs) % every:
         raise ValueError("slice count must be a multiple of 'every'")
     vals, vecs = np.linalg.eigh(hs)
-    phases = np.exp(-1j * vals * np.asarray(durations, dtype=float)[:, None])
+    with np.errstate(over="raise", invalid="raise"):  # no NaN phases
+        phases = np.exp(-1j * vals * np.asarray(durations, float)[:, None])
     amps = state.amplitudes
     out = []
     props = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
@@ -358,7 +359,7 @@ def state_fidelity(p_ideal, p) -> float:
     for v in (a, b):
         if v.min() < -PROBABILITY_SUM_TOL:
             raise ValueError(f"negative probability {v.min()}")
-        if abs(v.sum() - 1.0) > PROBABILITY_SUM_TOL:
+        if not abs(v.sum() - 1.0) <= PROBABILITY_SUM_TOL:
             raise ValueError(f"probabilities sum to {v.sum()}, not 1")
     a = np.clip(a, 0.0, None)
     b = np.clip(b, 0.0, None)

@@ -87,7 +87,6 @@ def tomography_rotation(index: int) -> Circuit:
 @dataclass(frozen=True)
 class ProcessMatrix:
     chi: np.ndarray
-    basis: str = BASIS_TAG
 
     def __post_init__(self):
         chi = np.asarray(self.chi, dtype=complex)
@@ -106,15 +105,16 @@ class ProcessMatrix:
 
     def to_json_dict(self) -> dict:
         return {
-            "basis": self.basis,
+            "basis": BASIS_TAG,
             "re": self.chi.real.tolist(),
             "im": self.chi.imag.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> ProcessMatrix:
-        chi = np.array(payload["re"]) + 1j * np.array(payload["im"])
-        return cls(chi, payload.get("basis", BASIS_TAG))
+        if payload.get("basis", BASIS_TAG) != BASIS_TAG:
+            raise ValueError(f"unknown process basis {payload['basis']!r}")
+        return cls(np.array(payload["re"]) + 1j * np.array(payload["im"]))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -165,16 +165,12 @@ def chi_from_superoperator(s: np.ndarray) -> ProcessMatrix:
 def compose_processes(first: ProcessMatrix,
                       second: ProcessMatrix) -> ProcessMatrix:
     """chi of the sequential channel second(first(rho))."""
-    if first.basis != second.basis:
-        raise ValueError("process matrices use different bases")
     return chi_from_superoperator(superoperator(second) @
                                   superoperator(first))
 
 
 def process_fidelity(a: ProcessMatrix, b: ProcessMatrix) -> float:
     """Tr(a b) for a an ideal (rank-1) chi; clamped to [0, 1]."""
-    if a.basis != b.basis:
-        raise ValueError("process matrices use different bases")
     value = float(np.trace(a.chi @ b.chi).real)
     if value < -1e-6 or value > 1 + 1e-6:
         warnings.warn(f"process fidelity {value} clamped into [0, 1]")

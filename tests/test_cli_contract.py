@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 import fermisim.experiments as experiments
 from fermisim.cli import main
 from fermisim.experiments import (
-    EXPERIMENT_IDS,
+    EXPERIMENTS,
     ORDERING_ALIASES,
     SWEEP_AXES,
-    SWEEP_METRICS,
     ExperimentConfig,
 )
 
@@ -39,7 +38,7 @@ json_values = st.recursive(
 
 # Per field, values a real config would hold, mixed with any JSON value.
 plausible = {
-    "experiment": st.sampled_from(EXPERIMENT_IDS),
+    "experiment": st.sampled_from(list(EXPERIMENTS)),
     "noise_scale": st.none() | st.floats(-1.0, 3.0),
     "steps": st.none() | st.integers(-1, 4),
     "seed": st.integers(-1, 2 ** 40),
@@ -57,10 +56,12 @@ plausible = {
 @pytest.fixture
 def stub_runners(monkeypatch):
     def stub(config, out):
-        return {metric: 0.5 for metric in SWEEP_METRICS.values()}
+        return {spec.metric: 0.5 for spec in EXPERIMENTS.values()
+                if spec.metric}
 
-    monkeypatch.setattr(experiments, "_RUNNERS",
-                        {name: stub for name in EXPERIMENT_IDS})
+    monkeypatch.setattr(experiments, "EXPERIMENTS", {
+        name: dataclasses.replace(spec, runner=stub)
+        for name, spec in EXPERIMENTS.items()})
 
 
 def config_dicts(tmp_path):
@@ -107,7 +108,7 @@ sweep_values = st.one_of(
 
 
 @CLI_SETTINGS
-@given(experiment=st.sampled_from(EXPERIMENT_IDS),
+@given(experiment=st.sampled_from(list(EXPERIMENTS)),
        axis=st.sampled_from(SWEEP_AXES),
        values=st.lists(sweep_values, min_size=1, max_size=3))
 def test_sweep_values_keep_the_exit_contract(tmp_path, stub_runners,

@@ -13,6 +13,7 @@ from fermisim.cli import EXIT_IO, main
 from fermisim.compiler import Schedule, digitize_schedule
 from fermisim.experiments import (
     EXACT_SLICES,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     _advance_exact,
@@ -66,6 +67,66 @@ class TestConfig:
                                 noise_scale=0.0).noise_model() is None
         nm = ExperimentConfig("fig3", "x", noise_scale=2.0).noise_model()
         assert nm.eps_2q == pytest.approx(2 * 7.4e-3)
+
+
+class RecordingConfig(ExperimentConfig):
+    """A config that records which top-level fields are read."""
+
+    WATCHED = ("steps", "noise_scale", "total_time", "seed", "ordering")
+
+    def __getattribute__(self, name):
+        if name in RecordingConfig.WATCHED:
+            object.__getattribute__(self, "seen").add(name)
+        return object.__getattribute__(self, name)
+
+
+SMALL_PARAMS = {"digital_error_s4": {"step_counts": [1]},
+                "rb_s3": {"m_values": [1, 2, 3], "k_sequences": 1}}
+OPTIONAL = {"steps": 2, "noise_scale": 1.0, "total_time": 2.0}
+
+
+class TestExperimentTable:
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_reads_are_what_the_runner_reads(self, experiment, tmp_path):
+        cfg = RecordingConfig(experiment, str(tmp_path), steps=1,
+                              params=SMALL_PARAMS.get(experiment, {}))
+        cfg.seen = set()
+        EXPERIMENTS[experiment].runner(cfg, tmp_path)
+        assert cfg.seen == set(EXPERIMENTS[experiment].reads)
+
+    def test_ids_keep_their_order(self):
+        assert experiments.EXPERIMENT_IDS == (
+            "fig3", "fig4_3mode", "fig4_4mode", "fig5_2mode", "fig5_3mode",
+            "digital_error_s4", "digital_error_s5", "rb_s3",
+            "anticommutation_fig2d", "census_table_s1")
+
+    @pytest.mark.parametrize("experiment,field", [
+        (name, field) for name, spec in EXPERIMENTS.items()
+        for field in OPTIONAL if field not in spec.reads])
+    def test_unread_field_exit_two(self, tmp_path, capsys, experiment,
+                                   field):
+        cfg = {"experiment": experiment, "out_dir": str(tmp_path / "out"),
+               field: OPTIONAL[field]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert (f"configuration error: {field}: {experiment} does not "
+                f"read it") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,axis,values", [
+        ("rb_s3", "steps", ["--values", "1", "2"]),
+        ("anticommutation_fig2d", "ordering", []),
+        ("anticommutation_fig2d", "steps", ["--from", "1", "--to", "3"]),
+    ])
+    def test_sweep_along_unread_axis_exit_two(self, tmp_path, capsys,
+                                              experiment, axis, values):
+        code = main(["sweep", "--experiment", experiment, "--axis", axis,
+                     *values, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"configuration error: axis: {experiment} does not read "
+                f"{axis}") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFig3:
@@ -314,6 +375,18 @@ class TestRbExperiment:
         assert header == ["m", "mean_fidelity", "stderr", "tag"]
         assert len(rows) == 9
 
+    @pytest.mark.parametrize("off", [{}, {"noise_scale": 0.0}])
+    def test_noise_off_is_noiseless(self, tmp_path, off):
+        params = {"m_values": [1, 3, 6], "k_sequences": 2}
+        summary = run(ExperimentConfig("rb_s3", str(tmp_path / "off"),
+                                       params=params, **off))
+        run(ExperimentConfig("rb_s3", str(tmp_path / "on"),
+                             noise_scale=1.0, params=params))
+        assert summary["zz_block_error"] == 0.0
+        assert summary["trotter_step_error"] == 0.0
+        assert (tmp_path / "off" / "rb_s3.csv").read_bytes() != \
+            (tmp_path / "on" / "rb_s3.csv").read_bytes()
+
     def test_quarter_angle_step_circuit_is_clifford(self):
         from fermisim.benchmarking import clifford_group
         from fermisim.circuits import circuit_unitary
@@ -534,6 +607,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert (f"numerical failure: optimiser failed at stage {stage}/3 "
                 f"(penalty weight {weight}): ABNORMAL") in err
+
+    def test_overflowing_evolution_exit_three(self, tmp_path, capsys):
+        # finite, so validate accepts it, but vals * dt overflows
+        cfg = {"experiment": "digital_error_s4", "total_time": 1.7e308,
+               "out_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert "numerical failure: overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         # two distinct sequence lengths cannot support a decay fit

@@ -1,10 +1,13 @@
 """Replay the benchmark's stored references: round 0 of every workload's
-seed-0 jobs must reproduce the outputs recorded in perfbench/reference/."""
+seed-0 jobs must reproduce the outputs recorded in perfbench/reference/,
+and every config the benchmark generates must pass validation."""
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
+
+from fermisim.experiments import ExperimentConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,3 +33,11 @@ def test_round_zero_matches_stored_reference(workload, tmp_path):
         problems, referenced = check.check_job(outcome, reference)
         assert referenced, job
         assert problems == [], (job, problems)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", jobs.WORKLOADS)
+def test_benchmark_configs_validate(workload, seed):
+    for job in jobs.job_list(workload, seed, 10):
+        ExperimentConfig.from_json_dict(
+            dict(job.config, out_dir="unused")).validate()

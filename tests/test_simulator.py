@@ -321,6 +321,12 @@ class TestEvolveSlices:
         with pytest.raises(ValueError, match="multiple"):
             evolve_slices(hs, np.ones(4), prepare_input("two_mode"), every=3)
 
+    def test_overflowing_phase_raises(self):
+        # a finite but huge duration used to give NaN amplitudes
+        hs = np.stack([h.to_dense() for h in self.slices(2)])
+        with pytest.raises(FloatingPointError, match="overflow"):
+            evolve_slices(hs, np.full(2, 1.7e308), prepare_input("two_mode"))
+
 
 class TestOccupations:
     def test_two_mode_input(self):
@@ -370,6 +376,14 @@ class TestStateFidelity:
             state_fidelity([0.7, 0.7], [0.5, 0.5])
         with pytest.raises(ValueError):
             state_fidelity([-0.1, 1.1], [0.5, 0.5])
+
+    def test_nan_fails_the_guards(self):
+        with pytest.raises(ValueError, match="sum to nan"):
+            state_fidelity([np.nan, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="not normalised"):
+            PureState(np.array([np.nan, 0.0], dtype=complex), 1)
+        with pytest.raises(ValueError, match="trace"):
+            DensityState(np.diag([np.nan, 0.0]), 1)
 
 
 class TestErrorBudget:

@@ -7,6 +7,7 @@ from scipy.stats import unitary_group
 from fermisim.circuits import Circuit, Gate
 from fermisim.simulator import NoiseModel
 from fermisim.tomography import (
+    BASIS_TAG,
     PAULI_BASIS,
     PAULI_BASIS_LABELS,
     ProcessMatrix,
@@ -256,6 +257,13 @@ class TestJson:
     def test_round_trip(self):
         rng = np.random.default_rng(15)
         p = chi_of_unitary(random_unitary(rng))
+        payload = p.to_json_dict()
+        assert payload["basis"] == BASIS_TAG
         again = ProcessMatrix.from_json(p.to_json())
         assert np.allclose(again.chi, p.chi, atol=1e-12)
-        assert again.basis == p.basis
+
+    def test_foreign_basis_rejected(self):
+        payload = {**identity_process().to_json_dict(),
+                   "basis": "IXYZ*IXYZ:column-major"}
+        with pytest.raises(ValueError, match="process basis"):
+            ProcessMatrix.from_json_dict(payload)
