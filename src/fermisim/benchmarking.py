@@ -268,6 +268,8 @@ class DecayFit:
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"decay parameter {self.p} outside (0, 1]")
+        if not all(map(math.isfinite, (self.A, self.B, self.residual_rms))):
+            raise ValueError("decay fit has a non-finite A, B or residual")
 
 
 def fit_decay(table: dict) -> DecayFit:

@@ -138,75 +138,64 @@ class Circuit:
         return cls.from_json_dict(json.loads(text))
 
 
-def apply_gate_to_tensor(block: np.ndarray, u: np.ndarray,
-                         targets: tuple[int, ...]) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to k two-level axes of a tensor.
+_EYE2 = np.eye(2, dtype=complex)
+_EYE2.setflags(write=False)
 
-    ``block`` has one axis of length 2 per qubit leg, then any batch
-    axes (e.g. the column index when building a full unitary).
-    The matrix is a gate unitary, or a gate's local superoperator acting
-    on the ket and bra axes of a density tensor.
+
+def entangler_blocks(c: Circuit):
+    """Yield (unitary, targets, counts) blocks equivalent to c.
+
+    Each qubit's run of one-qubit gates is multiplied, as a 2x2 unitary
+    product, into the next CZPHI on that qubit (gates on other qubits
+    commute with it), giving one block per entangling gate plus one per
+    run still pending at the end.  ``IDLE``/``DETUNE`` add no factor.
+    ``counts`` holds each target's number of noisy (non-virtual)
+    one-qubit gates in the block, for the noise model.
     """
-    k = len(targets)
-    axes = list(targets)
-    u_t = u.reshape((2,) * (2 * k))
-    moved = np.tensordot(u_t, block, axes=(list(range(k, 2 * k)), axes))
-    # tensordot puts the acted-on axes first; restore original order
-    return np.moveaxis(moved, list(range(k)), axes)
-
-
-def _pair_product(a: np.ndarray, b: np.ndarray, legs: int) -> np.ndarray:
-    """a on one qubit times b on another, as one two-qubit matrix.
-
-    Each factor acts on ``legs`` axes of its qubit (1: a unitary on the
-    ket; 2: a superoperator on ket and bra).  The product acts on the
-    axes ordered leg-major, (a_1, b_1, ..., a_legs, b_legs): for
-    ``legs=1`` it is kron(a, b), for ``legs=2`` the (ka, kb, ba, bb)
-    order of a two-qubit superoperator.  Written as a broadcast product,
-    since np.kron's overhead dominates on 2x2 and 4x4 factors.
-    """
-    d = 4 ** legs
-    return (a.reshape((2, 1) * 2 * legs)
-            * b.reshape((1, 2) * 2 * legs)).reshape(d, d)
-
-
-def entangler_blocks(c: Circuit, local, legs: int = 1):
-    """Yield (matrix, targets) blocks equivalent to c run gate by gate.
-
-    ``local(g)`` is gate g's matrix on its own targets, acting on
-    ``legs`` axes per target.  Each qubit's run of one-qubit gates is
-    multiplied into the next CZPHI on that qubit, so the circuit becomes
-    one block per entangling gate plus one per qubit whose run is still
-    pending at the end.  One-qubit gates commute with gates on other
-    qubits, so deferring a run to the next gate on its qubit keeps the
-    circuit's action.
-    """
-    pending: dict[int, np.ndarray] = {}
+    pending: dict[int, list] = {}  # qubit -> [unitary or None, count]
     for g in c.gates:
-        m = local(g)
         if len(g.targets) == 1:
-            q = g.targets[0]
-            pending[q] = m @ pending[q] if q in pending else m
+            run = pending.setdefault(g.targets[0], [None, 0])
+            run[1] += g.duration_class != "virtual"
+            if g.kind not in ("IDLE", "DETUNE"):
+                u = gate_unitary(g)
+                run[0] = u if run[0] is None else u @ run[0]
             continue
         a, b = g.targets
-        if a in pending or b in pending:
-            eye = np.eye(2 ** legs)
-            m = m @ _pair_product(pending.pop(a, eye),
-                                  pending.pop(b, eye), legs)
-        yield m, g.targets
-    for q, m in pending.items():
-        yield m, (q,)
+        ua, ka = pending.pop(a, (None, 0))
+        ub, kb = pending.pop(b, (None, 0))
+        m = gate_unitary(g)
+        if ua is not None or ub is not None:  # times kron(ua, ub)
+            ua, ub = (_EYE2 if x is None else x for x in (ua, ub))
+            m = m @ (ua[:, None, :, None] * ub[None, :, None, :]).reshape(4, 4)
+        yield m, g.targets, (ka, kb)
+    for q, (u, k) in pending.items():
+        yield (_EYE2 if u is None else u), (q,), (k,)
+
+
+def block_layout(axes: tuple[int, ...], legs: int) -> tuple[tuple, tuple]:
+    """(perm, inverse) for a block on ``axes`` of a (2,)*legs + (batch,)
+    tensor: ``perm`` brings the block's axes to the front in order,
+    keeping the batch axis last, and ``inverse`` undoes it."""
+    perm = (*axes, *(i for i in range(legs + 1) if i not in axes))
+    return perm, tuple(sorted(range(legs + 1), key=perm.__getitem__))
 
 
 def run_blocks(t: np.ndarray, blocks) -> np.ndarray:
-    """Apply (matrix, axes) blocks to a tensor in order.
-
-    The one loop behind every circuit run: the unitary, the channel
-    matrix and both simulator backends.
-    """
-    for m, axes in blocks:
-        t = apply_gate_to_tensor(t, m, axes)
+    """Apply :func:`block_layout` blocks (matrix, perm, inverse) to a
+    (2,)*legs + (batch,) tensor in order: the one loop behind the
+    unitary, the channel matrix and both simulator backends."""
+    shape = t.shape
+    for m, perm, inverse in blocks:
+        t = (m @ t.transpose(perm).reshape(len(m), -1)).reshape(
+            shape).transpose(inverse)
     return t
+
+
+def unitary_blocks(fold, n: int) -> tuple:
+    """Run-ready blocks of an :func:`entangler_blocks` fold acting on
+    the ket axes of an n-qubit tensor."""
+    return tuple((u, *block_layout(targets, n)) for u, targets, _ in fold)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
@@ -218,7 +207,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
         )
     dim = 2 ** n
     eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    return run_blocks(eye, entangler_blocks(c, gate_unitary)).reshape(
+    return run_blocks(eye, unitary_blocks(entangler_blocks(c), n)).reshape(
         dim, dim)
 
 

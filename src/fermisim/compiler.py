@@ -128,7 +128,7 @@ def _classify(hamiltonian: WeightedPauliSum) -> list[_Section]:
     n = hamiltonian.qubit_count
     sections = []
     for coeff, string in hamiltonian.terms:
-        if abs(coeff.imag) > 1e-12:
+        if not abs(coeff.imag) <= 1e-12:
             raise CompileError(
                 f"term {string.label()} has complex coefficient {coeff}"
             )
@@ -242,7 +242,7 @@ def _emit_block(section: _Section, n: int, dt: float,
     pi_kind = "PI_Y" if echo_axis == "Y" else "PI_X"
     gates = []
     for g in block.gates:
-        gates.append(Gate(g.kind, g.targets, g.param))
+        gates.append(g)
         if g.kind == "CZPHI":
             for s in spectators:
                 kind = "IDLE" if s in detune_exception else "DETUNE"

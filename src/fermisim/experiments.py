@@ -99,6 +99,13 @@ ORDERING_ALIASES = {"s5": "canonical_s5", "s6": "odd_even_s6",
 # agree with it to an infidelity below 1e-10 (tests/test_experiments.py).
 EXACT_SLICES = 600
 
+# Largest total_time whose exact phases keep the 1e-12 rule: a phase
+# lambda t is rounded by about |lambda| t 2^-53 <= 1e-12.  The
+# fixed-coupling models (fig3, fig4_*, digital_error_s4) reach
+# max|lambda| = 2.343 (four-mode, offset included), so
+# t <= 1e-12 * 2^53 / 2.343 = 3844, rounded down.
+MAX_TOTAL_TIME = 3800.0
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field."""
@@ -140,9 +147,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"ordering: unknown value {self.ordering!r}"
             )
-        if self.total_time is not None and not (_is_real(self.total_time)
-                                                and self.total_time > 0):
-            raise ConfigError("total_time: must be a finite number > 0")
+        if self.total_time is not None and not (
+                _is_real(self.total_time)
+                and 0 < self.total_time <= MAX_TOTAL_TIME):
+            raise ConfigError(f"total_time: must be a number > 0 and "
+                              f"<= {MAX_TOTAL_TIME:g}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError("seed: must be a non-negative integer")
         # seed and ordering are never None: set cannot be told from unset
@@ -249,31 +258,28 @@ def _series_rows(path: Path, files: list, model: FermionModel,
 
     ``checkpoints`` lists (end time, step circuit, exact state at that
     time) per step; steps that repeat one circuit object share its
-    lowering.  The run's own state (noisy when noise is on) is
-    compared against the ideal digitised state and the exact evolution
-    at the same simulated time, both via the measurement-side
-    distribution metric (``fidelity_*``) and via the exact state
-    overlap (``overlap_*``).
+    lowering, which serves both the digital and the noisy run.  The
+    run's own state (noisy when noise is on) is compared against the
+    ideal digitised state and the exact evolution at the same simulated
+    time, both via the measurement-side distribution metric
+    (``fidelity_*``) and via the exact state overlap (``overlap_*``).
     """
     n = model.mode_count
     psi0 = prepare_input(_input_kind(n))
     accessible = accessible_indices(model.hoppings, n, psi0)
     digital = psi0
     run_state = psi0.to_density() if noise is not None else psi0
-    lowered = {}  # id of a step circuit -> (pure, noisy) lowerings
+    lowered = {}  # id of a step circuit -> its one lowering
     rows = []
     for t, step_circuit, exact in [(0.0, None, psi0), *checkpoints]:
         if step_circuit is not None:
             if id(step_circuit) not in lowered:
-                lowered[id(step_circuit)] = (
-                    lower_circuit(step_circuit, density=False),
-                    None if noise is None
-                    else lower_circuit(step_circuit, noise))
-            pure, noisy = lowered[id(step_circuit)]
-            digital = apply_circuit(digital, step_circuit, lowered=pure)
+                lowered[id(step_circuit)] = lower_circuit(step_circuit, noise)
+            step = lowered[id(step_circuit)]
+            digital = apply_circuit(digital, step_circuit, lowered=step)
             # a noiseless run is the digital state itself
             run_state = digital if noise is None else apply_circuit(
-                run_state, step_circuit, noise, lowered=noisy)
+                run_state, step_circuit, noise, lowered=step)
         p_run = run_state.probabilities()
         rows.append((t, *mode_occupations(run_state),
                      other_state_population(run_state, accessible),

@@ -19,9 +19,10 @@ Supported models: the two-mode hop/repel pair, the three-mode chain
 four-mode two-site, two-species asymmetric model with per-species
 hoppings ``(V1, V2)`` and per-site repulsions ``(Ux, Uy)``.
 
-The image is linear in the couplings, so the two- and three-mode
-shapes driven by schedules are also available as their two dense term
-matrices, H(V, U) = V H_hop + U H_rep (:func:`coupling_matrices`).
+The image is linear in the couplings: each coupling scales one cached
+pair term, and the schedule-driven two- and three-mode shapes are also
+available as two dense term matrices, H(V, U) = V H_hop + U H_rep
+(:func:`coupling_matrices`).
 """
 from __future__ import annotations
 
@@ -172,23 +173,36 @@ def number_operator(mode: int, n_modes: int) -> WeightedPauliSum:
     return bd * jw_annihilation(mode, n_modes).expand()
 
 
+@functools.cache
+def _hop_term(i: int, j: int, n: int) -> WeightedPauliSum:
+    """b_i^ b_j + b_j^ b_i on n modes; cached, shared and immutable."""
+    bi_d = jw_creation(i, n).expand()
+    bj_d = jw_creation(j, n).expand()
+    bi = jw_annihilation(i, n).expand()
+    bj = jw_annihilation(j, n).expand()
+    return bi_d * bj + bj_d * bi
+
+
+@functools.cache
+def _rep_term(i: int, j: int, n: int) -> WeightedPauliSum:
+    """n_i n_j on n modes; cached, shared and immutable."""
+    return number_operator(i, n) * number_operator(j, n)
+
+
 def spin_hamiltonian(model: FermionModel) -> WeightedPauliSum:
     """Jordan-Wigner image of the model Hamiltonian.
 
     The all-identity component (U/4 per repulsion pair) lands in
     ``scalar_offset``; evolution under the returned sum differs from the
-    fermionic model only by a global phase.
+    fermionic model only by a global phase.  Each coupling scales a pair
+    term cached by (i, j, mode count): at most 20 of each kind.
     """
     n = model.mode_count
     h = WeightedPauliSum.identity(n, 0.0)
     for i, j, v in model.hoppings:
-        bi_d = jw_creation(i, n).expand()
-        bj_d = jw_creation(j, n).expand()
-        bi = jw_annihilation(i, n).expand()
-        bj = jw_annihilation(j, n).expand()
-        h = h + (-v) * (bi_d * bj + bj_d * bi)
+        h = h + (-v) * _hop_term(i, j, n)
     for i, j, u in model.repulsions:
-        h = h + u * (number_operator(i, n) * number_operator(j, n))
+        h = h + u * _rep_term(i, j, n)
     if not h.is_hermitian():
         raise AssertionError("spin Hamiltonian failed Hermiticity check")
     return h

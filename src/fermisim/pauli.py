@@ -153,7 +153,9 @@ class PauliString:
             )
         out = np.array([[self.phase]], dtype=complex)
         for f in self.factors:
-            out = np.kron(out, PAULI_MATRICES[f])
+            d = 2 * len(out)  # np.kron(out, m), without kron's overhead
+            out = (out[:, None, :, None]
+                   * PAULI_MATRICES[f][None, :, None, :]).reshape(d, d)
         return out
 
 
@@ -259,13 +261,6 @@ class WeightedPauliSum:
         )
         prods = [(ca * cb, sa * sb) for ca, sa in left for cb, sb in right]
         return WeightedPauliSum.from_terms(self.qubit_count, prods)
-
-    def dagger(self) -> WeightedPauliSum:
-        return WeightedPauliSum.from_terms(
-            self.qubit_count,
-            [(np.conj(c), s) for c, s in self.terms],
-            self.scalar_offset,
-        )
 
     def is_hermitian(self, tol: float = COEFF_TOL) -> bool:
         """True iff the sum equals its conjugate transpose.

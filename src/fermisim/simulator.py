@@ -12,21 +12,18 @@ Idles and detunes carry the single-qubit error; virtual-Z and RZ frame
 rotations are error-free.  Noisy evolution is exact channel algebra, no
 trajectory sampling, so every run is deterministic.
 
-Every density run goes through one channel kernel: rho is a tensor with
-2n axes (kets, then bras, then optional batch axes) and each gate's
-local superoperator D_p o (U (x) U*), 4x4 or 16x16, acts on the axes
-(targets, targets + n), with p = 0 for noiseless runs.  A circuit is
-first lowered into entangler blocks (:func:`lower_circuit`): each
-qubit's run of one-qubit gates is multiplied into the next CZPHI on that
-qubit, so a step runs as one 16x16 contraction per entangling gate
-(4x4 unitaries on the pure backend) plus one per leftover run.
-:func:`circuit_channel` runs the same blocks on the identity batch
-and returns the matrix acting on the row-major ``rho.reshape(-1)``:
-the package's one channel convention, in which the tomography module's
-``superoperator`` returns the same matrix for a chi process.  One loop,
-:func:`fermisim.circuits.run_blocks`, applies the blocks for both
-backends and the channel.  Callers that run one circuit many times
-lower it once and pass the lowering to :func:`apply_circuit`.
+One fold serves both backends (:func:`lower_circuit`): each qubit's
+run of one-qubit gates becomes a 2x2 unitary multiplied into the next
+CZPHI on that qubit, one block per entangling gate plus one per
+leftover run.  The pure backend applies the block unitaries U; the
+density backend applies each block's channel
+D_2 o (U (x) U*) o (D_1^ka (x) D_1^kb), exact because depolarizing
+commutes with every unitary on its support.  One kernel,
+:func:`fermisim.circuits.run_blocks`, applies blocks with precomputed
+axis layouts.  :func:`circuit_channel` runs the channel blocks on the
+identity batch and returns the matrix acting on the row-major
+``rho.reshape(-1)``, the package's one channel convention (the
+tomography module's ``superoperator`` uses it too).
 
 Exact evolution has one propagator, :func:`evolve_slices`: it takes a
 (slices, d, d) stack of dense Hamiltonians through one batched
@@ -41,6 +38,7 @@ occupation I/O converts through that module's mode/qubit mapping.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -51,10 +49,11 @@ from .circuits import (
     CapacityError,
     Circuit,
     Gate,
+    block_layout,
     census_single_qubit_total,
     entangler_blocks,
-    gate_unitary,
     run_blocks,
+    unitary_blocks,
 )
 from .fermions import index_occupations, occupation_basis_index
 from .pauli import WeightedPauliSum
@@ -122,11 +121,11 @@ class DensityState:
         dim = 2 ** self.qubit_count
         if rho.shape != (dim, dim):
             raise ValueError("density matrix has wrong shape")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
-            raise ValueError("density matrix is not Hermitian")
         if not abs(np.trace(rho).real - 1.0) <= NORM_TOL:
             raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
+        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-8:
+            raise ValueError("density matrix is not Hermitian")
+        if not np.linalg.eigvalsh(rho).min() >= -PSD_TOL:
             raise ValueError("density matrix is not positive semidefinite")
 
     def probabilities(self) -> np.ndarray:
@@ -187,59 +186,65 @@ def prepare_input(kind: str) -> PureState:
     return state_from_occupations({k: 1.0 for k in kets}, n)
 
 
-def _gate_channel(g: Gate, noise: NoiseModel | None) -> np.ndarray:
-    """D_p o (U (x) U*) on row-major vec of the targets' density block.
+# X -> tr(X) I/d as a matrix on the row-major vec of d x d blocks
+_TRACE2, _TRACE4 = (np.outer(np.eye(d).ravel(), np.eye(d).ravel()) / d
+                    for d in (2, 4))
+_EYE4 = np.eye(4)
 
-    D_p(X) = (1 - p) X + p tr(X) I/d; unitaries keep the trace, so the
-    depolarized part needs no unitary factor.  Virtual gates are free.
-    """
-    u = gate_unitary(g)
+
+def _block_channel(u: np.ndarray, counts: tuple[int, ...],
+                   noise: NoiseModel | None) -> np.ndarray:
+    """D_2 o (U (x) U*) o (D_1^ka (x) D_1^kb) of an entangling block, or
+    (u (x) u*) o D_1^k of a one-qubit run, on the row-major vec of the
+    targets' density block.  k noisy one-qubit gates on a target leave
+    one depolarizing of kept weight (1 - p_1)^k.  Each D is
+    w I + (1 - w) tr(.) I/d, and tr(.) I/d absorbs a unitary channel on
+    either side and any trace-preserving map before it."""
     d = len(u)
-    # np.kron(u, u.conj()) written out; kron's overhead dominates on
-    # 2x2 and 4x4 blocks
     s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, -1)
-    if noise is not None and g.duration_class != "virtual":
-        p = noise.channel_probability(len(g.targets))
-        vec_id = np.eye(d).reshape(-1)
-        s = (1.0 - p) * s + (p / d) * np.outer(vec_id, vec_id)
-    return s
+    if noise is None:
+        return s
+    w1 = [(1.0 - noise.channel_probability(1)) ** k for k in counts]
+    if d == 2:
+        return w1[0] * s + (1.0 - w1[0]) * _TRACE2
+    da, db = (w * _EYE4 + (1.0 - w) * _TRACE2 for w in w1)
+    # da (x) db on the (ket a, ket b, bra a, bra b) axes
+    s = s @ (da.reshape((2, 1) * 4) * db.reshape((1, 2) * 4)).reshape(16, 16)
+    w2 = 1.0 - noise.channel_probability(2)
+    return w2 * s + (1.0 - w2) * _TRACE4
 
 
 @dataclass(frozen=True, eq=False)
 class LoweredCircuit:
-    """A circuit as entangler blocks, ready to run on one backend.
-
-    Each block is (matrix, axes) for :func:`fermisim.circuits.run_blocks`:
-    on the pure backend a unitary on ket axes, on the density backend a
-    superoperator, ``noise`` included, on (ket, bra) axes.  Lowering
-    folds every one-qubit gate into a neighbouring entangling block
-    (:func:`fermisim.circuits.entangler_blocks`).
+    """A circuit folded once (:func:`fermisim.circuits.entangler_blocks`)
+    for both backends.  ``blocks`` are (unitary, perm, inverse) on the
+    ket axes, for pure states; ``channel_blocks``, built from the same
+    fold on first use, are (superoperator, perm, inverse) on the (ket,
+    bra) axes, ``noise`` included, for densities.
     """
 
     circuit: Circuit
     noise: NoiseModel | None
-    density: bool
+    fold: tuple
     blocks: tuple
 
+    @functools.cached_property
+    def channel_blocks(self) -> tuple:
+        n = self.circuit.qubit_count
+        return tuple(
+            (_block_channel(u, counts, self.noise),
+             *block_layout(targets + tuple(q + n for q in targets), 2 * n))
+            for u, targets, counts in self.fold)
 
-def lower_circuit(circuit: Circuit, noise: NoiseModel | None = None,
-                  density: bool = True) -> LoweredCircuit:
-    """Lower for the density backend, or (noiseless) for pure states.
 
-    Lower a circuit once to run it many times through
-    :func:`apply_circuit`.
-    """
-    n = circuit.qubit_count
-    if not density:
-        if noise is not None:
-            raise ValueError("noise needs the density backend")
-        blocks = tuple(entangler_blocks(circuit, gate_unitary))
-    else:
-        blocks = tuple(
-            (m, targets + tuple(q + n for q in targets))
-            for m, targets in entangler_blocks(
-                circuit, lambda g: _gate_channel(g, noise), legs=2))
-    return LoweredCircuit(circuit, noise, density, blocks)
+def lower_circuit(circuit: Circuit,
+                  noise: NoiseModel | None = None) -> LoweredCircuit:
+    """Fold a circuit once to run it many times through
+    :func:`apply_circuit`: noiseless on pure states, with ``noise`` on
+    densities."""
+    fold = tuple(entangler_blocks(circuit))
+    return LoweredCircuit(circuit, noise, fold,
+                          unitary_blocks(fold, circuit.qubit_count))
 
 
 def circuit_channel(circuit: Circuit,
@@ -251,7 +256,7 @@ def circuit_channel(circuit: Circuit,
                             f"{CIRCUIT_QUBIT_LIMIT // 2} qubits")
     dim = 4 ** n
     t = np.eye(dim, dtype=complex).reshape((2,) * (2 * n) + (dim,))
-    t = run_blocks(t, lower_circuit(circuit, noise).blocks)
+    t = run_blocks(t, lower_circuit(circuit, noise).channel_blocks)
     return t.reshape(dim, dim)
 
 
@@ -261,23 +266,26 @@ def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None,
 
     Noiseless runs on pure states use the pure backend, all others the
     density backend.  ``lowered``, from :func:`lower_circuit` on this
-    circuit, noise and backend, skips lowering the circuit again.
+    circuit, skips folding it again; a density run also needs it lowered
+    with this noise model.
     """
     n = circuit.qubit_count
     if getattr(state, "qubit_count", None) != n:
         raise ValueError("state and circuit qubit counts differ")
     density = noise is not None or not isinstance(state, PureState)
     if lowered is None:
-        lowered = lower_circuit(circuit, noise, density)
-    elif (lowered.circuit is not circuit or lowered.noise != noise
-          or lowered.density != density):
-        raise ValueError("lowered circuit belongs to another circuit, "
-                         "noise model or backend")
+        lowered = lower_circuit(circuit, noise)
+    elif lowered.circuit is not circuit or (density
+                                            and lowered.noise != noise):
+        raise ValueError("lowered circuit belongs to another circuit "
+                         "or noise model")
     if not density:
-        amps = run_blocks(state.amplitudes.reshape((2,) * n), lowered.blocks)
+        amps = run_blocks(state.amplitudes.reshape((2,) * n + (1,)),
+                          lowered.blocks)
         return PureState(amps.reshape(-1), n)
     dense = state.to_density() if isinstance(state, PureState) else state
-    t = run_blocks(dense.rho.reshape((2,) * (2 * n)), lowered.blocks)
+    t = run_blocks(dense.rho.reshape((2,) * (2 * n) + (1,)),
+                   lowered.channel_blocks)
     return DensityState(t.reshape(dense.rho.shape), n)
 
 

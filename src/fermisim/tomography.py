@@ -93,6 +93,8 @@ class ProcessMatrix:
         object.__setattr__(self, "chi", chi)
         if chi.shape != (16, 16):
             raise ValueError("chi must be 16x16")
+        if not np.isfinite(chi).all():
+            raise ValueError("chi has non-finite entries")
 
     def is_physical(self, psd_tol=PSD_TOL, tp_tol=TP_TOL) -> bool:
         herm = np.max(np.abs(self.chi - self.chi.conj().T)) <= 1e-8
@@ -170,8 +172,11 @@ def compose_processes(first: ProcessMatrix,
 
 
 def process_fidelity(a: ProcessMatrix, b: ProcessMatrix) -> float:
-    """Tr(a b) for a an ideal (rank-1) chi; clamped to [0, 1]."""
+    """Tr(a b) for a an ideal (rank-1) chi, clamped to [0, 1]; a
+    non-finite trace raises FloatingPointError."""
     value = float(np.trace(a.chi @ b.chi).real)
+    if not math.isfinite(value):
+        raise FloatingPointError(f"process fidelity is {value}")
     if value < -1e-6 or value > 1 + 1e-6:
         warnings.warn(f"process fidelity {value} clamped into [0, 1]")
     return min(1.0, max(0.0, value))
@@ -188,10 +193,10 @@ class QPTDataset:
         object.__setattr__(self, "probabilities", probs)
         if probs.shape != (16, 16, 4):
             raise ValueError("dataset must have shape (16, 16, 4)")
-        if probs.min() < -1e-9 or probs.max() > 1 + 1e-9:
+        if not (probs.min() >= -1e-9 and probs.max() <= 1 + 1e-9):
             raise ValueError("probabilities outside [0, 1]")
         sums = probs.sum(axis=2)
-        if np.max(np.abs(sums - 1.0)) > 1e-6:
+        if not np.max(np.abs(sums - 1.0)) <= 1e-6:
             raise ValueError("outcome rows must be normalised")
 
 
@@ -366,7 +371,7 @@ def reconstruct_chi(dataset: QPTDataset, return_info: bool = False):
     residual = float(np.sqrt(np.mean((_model_probabilities(w, chi) - y)
                                      ** 2)))
     defect = process.tp_defect()
-    if defect > TP_TOL:
+    if not defect <= TP_TOL:
         raise ReconstructionError(
             f"trace preservation not reached: defect {defect:.3e}, "
             f"rms residual {residual:.3e} after weight schedule"

@@ -14,6 +14,7 @@ from fermisim.compiler import Schedule, digitize_schedule
 from fermisim.experiments import (
     EXACT_SLICES,
     EXPERIMENTS,
+    MAX_TOTAL_TIME,
     ConfigError,
     ExperimentConfig,
     _advance_exact,
@@ -21,6 +22,12 @@ from fermisim.experiments import (
     quarter_angle_step_circuit,
     run,
     sweep,
+)
+from fermisim.fermions import (
+    four_mode_ahm,
+    spin_hamiltonian,
+    three_mode_model,
+    two_mode_model,
 )
 from fermisim.simulator import prepare_input
 
@@ -610,13 +617,35 @@ class TestCli:
 
     def test_overflowing_evolution_exit_three(self, tmp_path, capsys):
         # finite, so validate accepts it, but vals * dt overflows
-        cfg = {"experiment": "digital_error_s4", "total_time": 1.7e308,
-               "out_dir": str(tmp_path / "out")}
+        cfg = {"experiment": "fig5_2mode", "out_dir": str(tmp_path / "out"),
+               "params": {"schedule": {
+                   "T": 1e300, "V": [[0.0, 1e300], [1e300, 1e300]],
+                   "U": [[0.0, 1.0], [1e300, 1.0]]}}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 3
         assert "numerical failure: overflow" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_total_time_cap_keeps_the_phase_rule(self):
+        # the fixed-coupling models that read total_time
+        models = [two_mode_model(1.0, 1.0), three_mode_model(1.0, 0.0),
+                  three_mode_model(1.0, 1.0), four_mode_ahm(1.0, 1.0, 0.0, 1.0)]
+        top = max(np.abs(np.linalg.eigvalsh(
+            spin_hamiltonian(m).to_dense())).max() for m in models)
+        assert top * MAX_TOTAL_TIME * 2.0 ** -53 <= 1e-12
+
+    @pytest.mark.parametrize("total_time", [MAX_TOTAL_TIME * 1.001, 1e20,
+                                            1.7e308])
+    def test_total_time_beyond_phase_precision_exit_two(self, tmp_path,
+                                                        capsys, total_time):
+        cfg = {"experiment": "digital_error_s4", "total_time": total_time,
+               "out_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "configuration error: total_time" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         # two distinct sequence lengths cannot support a decay fit

@@ -6,6 +6,7 @@ fermionic -> spin Hamiltonian identity as dense matrices.
 """
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from fermisim.fermions import (
     SCHEDULE_MODELS,
     FermionModel,
+    _hop_term,
     anticommutator,
     coupling_matrices,
     four_mode_ahm,
@@ -26,6 +28,7 @@ from fermisim.fermions import (
     three_mode_model,
     two_mode_model,
 )
+from fermisim.pauli import PAULI_MATRICES, WeightedPauliSum
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -246,3 +249,65 @@ class TestCouplingMatrices:
         code = ("import fermisim, fermisim.fermions as f; "
                 "assert f.coupling_matrices.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# Today's builders, kept as the reference the cached pair terms and the
+# kron-free dense strings must reproduce bit for bit.
+
+def reference_spin_hamiltonian(model: FermionModel) -> WeightedPauliSum:
+    n = model.mode_count
+    h = WeightedPauliSum.identity(n, 0.0)
+    for i, j, v in model.hoppings:
+        bi_d = jw_creation(i, n).expand()
+        bj_d = jw_creation(j, n).expand()
+        bi = jw_annihilation(i, n).expand()
+        bj = jw_annihilation(j, n).expand()
+        h = h + (-v) * (bi_d * bj + bj_d * bi)
+    for i, j, u in model.repulsions:
+        h = h + u * (number_operator(i, n) * number_operator(j, n))
+    return h
+
+
+def reference_to_dense(h: WeightedPauliSum) -> np.ndarray:
+    out = h.scalar_offset * np.eye(2 ** h.qubit_count, dtype=complex)
+    for c, s in h.terms:
+        dense = np.array([[s.phase]], dtype=complex)
+        for f in s.factors:
+            dense = np.kron(dense, PAULI_MATRICES[f])
+        out += c * dense
+    return out
+
+
+SHIPPED_MODELS = [
+    two_mode_model(1.0, 1.0), two_mode_model(1.0, 2.0),
+    two_mode_model(0.37, 0.0), three_mode_model(1.0, 0.0),
+    three_mode_model(1.0, 1.0), three_mode_model(-0.8, 1.21),
+    four_mode_ahm(1.0, 1.0, 0.0, 1.0), four_mode_ahm(0.3, -1.2, 0.7, 2.5),
+    *(SCHEDULE_MODELS[n](v, u) for n in (2, 3)
+      for v, u in ((1.0, 0.0), (0.0, 1.0))),
+]
+
+
+class TestPairTerms:
+    @pytest.mark.parametrize("model", SHIPPED_MODELS)
+    def test_bit_identical_to_the_reference_builders(self, model):
+        h = spin_hamiltonian(model)
+        want = reference_spin_hamiltonian(model)
+        assert h == want
+        assert np.array_equal(h.to_dense(), reference_to_dense(want))
+
+    def test_not_built_at_import(self):
+        code = ("import fermisim, fermisim.fermions as f; "
+                "assert f._hop_term.cache_info().currsize == 0; "
+                "assert f._rep_term.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_shared_immutable_values(self):
+        term = _hop_term(0, 1, 3)
+        before = term.to_json()
+        spin_hamiltonian(three_mode_model(0.5, 2.0))
+        assert _hop_term(0, 1, 3) is term
+        assert term.to_json() == before
+        with pytest.raises(FrozenInstanceError):
+            term.terms = ()
+        assert isinstance(term.terms, tuple)

@@ -10,7 +10,6 @@ from fermisim.circuits import (
     TWO_QUBIT,
     Circuit,
     Gate,
-    apply_gate_to_tensor,
     circuit_unitary,
     gate_unitary,
 )
@@ -90,35 +89,62 @@ def test_circuit_channel_matches_apply_circuit(circuit, seed, scale):
 
 
 # Unfolded gate-by-gate reference for the entangler-block kernel: every
-# gate is applied on its own, its superoperator built with np.kron.
+# gate is embedded in the full space with np.kron and identities, and
+# applied on its own.  It shares no code with the kernel under test.
 
-def reference_superoperator(g: Gate, noise: NoiseModel) -> np.ndarray:
-    u = gate_unitary(g)
-    d = len(u)
-    s = np.kron(u, u.conj())
-    if g.kind in ("RZ", "VIRTUAL_Z"):
-        return s
-    eps = noise.eps_2q if d == 4 else noise.eps_1q
-    p = min(1.0, eps * d / (d - 1))
-    vec_id = np.eye(d).reshape(-1)
-    return (1 - p) * s + (p / d) * np.outer(vec_id, vec_id)
+def embedded(m: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """A matrix on ``targets`` as a 2^n x 2^n matrix, sum of kron terms."""
+    k = len(targets)
+    m = m.reshape((2,) * (2 * k))
+    full = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for idx in np.ndindex(m.shape):
+        term = np.array([[m[idx]]])
+        for q in range(n):
+            factor = np.eye(2)
+            if q in targets:
+                pos = targets.index(q)
+                factor = np.zeros((2, 2))
+                factor[idx[pos], idx[pos + k]] = 1.0
+            term = np.kron(term, factor)
+        full += term
+    return full
 
 
-def reference_density_run(t: np.ndarray, circuit: Circuit,
-                          noise: NoiseModel) -> np.ndarray:
+PAULIS = [np.eye(2), np.array([[0, 1], [1, 0]]),
+          np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+
+def reference_channel(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Row-major channel matrix, one gate at a time: U (x) U* followed by
+    depolarizing on the gate's support, (1 - p) rho + p/d^2 sum P rho P
+    over the d^2 Paulis P of the support.  Virtual gates are free."""
     n = circuit.qubit_count
+    out = np.eye(4 ** n, dtype=complex)
     for g in circuit.gates:
-        axes = g.targets + tuple(q + n for q in g.targets)
-        t = apply_gate_to_tensor(t, reference_superoperator(g, noise), axes)
-    return t
+        u = embedded(gate_unitary(g), g.targets, n)
+        s = np.kron(u, u.conj())
+        if g.kind not in ("RZ", "VIRTUAL_Z"):
+            k = len(g.targets)
+            d = 2 ** k
+            eps = noise.eps_2q if k == 2 else noise.eps_1q
+            p = min(1.0, eps * d / (d - 1))
+            twirl = np.zeros_like(s)
+            for labels in np.ndindex((4,) * k):
+                pauli = PAULIS[labels[0]]
+                for lbl in labels[1:]:
+                    pauli = np.kron(pauli, PAULIS[lbl])
+                full = embedded(pauli, g.targets, n)
+                twirl += np.kron(full, full.conj())
+            s = ((1 - p) * np.eye(4 ** n) + (p / d ** 2) * twirl) @ s
+        out = s @ out
+    return out
 
 
-def reference_vector_run(vec: np.ndarray, circuit: Circuit) -> np.ndarray:
-    n = circuit.qubit_count
-    t = vec.reshape((2,) * n)
+def reference_unitary(circuit: Circuit) -> np.ndarray:
+    out = np.eye(2 ** circuit.qubit_count, dtype=complex)
     for g in circuit.gates:
-        t = apply_gate_to_tensor(t, gate_unitary(g), g.targets)
-    return t.reshape(-1)
+        out = embedded(gate_unitary(g), g.targets, circuit.qubit_count) @ out
+    return out
 
 
 @st.composite
@@ -145,11 +171,9 @@ def test_folded_pure_path_matches_gate_by_gate(circuit, seed):
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     state = PureState(vec / np.linalg.norm(vec), circuit.qubit_count)
     got = apply_circuit(state, circuit).amplitudes
-    want = reference_vector_run(state.amplitudes, circuit)
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
-    cols = np.stack([reference_vector_run(e, circuit)
-                     for e in np.eye(dim, dtype=complex)], axis=1)
-    assert np.allclose(circuit_unitary(circuit), cols, rtol=0, atol=1e-12)
+    want = reference_unitary(circuit)
+    assert np.allclose(got, want @ state.amplitudes, rtol=0, atol=1e-12)
+    assert np.allclose(circuit_unitary(circuit), want, rtol=0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS
@@ -159,21 +183,16 @@ def test_folded_density_path_matches_gate_by_gate(circuit, seed, scale):
     noise = NoiseModel().scaled(scale)
     state = random_density(n, seed)
     got = apply_circuit(state, circuit, noise).rho
-    want = reference_density_run(state.rho.reshape((2,) * (2 * n)),
-                                 circuit, noise).reshape(got.shape)
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    want = reference_channel(circuit, noise) @ state.rho.reshape(-1)
+    assert np.allclose(got, want.reshape(got.shape), rtol=0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS
 @given(long_circuits(), scales)
 def test_folded_channel_matches_gate_by_gate(circuit, scale):
-    n = circuit.qubit_count
     noise = NoiseModel().scaled(scale)
-    dim = 4 ** n
-    batch = np.eye(dim, dtype=complex).reshape((2,) * (2 * n) + (dim,))
-    want = reference_density_run(batch, circuit, noise).reshape(dim, dim)
-    assert np.allclose(circuit_channel(circuit, noise), want,
-                       rtol=0, atol=1e-12)
+    assert np.allclose(circuit_channel(circuit, noise),
+                       reference_channel(circuit, noise), rtol=0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS

@@ -4,6 +4,8 @@ The oracle here deliberately re-implements dense conversion with its own
 matrix table and kron fold so that the algebraic path in fermisim.pauli
 is checked against an independent computation.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,13 @@ class TestDense:
         s = WeightedPauliSum.from_terms(13, [(1.0, "I" * 12 + "Z")])
         with pytest.raises(CapacityError):
             s.to_dense()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dense_is_the_kron_chain(self, n):
+        # bit for bit, ladder factors included
+        for factors in itertools.product(ORACLE_MATS, repeat=n):
+            string = PauliString(factors, complex(0.6, -0.8))
+            assert np.array_equal(string.dense(), oracle_dense(string))
 
     def test_random_sums_match_oracle(self):
         rng = np.random.default_rng(17)

@@ -128,16 +128,19 @@ class TestApplyCircuit:
             apply_circuit(prepare_input("two_mode"), Circuit(3))
 
     def test_lowered_circuit_is_reused(self):
+        # one lowering serves the pure backend and the noisy density one
         st = prepare_input("two_mode")
         c = Circuit(2, (Gate("RY", (0,), 0.7), Gate("CZPHI", (1, 0), 1.1),
-                        Gate("RX", (1,), 0.3)))
+                        Gate("IDLE", (0,)), Gate("RX", (1,), 0.3)))
         noise = NoiseModel()
-        pure = lower_circuit(c, density=False)
-        noisy = lower_circuit(c, noise)
-        assert np.array_equal(apply_circuit(st, c, lowered=pure).amplitudes,
+        lowered = lower_circuit(c, noise)
+        assert np.array_equal(apply_circuit(st, c, lowered=lowered).amplitudes,
                               apply_circuit(st, c).amplitudes)
-        assert np.array_equal(apply_circuit(st, c, noise, noisy).rho,
+        assert np.array_equal(apply_circuit(st, c, noise, lowered).rho,
                               apply_circuit(st, c, noise).rho)
+        rho = st.to_density()
+        assert np.array_equal(apply_circuit(rho, c, noise, lowered).rho,
+                              apply_circuit(rho, c, noise).rho)
 
     def test_lowered_circuit_must_match(self):
         st = prepare_input("two_mode")
@@ -145,11 +148,9 @@ class TestApplyCircuit:
         other = Circuit(2, (Gate("RY", (0,), 0.7),))
         noisy = lower_circuit(c, NoiseModel())
         for args in ((st, other, NoiseModel()), (st, c, NoiseModel(0.0)),
-                     (st, c, None)):
+                     (st.to_density(), c, None), (st, other, None)):
             with pytest.raises(ValueError, match="lowered"):
                 apply_circuit(*args, lowered=noisy)
-        with pytest.raises(ValueError, match="density"):
-            lower_circuit(c, NoiseModel(), density=False)
 
 
 def _noisy_idle(target, p, n):
