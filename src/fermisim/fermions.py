@@ -70,6 +70,15 @@ def index_occupations(index: int, n_modes: int) -> tuple[int, ...]:
     return tuple(1 - ((index >> m) & 1) for m in range(n_modes))
 
 
+@functools.cache
+def occupation_matrix(n_modes: int) -> np.ndarray:
+    """Read-only (modes, 2^n) 0/1 matrix: entry (m, i) is mode m's
+    occupation in basis state i.  Built on first use, then cached."""
+    occ = np.array(index_occupations(np.arange(2 ** n_modes), n_modes))
+    occ.setflags(write=False)
+    return occ
+
+
 def jw_creation(mode: int, n_modes: int) -> PauliString:
     """Jordan-Wigner string for the creation operator of a mode."""
     if n_modes > MAX_MODES:

@@ -29,7 +29,12 @@ Exact evolution has one propagator, :func:`evolve_slices`: it takes a
 (slices, d, d) stack of dense Hamiltonians through one batched
 eigendecomposition, multiplies each window's slice propagators into one
 window propagator by a pairwise, time-ordered batched product, and
-applies only the window propagators to the state.  The exact ramp
+applies only the window propagators to the state.  All of it runs on
+the state's invariant subspace (:func:`invariant_support`), found from
+the exact nonzeros of the stack and the state: no slice couples it to
+the rest of the basis, so this is exact, not an approximation.  The
+hopping/repulsion models conserve particle number: the three-mode
+input, for one, stays in 3 of the 8 basis states.  The exact ramp
 reference, the constant-coupling checkpoints (one slice per window) and
 :func:`exact_evolve` all run through it.
 
@@ -55,7 +60,11 @@ from .circuits import (
     run_blocks,
     unitary_blocks,
 )
-from .fermions import index_occupations, occupation_basis_index
+from .fermions import (
+    index_occupations,
+    occupation_basis_index,
+    occupation_matrix,
+)
 from .pauli import WeightedPauliSum
 
 NORM_TOL = 1e-10
@@ -289,6 +298,27 @@ def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None,
     return DensityState(t.reshape(dense.rho.shape), n)
 
 
+def invariant_support(hamiltonians: np.ndarray,
+                      amplitudes: np.ndarray) -> np.ndarray:
+    """Sorted basis indices of the smallest set that holds the support
+    of ``amplitudes`` and that no matrix of the (slices, d, d) stack
+    couples to the rest of the basis.
+
+    A closure over exact nonzeros, with no tolerance: every H_k is block
+    diagonal on this set and its complement, so exp(-i H_k dt) keeps a
+    state supported on the set inside it.  A number-conserving
+    Hamiltonian and a fixed-number input close to one number sector.
+    """
+    nonzero = np.any(hamiltonians != 0, axis=0)
+    coupled = nonzero | nonzero.T
+    inside = amplitudes != 0
+    while True:
+        grown = inside | coupled[inside].any(axis=0)
+        if np.array_equal(grown, inside):
+            return np.flatnonzero(inside)
+        inside = grown
+
+
 def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
                   every: int | None = None) -> list[PureState]:
     """Apply exp(-i H_k dt_k) for k = 0, 1, ... in order.
@@ -296,36 +326,49 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     ``hamiltonians`` is a (slices, d, d) stack of dense Hermitian
     matrices, diagonalised in one batched eigendecomposition (which
     reads only their lower triangles: Hermiticity is the caller's
-    check); ``durations`` holds each slice's dt_k.  Returns the state
-    after every ``every`` slices (default: only the final state).
+    check); ``durations`` is 1-D and finite, each slice's dt_k.  Returns
+    the state after every ``every`` slices (default: only the final
+    state).
 
-    Each window's ``every`` slice propagators are multiplied into one
-    by a pairwise, time-ordered batched product (all windows at once,
-    about log2(every) levels), and only the window propagators touch
-    the state.
+    All arithmetic runs on the state's :func:`invariant_support`, and
+    the window states get exact zeros outside it; on the full space it
+    is the same arithmetic as on the full matrices.  Each window's
+    ``every`` slice propagators are multiplied into one by a pairwise,
+    time-ordered batched product (all windows at once, about
+    log2(every) levels), and only the window propagators touch the
+    state.
     """
     hs = np.asarray(hamiltonians)
     dim = 2 ** state.qubit_count
     if hs.ndim != 3 or hs.shape[1:] != (dim, dim):
         raise ValueError("Hamiltonian and state qubit counts differ")
+    dts = np.asarray(durations, float)
+    if dts.shape != (len(hs),):
+        raise ValueError("durations must be 1-D with one entry per slice")
+    if not np.isfinite(dts).all():
+        raise ValueError("durations must be finite")
     every = every or len(hs)
     if len(hs) % every:
         raise ValueError("slice count must be a multiple of 'every'")
-    vals, vecs = np.linalg.eigh(hs)
+    support = invariant_support(hs, state.amplitudes)
+    sub = len(support)
+    vals, vecs = np.linalg.eigh(hs[:, support[:, None], support])
     with np.errstate(over="raise", invalid="raise"):  # no NaN phases
-        phases = np.exp(-1j * vals * np.asarray(durations, float)[:, None])
-    amps = state.amplitudes
-    out = []
+        phases = np.exp(-1j * vals * dts[:, None])
     props = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    props = props.reshape(-1, every, dim, dim)
+    props = props.reshape(-1, every, sub, sub)
     while props.shape[1] > 1:
         if props.shape[1] % 2:  # pad with the identity as a last slice
-            pad = np.broadcast_to(np.eye(dim), (len(props), 1, dim, dim))
+            pad = np.broadcast_to(np.eye(sub), (len(props), 1, sub, sub))
             props = np.concatenate([props, pad], axis=1)
         props = props[:, 1::2] @ props[:, 0::2]  # later @ earlier
+    amps = state.amplitudes[support]
+    out = []
     for u in props[:, 0]:
         amps = u @ amps
-        out.append(PureState(amps, state.qubit_count))
+        full = np.zeros(dim, dtype=complex)
+        full[support] = amps
+        out.append(PureState(full, state.qubit_count))
     return out
 
 
@@ -339,9 +382,7 @@ def exact_evolve(hamiltonian: WeightedPauliSum, t: float,
 
 def mode_occupations(state) -> np.ndarray:
     """P(mode i occupied), i.e. its qubit in the occupied level."""
-    n = state.qubit_count
-    return np.array(index_occupations(np.arange(2 ** n), n)) \
-        @ state.probabilities()
+    return occupation_matrix(state.qubit_count) @ state.probabilities()
 
 
 def state_overlap(reference: PureState, state) -> float:

@@ -1,6 +1,11 @@
 """Simulator backends: preparation, evolution, occupations, noise, budgets."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fermisim.circuits import (
@@ -13,8 +18,11 @@ from fermisim.circuits import (
 from fermisim.compiler import compile_evolution, plan_for_model
 from fermisim.experiments import _model_checkpoints
 from fermisim.fermions import (
+    coupling_matrices,
     four_mode_ahm,
+    index_occupations,
     occupation_basis_index,
+    occupation_matrix,
     spin_hamiltonian,
     three_mode_model,
     two_mode_model,
@@ -32,6 +40,7 @@ from fermisim.simulator import (
     evolve_slices,
     exact_evolve,
     input_circuit,
+    invariant_support,
     lower_circuit,
     mode_occupations,
     other_state_population,
@@ -328,6 +337,155 @@ class TestEvolveSlices:
         with pytest.raises(FloatingPointError, match="overflow"):
             evolve_slices(hs, np.full(2, 1.7e308), prepare_input("two_mode"))
 
+    @pytest.mark.parametrize("durations", [
+        [0.2],             # used to broadcast over all four slices
+        np.full(3, 0.2),
+        np.full(5, 0.2),
+        np.full((4, 1), 0.2),
+        0.2,
+    ])
+    def test_one_duration_per_slice(self, durations):
+        hs = np.stack([h.to_dense() for h in self.slices(4)])
+        with pytest.raises(ValueError, match="one entry per slice"):
+            evolve_slices(hs, durations, prepare_input("two_mode"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_duration_rejected(self, bad):
+        # a NaN duration used to surface as "state is not normalised"
+        hs = np.stack([h.to_dense() for h in self.slices(4)])
+        durations = np.full(4, 0.2)
+        durations[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            evolve_slices(hs, durations, prepare_input("two_mode"))
+
+
+def full_space_evolution(hs, durations, amps, every):
+    """The propagation arithmetic on the full space, as it was before
+    the invariant-subspace restriction."""
+    dim = len(amps)
+    vals, vecs = np.linalg.eigh(hs)
+    phases = np.exp(-1j * vals * np.asarray(durations, float)[:, None])
+    props = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    props = props.reshape(-1, every, dim, dim)
+    while props.shape[1] > 1:
+        if props.shape[1] % 2:
+            pad = np.broadcast_to(np.eye(dim), (len(props), 1, dim, dim))
+            props = np.concatenate([props, pad], axis=1)
+        props = props[:, 1::2] @ props[:, 0::2]
+    out = []
+    for u in props[:, 0]:
+        amps = u @ amps
+        out.append(amps)
+    return out
+
+
+def planted_blocks(seed, qubits, block_count, slices):
+    """A random Hermitian (slices, d, d) stack that is block diagonal on
+    ``block_count`` random index sets (a random basis permutation cut
+    into pieces), with the blocks."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** qubits
+    cuts = np.sort(rng.choice(np.arange(1, dim), block_count - 1,
+                              replace=False))
+    blocks = np.split(rng.permutation(dim), cuts)
+    hs = np.zeros((slices, dim, dim), dtype=complex)
+    for b in blocks:
+        m = rng.normal(size=(slices, len(b), len(b))) \
+            + 1j * rng.normal(size=(slices, len(b), len(b)))
+        hs[:, b[:, None], b] = m + m.conj().transpose(0, 2, 1)
+    return rng, hs, blocks
+
+
+def state_on(rng, indices, qubits):
+    amps = np.zeros(2 ** qubits, dtype=complex)
+    amps[indices] = rng.normal(size=len(indices)) \
+        + 1j * rng.normal(size=len(indices))
+    return PureState(amps / np.linalg.norm(amps), qubits)
+
+
+planted = st.tuples(st.integers(0, 2 ** 32 - 1),  # seed
+                    st.integers(2, 4),            # qubits
+                    st.integers(2, 4),            # blocks
+                    st.integers(1, 12),           # every
+                    st.integers(1, 3))            # windows
+
+
+class TestInvariantSupport:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(planted, st.integers(1, 2))
+    def test_planted_blocks(self, params, support_blocks):
+        seed, qubits, block_count, every, windows = params
+        rng, hs, blocks = planted_blocks(seed, qubits, block_count,
+                                         every * windows)
+        chosen = blocks[:support_blocks]
+        closure = np.sort(np.concatenate(chosen))
+        state = state_on(rng, np.concatenate(
+            [rng.choice(b, rng.integers(1, len(b) + 1), replace=False)
+             for b in chosen]), qubits)
+        assert np.array_equal(invariant_support(hs, state.amplitudes),
+                              closure)
+        durations = rng.uniform(0.5, 1.5, len(hs)) / every
+        out = evolve_slices(hs, durations, state, every=every)
+        want = per_slice_reference(hs, durations, state.amplitudes, every)
+        assert len(out) == len(want) == windows
+        outside = np.setdiff1d(np.arange(2 ** qubits), closure)
+        for got, ref in zip(out, want):
+            assert np.max(np.abs(got.amplitudes - ref)) <= 1e-13
+            assert np.all(got.amplitudes[outside] == 0)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(planted, st.data())
+    def test_one_coupling_slice_widens_the_closure(self, params, data):
+        seed, qubits, block_count, every, windows = params
+        rng, hs, blocks = planted_blocks(seed, qubits, block_count,
+                                         every * windows)
+        state = state_on(rng, blocks[0], qubits)
+        k = data.draw(st.integers(0, len(hs) - 1), label="slice")
+        a = data.draw(st.sampled_from(sorted(blocks[0])), label="inside")
+        b = data.draw(st.sampled_from(sorted(blocks[1])), label="outside")
+        hs[k, a, b] = 0.3 - 0.4j
+        hs[k, b, a] = 0.3 + 0.4j
+        closure = invariant_support(hs, state.amplitudes)
+        assert set(blocks[0]) | set(blocks[1]) <= set(closure)
+        durations = rng.uniform(0.5, 1.5, len(hs)) / every
+        out = evolve_slices(hs, durations, state, every=every)
+        want = per_slice_reference(hs, durations, state.amplitudes, every)
+        for got, ref in zip(out, want):
+            assert np.max(np.abs(got.amplitudes - ref)) <= 1e-13
+        # the final state has passed the coupling slice
+        assert np.any(out[-1].amplitudes[blocks[1]] != 0)
+
+    @pytest.mark.parametrize("qubits", [2, 3])
+    @pytest.mark.parametrize("every", [1, 5, 8])
+    def test_full_support_is_bit_identical(self, qubits, every):
+        rng = np.random.default_rng(every + qubits)
+        dim = 2 ** qubits
+        m = rng.normal(size=(2 * every, dim, dim))
+        hs = m + m.transpose(0, 2, 1)
+        durations = rng.uniform(0.5, 1.5, len(hs)) / every
+        state = state_on(rng, np.arange(dim), qubits)
+        assert len(invariant_support(hs, state.amplitudes)) == dim
+        out = evolve_slices(hs, durations, state, every=every)
+        want = full_space_evolution(hs, durations, state.amplitudes, every)
+        for got, ref in zip(out, want):
+            assert np.array_equal(got.amplitudes, ref)
+
+    @pytest.mark.parametrize("modes, kind, size", [
+        (2, "two_mode", 3),    # one- and two-particle sectors
+        (3, "three_mode", 3),  # the two-particle sector
+    ])
+    def test_schedule_model_closure(self, modes, kind, size):
+        hs = np.stack(coupling_matrices(modes))
+        assert len(invariant_support(hs, prepare_input(kind).amplitudes)) \
+            == size
+
+    def test_four_mode_closure(self):
+        h = spin_hamiltonian(four_mode_ahm(1.0, 1.0, 0.0, 1.0)).to_dense()
+        psi = prepare_input("four_mode")
+        closure = invariant_support(h[None], psi.amplitudes)
+        assert len(closure) == 4
+        assert np.array_equal(closure, np.flatnonzero(psi.amplitudes))
+
 
 class TestOccupations:
     def test_two_mode_input(self):
@@ -343,6 +501,28 @@ class TestOccupations:
     def test_density_backend(self):
         rho = prepare_input("three_mode").to_density()
         assert np.allclose(mode_occupations(rho), [1.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_bit_identical_to_per_call_matrix(self, qubits):
+        rng = np.random.default_rng(qubits)
+        occ = np.array(index_occupations(np.arange(2 ** qubits), qubits))
+        for _ in range(20):
+            state = state_on(rng, np.arange(2 ** qubits), qubits)
+            for s in (state, state.to_density()):
+                assert np.array_equal(mode_occupations(s),
+                                      occ @ s.probabilities())
+
+    def test_matrix_cached_read_only(self):
+        occ = occupation_matrix(3)
+        assert occupation_matrix(3) is occ
+        assert occ.shape == (3, 8)
+        with pytest.raises(ValueError):
+            occ[0, 0] = 2
+
+    def test_matrix_not_built_at_import(self):
+        code = ("import fermisim, fermisim.fermions as f; "
+                "assert f.occupation_matrix.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestStateFidelity:
