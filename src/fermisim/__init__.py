@@ -8,7 +8,7 @@ and digitisation-error curves, two-qubit process tomography with a
 physically constrained reconstruction, and interleaved randomized
 benchmarking.
 """
-from .pauli import PauliString, WeightedPauliSum, commutes, multiply
+from .pauli import PauliString, WeightedPauliSum, commutes
 from .fermions import (
     FermionModel,
     anticommutator,
@@ -71,7 +71,7 @@ from .experiments import ExperimentConfig, run, sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "PauliString", "WeightedPauliSum", "commutes", "multiply",
+    "PauliString", "WeightedPauliSum", "commutes",
     "FermionModel", "anticommutator", "four_mode_ahm",
     "jw_annihilation", "jw_creation", "spin_hamiltonian",
     "three_mode_model", "two_mode_model",

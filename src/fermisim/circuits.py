@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# CIRCUIT_QUBIT_LIMIT and CapacityError are re-exported for callers
 from .pauli import DENSE_QUBIT_LIMIT as CIRCUIT_QUBIT_LIMIT
-from .pauli import PAULI_MATRICES, CapacityError
+from .pauli import PAULI_MATRICES, CapacityError, check_dense_width
 
 GATE_KINDS = (
     "RX", "RY", "RZ", "PI_X", "PI_Y", "VIRTUAL_Z", "IDLE", "DETUNE", "CZPHI",
@@ -201,10 +202,7 @@ def unitary_blocks(fold, n: int) -> tuple:
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Product of embedded gate unitaries, earliest gate applied first."""
     n = c.qubit_count
-    if n > CIRCUIT_QUBIT_LIMIT:
-        raise CapacityError(
-            f"circuit unitary capped at {CIRCUIT_QUBIT_LIMIT} qubits"
-        )
+    check_dense_width(n, "circuit unitary")
     dim = 2 ** n
     eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     return run_blocks(eye, unitary_blocks(entangler_blocks(c), n)).reshape(

@@ -120,9 +120,6 @@ class _Section:
     qubits: tuple[int, ...]
     coeff: float                # Hamiltonian coefficient of the term
 
-    def key(self) -> str:
-        return self.kind + "_" + "_".join(str(m) for m in self.modes)
-
 
 def _classify(hamiltonian: WeightedPauliSum) -> list[_Section]:
     n = hamiltonian.qubit_count
@@ -154,24 +151,19 @@ def _classify(hamiltonian: WeightedPauliSum) -> list[_Section]:
 
 def _ordered_sections(sections, ordering, parity):
     hop_pairs = sorted({s.modes for s in sections if s.kind in ("xx", "yy")})
-    by_key = {s.key(): s for s in sections}
-    xx = [by_key[f"xx_{i}_{j}"] for i, j in hop_pairs
-          if f"xx_{i}_{j}" in by_key]
-    yy = [by_key[f"yy_{i}_{j}"] for i, j in hop_pairs
-          if f"yy_{i}_{j}" in by_key]
-    diag = [s for s in sorted(sections, key=lambda s: (s.kind, s.modes))
-            if s.kind == "zz"]
-    diag += [s for s in sorted(sections, key=lambda s: s.modes)
-             if s.kind == "vz"]
+    by_key = {(s.kind, s.modes): s for s in sections}
+
+    def hops(*kinds):  # hopping blocks pair by pair, kinds in this order
+        return [by_key[k, p] for p in hop_pairs for k in kinds
+                if (k, p) in by_key]
+
+    # the diagonal section: ZZ blocks, then virtual phases, by modes
+    diag = sorted((s for s in sections if s.kind in ("zz", "vz")),
+                  key=lambda s: (s.kind == "vz", s.modes))
     if ordering == "canonical_s5":
-        # per hopping pair XX then YY, then the diagonal section
-        interleaved = []
-        for i, j in hop_pairs:
-            for key in (f"xx_{i}_{j}", f"yy_{i}_{j}"):
-                if key in by_key:
-                    interleaved.append(by_key[key])
-        return interleaved + diag
+        return hops("xx", "yy") + diag
     if ordering == "odd_even_s6":
+        xx, yy = hops("xx"), hops("yy")
         return (xx + diag + yy) if parity == 0 else (yy + diag + xx)
     raise CompileError(f"unknown ordering {ordering!r}")
 

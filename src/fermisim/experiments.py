@@ -41,7 +41,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, asdict
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -72,18 +72,18 @@ from .fermions import (
     FermionModel,
     coupling_matrices,
     four_mode_ahm,
+    spin_hamiltonian,
     three_mode_model,
     two_mode_model,
 )
 from .simulator import (
     NoiseModel,
-    accessible_indices,
     apply_circuit,
     error_budget,
     evolve_slices,
+    invariant_support,
     lower_circuit,
     mode_occupations,
-    other_state_population,
     prepare_input,
     state_fidelity,
     state_overlap,
@@ -251,6 +251,18 @@ def _input_kind(mode_count: int) -> str:
     return {2: "two_mode", 3: "three_mode", 4: "four_mode"}[mode_count]
 
 
+@cache
+def reachable_indices(model: FermionModel) -> np.ndarray:
+    """Read-only sorted basis indices that the model's Hamiltonian
+    reaches from its input state (:func:`invariant_support`); ``p_other``
+    is the population outside them.  Built once per model."""
+    psi0 = prepare_input(_input_kind(model.mode_count))
+    reachable = invariant_support(spin_hamiltonian(model).to_dense()[None],
+                                  psi0.amplitudes)
+    reachable.setflags(write=False)
+    return reachable
+
+
 def _series_rows(path: Path, files: list, model: FermionModel,
                  checkpoints, noise: NoiseModel | None) -> list:
     """Occupations and fidelities at t = 0 and after every step,
@@ -266,7 +278,7 @@ def _series_rows(path: Path, files: list, model: FermionModel,
     """
     n = model.mode_count
     psi0 = prepare_input(_input_kind(n))
-    accessible = accessible_indices(model.hoppings, n, psi0)
+    reachable = reachable_indices(model)
     digital = psi0
     run_state = psi0.to_density() if noise is not None else psi0
     lowered = {}  # id of a step circuit -> its one lowering
@@ -282,7 +294,7 @@ def _series_rows(path: Path, files: list, model: FermionModel,
                 run_state, step_circuit, noise, lowered=step)
         p_run = run_state.probabilities()
         rows.append((t, *mode_occupations(run_state),
-                     other_state_population(run_state, accessible),
+                     float(1.0 - p_run[reachable].sum()),
                      state_fidelity(digital.probabilities(), p_run),
                      state_fidelity(exact.probabilities(), p_run),
                      state_overlap(digital, run_state),

@@ -4,10 +4,11 @@ Mode/qubit assignment (the one place this mapping is defined):
 
 * Mode ``m`` of an ``n``-mode model lives on qubit ``n - 1 - m``, i.e.
   mode 0 is the rightmost tensor factor / least significant dense bit.
-  The creation operator for mode ``m`` is ``S+`` on its qubit with a
-  ``Z`` tail on every qubit to its right (the slots of lower modes).
+  The creation operator for mode ``m`` is the two-term sum
+  ``(X + iY)/2`` on its qubit with a ``Z`` tail on every qubit to its
+  right (the slots of lower modes); the annihilator is its adjoint.
 * In the dense qubit frame an occupied mode corresponds to the
-  computational |0> of its qubit: with ``S+ = (X + iY)/2`` as the
+  computational |0> of its qubit: with ``(X + iY)/2 = |0><1|`` as the
   creator, the number operator comes out as ``(I + Z)/2``.  All
   user-facing occupation I/O (input kets, occupation probabilities)
   uses occupation labels, where 1 means occupied; the relabelling
@@ -32,11 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import (
-    DimensionError,
-    PauliString,
-    WeightedPauliSum,
-)
+from .pauli import WeightedPauliSum
 
 MAX_MODES = 4
 
@@ -79,30 +76,25 @@ def occupation_matrix(n_modes: int) -> np.ndarray:
     return occ
 
 
-def jw_creation(mode: int, n_modes: int) -> PauliString:
-    """Jordan-Wigner string for the creation operator of a mode."""
+def jw_creation(mode: int, n_modes: int) -> WeightedPauliSum:
+    """Jordan-Wigner image of a mode's creation operator:
+    0.5 (I..I X Z..Z) + 0.5i (I..I Y Z..Z)."""
     if n_modes > MAX_MODES:
         raise ValueError(f"at most {MAX_MODES} modes supported")
     q = mode_qubit(mode, n_modes)
-    factors = ["I"] * n_modes
-    factors[q] = "S+"
-    for tail in range(q + 1, n_modes):
-        factors[tail] = "Z"
-    return PauliString(tuple(factors))
+    head, tail = "I" * q, "Z" * (n_modes - 1 - q)
+    return WeightedPauliSum.from_terms(
+        n_modes, [(0.5, head + "X" + tail), (0.5j, head + "Y" + tail)])
 
 
-def jw_annihilation(mode: int, n_modes: int) -> PauliString:
+def jw_annihilation(mode: int, n_modes: int) -> WeightedPauliSum:
     return jw_creation(mode, n_modes).dagger()
 
 
-def anticommutator(a: PauliString, b: PauliString) -> WeightedPauliSum:
-    """ab + ba expanded into {I, X, Y, Z} terms."""
-    if a.qubit_count != b.qubit_count:
-        raise DimensionError(
-            f"qubit counts differ: {a.qubit_count} vs {b.qubit_count}"
-        )
-    ea, eb = a.expand(), b.expand()
-    return ea * eb + eb * ea
+def anticommutator(a: WeightedPauliSum,
+                   b: WeightedPauliSum) -> WeightedPauliSum:
+    """ab + ba."""
+    return a * b + b * a
 
 
 @dataclass(frozen=True)
@@ -178,18 +170,14 @@ def four_mode_ahm(V1: float, V2: float, Ux: float, Uy: float) -> FermionModel:
 
 
 def number_operator(mode: int, n_modes: int) -> WeightedPauliSum:
-    bd = jw_creation(mode, n_modes).expand()
-    return bd * jw_annihilation(mode, n_modes).expand()
+    return jw_creation(mode, n_modes) * jw_annihilation(mode, n_modes)
 
 
 @functools.cache
 def _hop_term(i: int, j: int, n: int) -> WeightedPauliSum:
     """b_i^ b_j + b_j^ b_i on n modes; cached, shared and immutable."""
-    bi_d = jw_creation(i, n).expand()
-    bj_d = jw_creation(j, n).expand()
-    bi = jw_annihilation(i, n).expand()
-    bj = jw_annihilation(j, n).expand()
-    return bi_d * bj + bj_d * bi
+    return (jw_creation(i, n) * jw_annihilation(j, n)
+            + jw_creation(j, n) * jw_annihilation(i, n))
 
 
 @functools.cache

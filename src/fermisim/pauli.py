@@ -7,9 +7,8 @@ Conventions used throughout the package:
   qubit ``p``, and qubit 0 is the most significant bit of a dense basis
   index (big-endian).  The fermionic mode <-> qubit assignment lives in
   :mod:`fermisim.fermions`; this module never mentions modes.
-* Ladder labels ``S+``/``S-`` expand on demand as ``(X + iY)/2`` and
-  ``(X - iY)/2``.  Strings containing them are intermediate, non-unitary
-  objects; the group product is only defined on ``{I, X, Y, Z}`` strings.
+* Strings are built from ``{I, X, Y, Z}`` only; any other operator,
+  such as a fermionic ladder operator, is a :class:`WeightedPauliSum`.
 * Coefficient comparisons use an absolute tolerance of 1e-12; everything
   here is exact at double precision.
 
@@ -18,13 +17,14 @@ so they are safe to share across threads or processes.
 """
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
-LADDER_LABELS = ("S+", "S-")
 
 COEFF_TOL = 1e-12
 COMMUTATOR_TOL = 1e-12
@@ -35,8 +35,6 @@ PAULI_MATRICES = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "S+": np.array([[0, 1], [0, 0]], dtype=complex),
-    "S-": np.array([[0, 0], [1, 0]], dtype=complex),
 }
 
 # Single-site group table: (a, b) -> (phase, label) with a*b = phase * label.
@@ -58,6 +56,14 @@ class DimensionError(ValueError):
     """Raised when operands act on different qubit counts."""
 
 
+def check_dense_width(qubits: int, what: str = "dense conversion") -> None:
+    """The desk-scale guard: a dense object on more than
+    ``DENSE_QUBIT_LIMIT`` qubits raises :class:`CapacityError`."""
+    if qubits > DENSE_QUBIT_LIMIT:
+        raise CapacityError(f"{what} needs {qubits} qubits; capped at "
+                            f"{DENSE_QUBIT_LIMIT}")
+
+
 def _check_same_width(a, b):
     if a.qubit_count != b.qubit_count:
         raise DimensionError(
@@ -67,58 +73,35 @@ def _check_same_width(a, b):
 
 @dataclass(frozen=True)
 class PauliString:
-    """Tensor product of single-site operators with a scalar phase.
-
-    ``phase`` is a unit modulus scalar for strings built purely from
-    {I, X, Y, Z}; strings containing ladder factors are flagged
-    intermediate via :attr:`is_ladder` and may carry any scalar.
-    """
+    """Tensor product of {I, X, Y, Z} factors with a unit-modulus phase."""
 
     factors: tuple[str, ...]
     phase: complex = 1.0 + 0j
 
     def __post_init__(self):
         for f in self.factors:
-            if f not in PAULI_LABELS and f not in LADDER_LABELS:
+            if f not in PAULI_LABELS:
                 raise ValueError(f"unknown factor label {f!r}")
-        if not self.is_ladder and abs(abs(self.phase) - 1.0) > COEFF_TOL:
+        if not abs(abs(self.phase) - 1.0) <= COEFF_TOL:
             raise ValueError(f"phase must be unit modulus, got {self.phase}")
 
     @classmethod
     def from_label(cls, label: str, phase: complex = 1.0) -> PauliString:
-        """Build from a compact label like ``"XIZ"`` (no ladder factors)."""
+        """Build from a compact label like ``"XIZ"``."""
         return cls(tuple(label), phase)
 
     @property
     def qubit_count(self) -> int:
         return len(self.factors)
 
-    @property
-    def is_ladder(self) -> bool:
-        return any(f in LADDER_LABELS for f in self.factors)
-
     def label(self) -> str:
-        if self.is_ladder:
-            raise ValueError("ladder strings have no compact label")
         return "".join(self.factors)
 
-    def dagger(self) -> PauliString:
-        swap = {"S+": "S-", "S-": "S+"}
-        return PauliString(
-            tuple(swap.get(f, f) for f in self.factors),
-            np.conj(self.phase),
-        )
-
     def __mul__(self, other: PauliString) -> PauliString:
-        """Group product; defined for {I, X, Y, Z} strings only."""
+        """Group product with accumulated phase."""
         if not isinstance(other, PauliString):
             return NotImplemented
         _check_same_width(self, other)
-        if self.is_ladder or other.is_ladder:
-            raise ValueError(
-                "group product is undefined for ladder strings; "
-                "expand() to a WeightedPauliSum first"
-            )
         phase = self.phase * other.phase
         out = []
         for a, b in zip(self.factors, other.factors):
@@ -127,30 +110,9 @@ class PauliString:
             out.append(c)
         return PauliString(tuple(out), phase)
 
-    def expand(self) -> WeightedPauliSum:
-        """Expand ladder factors into a sum over {I, X, Y, Z} strings."""
-        branches = [(self.phase, [])]
-        for f in self.factors:
-            if f == "S+":
-                options = [(0.5, "X"), (0.5j, "Y")]
-            elif f == "S-":
-                options = [(0.5, "X"), (-0.5j, "Y")]
-            else:
-                options = [(1.0, f)]
-            branches = [
-                (c * oc, labels + [ol])
-                for c, labels in branches
-                for oc, ol in options
-            ]
-        terms = [(c, PauliString(tuple(labels))) for c, labels in branches]
-        return WeightedPauliSum.from_terms(self.qubit_count, terms)
-
     def dense(self) -> np.ndarray:
-        """Dense matrix of this single string (ladder factors allowed)."""
-        if self.qubit_count > DENSE_QUBIT_LIMIT:
-            raise CapacityError(
-                f"dense conversion capped at {DENSE_QUBIT_LIMIT} qubits"
-            )
+        """Dense matrix of this single string."""
+        check_dense_width(self.qubit_count)
         out = np.array([[self.phase]], dtype=complex)
         for f in self.factors:
             d = 2 * len(out)  # np.kron(out, m), without kron's overhead
@@ -159,23 +121,15 @@ class PauliString:
         return out
 
 
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Group product of two {I, X, Y, Z} strings with accumulated phase."""
-    return a * b
-
-
 def _canonical_terms(qubit_count, raw_terms, offset):
-    """Fold phases into coefficients, combine like strings, split identity."""
+    """Fold phases into coefficients, combine like strings, split identity.
+
+    A non-finite coefficient or offset raises ValueError."""
     acc: dict[tuple[str, ...], complex] = {}
     for coeff, string in raw_terms:
         if string.qubit_count != qubit_count:
             raise DimensionError(
                 f"term width {string.qubit_count} != sum width {qubit_count}"
-            )
-        if string.is_ladder:
-            raise ValueError(
-                "WeightedPauliSum terms must be {I,X,Y,Z} strings; "
-                "expand ladder strings first"
             )
         key = string.factors
         acc[key] = acc.get(key, 0.0) + complex(coeff) * string.phase
@@ -183,12 +137,17 @@ def _canonical_terms(qubit_count, raw_terms, offset):
     identity = ("I",) * qubit_count
     for key in sorted(acc):
         c = acc[key]
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient {c} of {''.join(key)} is not "
+                             f"finite")
         if abs(c) <= COEFF_TOL:
             continue
         if key == identity and abs(c.imag) <= COEFF_TOL:
             offset += c.real
             continue
         terms.append((c, PauliString(key)))
+    if not math.isfinite(offset):
+        raise ValueError(f"scalar offset {offset} is not finite")
     return tuple(terms), float(offset)
 
 
@@ -218,11 +177,16 @@ class WeightedPauliSum:
 
     @classmethod
     def identity(cls, qubit_count, value=1.0) -> WeightedPauliSum:
-        return cls(qubit_count, (), float(value))
+        return cls.from_terms(qubit_count, (), value)
 
     @property
     def term_dict(self) -> dict[str, complex]:
         return {s.label(): c for c, s in self.terms}
+
+    def dagger(self) -> WeightedPauliSum:
+        """Adjoint: every {I, X, Y, Z} string is Hermitian."""
+        return WeightedPauliSum(self.qubit_count, tuple(
+            (c.conjugate(), s) for c, s in self.terms), self.scalar_offset)
 
     def __add__(self, other: WeightedPauliSum) -> WeightedPauliSum:
         _check_same_width(self, other)
@@ -235,16 +199,19 @@ class WeightedPauliSum:
     def __sub__(self, other: WeightedPauliSum) -> WeightedPauliSum:
         return self + (-1.0) * other
 
+    def _with_offset_term(self) -> list:
+        """The terms, plus a nonzero offset as an all-identity term.
+
+        Canonicalisation routes a product's identity part back: it stays
+        an offset when real and becomes a term otherwise."""
+        if not self.scalar_offset:
+            return list(self.terms)
+        ident = PauliString(("I",) * self.qubit_count)
+        return [*self.terms, (self.scalar_offset, ident)]
+
     def __rmul__(self, scalar) -> WeightedPauliSum:
         scalar = complex(scalar)
-        scaled = [(scalar * c, s) for c, s in self.terms]
-        if self.scalar_offset:
-            # route the scaled offset back through canonicalisation; it
-            # stays an offset when real and becomes a term otherwise
-            scaled.append(
-                (scalar * self.scalar_offset,
-                 PauliString(("I",) * self.qubit_count))
-            )
+        scaled = [(scalar * c, s) for c, s in self._with_offset_term()]
         return WeightedPauliSum.from_terms(self.qubit_count, scaled)
 
     def __mul__(self, other: WeightedPauliSum) -> WeightedPauliSum:
@@ -252,14 +219,9 @@ class WeightedPauliSum:
         if not isinstance(other, WeightedPauliSum):
             return NotImplemented
         _check_same_width(self, other)
-        ident = PauliString(("I",) * self.qubit_count)
-        left = list(self.terms) + (
-            [(self.scalar_offset, ident)] if self.scalar_offset else []
-        )
-        right = list(other.terms) + (
-            [(other.scalar_offset, ident)] if other.scalar_offset else []
-        )
-        prods = [(ca * cb, sa * sb) for ca, sa in left for cb, sb in right]
+        right = other._with_offset_term()
+        prods = [(ca * cb, sa * sb) for ca, sa in self._with_offset_term()
+                 for cb, sb in right]
         return WeightedPauliSum.from_terms(self.qubit_count, prods)
 
     def is_hermitian(self, tol: float = COEFF_TOL) -> bool:
@@ -275,12 +237,8 @@ class WeightedPauliSum:
 
     def to_dense(self) -> np.ndarray:
         """Dense matrix: sum of kron products plus offset * identity."""
-        n = self.qubit_count
-        if n > DENSE_QUBIT_LIMIT:
-            raise CapacityError(
-                f"dense conversion capped at {DENSE_QUBIT_LIMIT} qubits"
-            )
-        dim = 2 ** n
+        check_dense_width(self.qubit_count)
+        dim = 2 ** self.qubit_count
         out = self.scalar_offset * np.eye(dim, dtype=complex)
         for c, s in self.terms:
             out += c * s.dense()

@@ -50,8 +50,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import (
-    CIRCUIT_QUBIT_LIMIT,
-    CapacityError,
     Circuit,
     Gate,
     block_layout,
@@ -60,12 +58,8 @@ from .circuits import (
     run_blocks,
     unitary_blocks,
 )
-from .fermions import (
-    index_occupations,
-    occupation_basis_index,
-    occupation_matrix,
-)
-from .pauli import WeightedPauliSum
+from .fermions import occupation_basis_index, occupation_matrix
+from .pauli import WeightedPauliSum, check_dense_width
 
 NORM_TOL = 1e-10
 PSD_TOL = 1e-8
@@ -260,9 +254,7 @@ def circuit_channel(circuit: Circuit,
                     noise: NoiseModel | None = None) -> np.ndarray:
     """4^n x 4^n matrix of a (noisy) circuit acting on rho.reshape(-1)."""
     n = circuit.qubit_count
-    if 2 * n > CIRCUIT_QUBIT_LIMIT:  # as large as a 2n-qubit unitary
-        raise CapacityError(f"circuit channel capped at "
-                            f"{CIRCUIT_QUBIT_LIMIT // 2} qubits")
+    check_dense_width(2 * n, "circuit channel")  # a 2n-qubit unitary's size
     dim = 4 ** n
     t = np.eye(dim, dtype=complex).reshape((2,) * (2 * n) + (dim,))
     t = run_blocks(t, lower_circuit(circuit, noise).channel_blocks)
@@ -426,43 +418,3 @@ def error_budget(census: dict[str, int], noise: NoiseModel) -> float:
     """
     return (census["entangling"] * noise.eps_2q
             + census_single_qubit_total(census) * noise.eps_1q)
-
-
-def accessible_indices(hoppings, n_modes: int,
-                       input_state: PureState,
-                       tol: float = 1e-9) -> np.ndarray:
-    """Basis indices reachable from the input under number conservation.
-
-    Hopping-connected mode groups conserve their particle number; the
-    reachable set is every basis state whose per-group numbers match a
-    number tuple present in the input state.
-    """
-    parent = list(range(n_modes))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j, _ in hoppings:
-        parent[find(i)] = find(j)
-    groups = {}
-    for m in range(n_modes):
-        groups.setdefault(find(m), []).append(m)
-    group_list = list(groups.values())
-
-    def signature(index):
-        occ = index_occupations(index, n_modes)
-        return tuple(sum(occ[m] for m in g) for g in group_list)
-
-    probs = input_state.probabilities()
-    allowed = {signature(i) for i in np.nonzero(probs > tol)[0]}
-    idx = np.array([i for i in range(2 ** n_modes)
-                    if signature(i) in allowed], dtype=int)
-    return idx
-
-
-def other_state_population(state, accessible: np.ndarray) -> float:
-    probs = state.probabilities()
-    return float(1.0 - probs[accessible].sum())

@@ -4,9 +4,11 @@ The oracle builds fermionic operators by explicit kron products of
 hard-coded 2x2 matrices and verifies canonical anticommutation and the
 fermionic -> spin Hamiltonian identity as dense matrices.
 """
+import json
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,20 +68,25 @@ def oracle_model_dense(model: FermionModel):
     return h
 
 
+def ladder_terms(label):
+    """(X + iY)/2 at the label's '+', the rest of the label as is."""
+    return {label.replace("+", "X"): 0.5, label.replace("+", "Y"): 0.5j}
+
+
 class TestJwStrings:
     def test_two_mode_first(self):
-        assert jw_creation(0, 2).factors == ("I", "S+")
+        assert jw_creation(0, 2).term_dict == ladder_terms("I+")
 
     def test_two_mode_second(self):
-        assert jw_creation(1, 2).factors == ("S+", "Z")
+        assert jw_creation(1, 2).term_dict == ladder_terms("+Z")
 
     def test_four_mode_longest_tail(self):
-        assert jw_creation(3, 4).factors == ("S+", "Z", "Z", "Z")
+        assert jw_creation(3, 4).term_dict == ladder_terms("+ZZZ")
 
     def test_four_mode_table(self):
-        assert jw_creation(0, 4).factors == ("I", "I", "I", "S+")
-        assert jw_creation(1, 4).factors == ("I", "I", "S+", "Z")
-        assert jw_creation(2, 4).factors == ("I", "S+", "Z", "Z")
+        assert jw_creation(0, 4).term_dict == ladder_terms("III+")
+        assert jw_creation(1, 4).term_dict == ladder_terms("II+Z")
+        assert jw_creation(2, 4).term_dict == ladder_terms("I+ZZ")
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -90,8 +97,10 @@ class TestJwStrings:
     def test_dense_matches_oracle(self):
         for n in (2, 3, 4):
             for m in range(n):
-                got = jw_creation(m, n).dense()
-                assert np.allclose(got, oracle_creation(m, n), atol=1e-12)
+                want = oracle_creation(m, n)
+                assert np.array_equal(jw_creation(m, n).to_dense(), want)
+                assert np.array_equal(jw_annihilation(m, n).to_dense(),
+                                      want.conj().T)
 
 
 class TestAnticommutation:
@@ -251,21 +260,13 @@ class TestCouplingMatrices:
         subprocess.run([sys.executable, "-c", code], check=True)
 
 
-# Today's builders, kept as the reference the cached pair terms and the
-# kron-free dense strings must reproduce bit for bit.
-
-def reference_spin_hamiltonian(model: FermionModel) -> WeightedPauliSum:
-    n = model.mode_count
-    h = WeightedPauliSum.identity(n, 0.0)
-    for i, j, v in model.hoppings:
-        bi_d = jw_creation(i, n).expand()
-        bj_d = jw_creation(j, n).expand()
-        bi = jw_annihilation(i, n).expand()
-        bj = jw_annihilation(j, n).expand()
-        h = h + (-v) * (bi_d * bj + bj_d * bi)
-    for i, j, u in model.repulsions:
-        h = h + u * (number_operator(i, n) * number_operator(j, n))
-    return h
+# Recorded outputs of the ladder-operator builder that preceded the
+# WeightedPauliSum creation operators; the builder must reproduce them
+# bit for bit.  Model JSON text -> recorded Hamiltonian JSON dict.
+GOLDEN = {json.dumps(e["model"], sort_keys=True): e["hamiltonian"]
+          for e in json.loads((Path(__file__).parent / "data"
+                               / "spin_hamiltonians_golden.json").read_text()
+                              )["models"]}
 
 
 def reference_to_dense(h: WeightedPauliSum) -> np.ndarray:
@@ -291,10 +292,15 @@ SHIPPED_MODELS = [
 class TestPairTerms:
     @pytest.mark.parametrize("model", SHIPPED_MODELS)
     def test_bit_identical_to_the_reference_builders(self, model):
+        want = GOLDEN[json.dumps(model.to_json_dict(), sort_keys=True)]
         h = spin_hamiltonian(model)
-        want = reference_spin_hamiltonian(model)
-        assert h == want
-        assert np.array_equal(h.to_dense(), reference_to_dense(want))
+        assert h.to_json_dict() == want
+        assert h == WeightedPauliSum.from_json_dict(want)
+        assert np.array_equal(h.to_dense(), reference_to_dense(h))
+
+    def test_golden_holds_every_shipped_model(self):
+        assert set(GOLDEN) == {json.dumps(m.to_json_dict(), sort_keys=True)
+                               for m in SHIPPED_MODELS}
 
     def test_not_built_at_import(self):
         code = ("import fermisim, fermisim.fermions as f; "

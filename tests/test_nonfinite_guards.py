@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fermisim.benchmarking import DecayFit
 from fermisim.compiler import Schedule
+from fermisim.pauli import PauliString, WeightedPauliSum
 from fermisim.simulator import DensityState, NoiseModel, PureState
 from fermisim.tomography import (
     ProcessMatrix,
@@ -36,6 +37,16 @@ VALIDATED = {
                                    0.0, 1.0, 3.0, 1.0]), _schedule),
     "NoiseModel": (lambda: np.array([7.4e-3, 8e-4]),
                    lambda x: NoiseModel(*x)),
+    "PauliString": (lambda: np.array([-1j]),
+                    lambda x: PauliString(("X", "Z"), x[0])),
+    # real and imaginary part of a coefficient, then the offset
+    "WeightedPauliSum.from_terms": (
+        lambda: np.array([0.5, -0.25, 1.0, 0.75]),
+        lambda x: WeightedPauliSum.from_terms(
+            1, [(complex(x[0], x[1]), "X"), (x[2], "Z")], x[3])),
+    "WeightedPauliSum.identity": (
+        lambda: np.array([0.25]),
+        lambda x: WeightedPauliSum.identity(2, x[0])),
 }
 
 

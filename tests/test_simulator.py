@@ -16,7 +16,7 @@ from fermisim.circuits import (
     gate_census,
 )
 from fermisim.compiler import compile_evolution, plan_for_model
-from fermisim.experiments import _model_checkpoints
+from fermisim.experiments import _model_checkpoints, reachable_indices
 from fermisim.fermions import (
     coupling_matrices,
     four_mode_ahm,
@@ -32,7 +32,6 @@ from fermisim.simulator import (
     DensityState,
     NoiseModel,
     PureState,
-    accessible_indices,
     apply_circuit,
     basis_state,
     circuit_channel,
@@ -43,7 +42,6 @@ from fermisim.simulator import (
     invariant_support,
     lower_circuit,
     mode_occupations,
-    other_state_population,
     prepare_input,
     state_fidelity,
 )
@@ -616,31 +614,43 @@ class TestNoiseCalibration:
         assert 0.90 < f < 0.99
 
 
+def other_population(state, model) -> float:
+    return 1.0 - state.probabilities()[reachable_indices(model)].sum()
+
+
 class TestOtherStates:
     def test_noiseless_run_stays_accessible(self):
         model = three_mode_model(1.0, 1.0)
         st = prepare_input("three_mode")
-        acc = accessible_indices(model.hoppings, 3, st)
         evolved = exact_evolve(spin_hamiltonian(model), 1.7, st)
-        assert other_state_population(evolved, acc) == pytest.approx(
+        assert other_population(evolved, model) == pytest.approx(
             0.0, abs=1e-9)
 
     def test_three_mode_sector_size(self):
-        model = three_mode_model(1.0, 0.0)
-        acc = accessible_indices(model.hoppings, 3,
-                                 prepare_input("three_mode"))
-        assert len(acc) == 3  # two particles on a connected 3-chain
+        # two particles on a connected 3-chain
+        assert len(reachable_indices(three_mode_model(1.0, 0.0))) == 3
 
     def test_two_mode_mixed_sectors(self):
-        model = two_mode_model(1.0, 1.0)
-        acc = accessible_indices(model.hoppings, 2,
-                                 prepare_input("two_mode"))
-        assert len(acc) == 3  # one- and two-particle sectors, no vacuum
+        # one- and two-particle sectors, no vacuum
+        assert len(reachable_indices(two_mode_model(1.0, 1.0))) == 3
 
     def test_depolarized_state_leaks(self):
         model = three_mode_model(1.0, 1.0)
         st = prepare_input("three_mode")
-        acc = accessible_indices(model.hoppings, 3, st)
         plan = plan_for_model(model, 1.0, 1)
         noisy = apply_circuit(st, compile_evolution(plan), NoiseModel())
-        assert other_state_population(noisy, acc) > 1e-3
+        assert other_population(noisy, model) > 1e-3
+
+    @pytest.mark.parametrize("model, want", [
+        (two_mode_model(1.0, 1.0), [0, 1, 2]),
+        (three_mode_model(1.0, 0.0), [1, 2, 4]),
+        (three_mode_model(1.0, 1.0), [1, 2, 4]),
+        (four_mode_ahm(1.0, 1.0, 0.0, 1.0), [5, 6, 9, 10]),
+    ])
+    def test_experiment_models_cached_read_only(self, model, want):
+        # the number-conserving sectors of the experiments' inputs
+        reachable = reachable_indices(model)
+        assert reachable.tolist() == want
+        assert reachable_indices(model) is reachable
+        with pytest.raises(ValueError):
+            reachable[0] = 3
