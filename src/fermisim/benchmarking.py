@@ -15,18 +15,29 @@ inverse is found by hashing the adjoint.
 Benchmarking runs sequences of uniformly random Cliffords (optionally
 interleaving a fixed circuit after each one), appends the recovery
 Clifford inverting the whole sequence, and simulates under the
-configured per-gate depolarizing noise.  Each run builds the 16x16 noisy
-channel of every generator (and of the interleaved circuit) once; a
-sequence is then mat-vecs on vec(|00><00|) along each Clifford's
-generator word, and the unitary product only finds the recovery.  A
-table of all 11520 element channels (about 47 MB, built at set-up) is
-deliberately not kept.  Sequence fidelity is the ground-state return
-probability.  Decays are fitted to A p^m + B and interleaved gate
-errors extracted with the ratio formula r = (1 - p_int/p_ref)(d - 1)/d.
+configured per-gate depolarizing noise in the Pauli-transfer picture:
+a channel S on rho.reshape(-1) becomes the real PTM R = B* S B^T / d,
+B stacking the Pauli strings.  A Clifford gate under depolarizing noise
+maps each Pauli string to one Pauli string times a factor, so every
+generator's PTM is monomial: one nonzero per column, in the row its
+noiseless PTM puts it.  Each run takes the noisy generator PTMs from
+``circuit_channel`` (the one source of noise) and walks the generator
+words of all drawn elements and recoveries at once, a gather and a
+multiply per word position.  A sequence's map is the time-ordered
+product of R_int R_e, formed pairwise and batched over the sequences
+of one length; the recovery comes from the same pairwise product of
+the ideal unitaries and one batched key lookup.  The only per-group
+tables are the padded int8 generator words (about 160 KB for the
+two-qubit group) and the generators' noiseless row maps, built on the
+first RB use; no per-element channel is ever cached.  Sequence fidelity
+is the ground-state return probability.  Decays are fitted to
+A p^m + B and interleaved gate errors extracted with the ratio formula
+r = (1 - p_int/p_ref)(d - 1)/d.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,12 +46,19 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .circuits import Circuit, Gate, circuit_unitary
-from .simulator import DensityState, NoiseModel, circuit_channel
+from .pauli import PAULI_LABELS, PauliString
+from .simulator import (
+    DensityState,
+    NoiseModel,
+    circuit_channel,
+    ordered_product,
+)
 
 SINGLE_QUBIT_ORDER = 24
 TWO_QUBIT_ORDER = 11520
 KEY_DECIMALS = 8  # rounding of a phase-fixed unitary before hashing
 _KEY_BLOCK = 64  # frontier rows per stacked product; bounds temporaries
+MONOMIAL_TOL = 1e-12  # rounding a Clifford PTM may carry off its pattern
 
 
 class ClosureError(RuntimeError):
@@ -100,8 +118,10 @@ class CliffordElement:
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``; its writeable flag cannot be set
+    back, because its base is read-only too."""
     array.flags.writeable = False
-    return array
+    return array.view()
 
 
 class CliffordGroup:
@@ -164,6 +184,26 @@ class CliffordGroup:
     def contains_unitary(self, u: np.ndarray) -> bool:
         return self.index_of(u) is not None
 
+    @functools.cached_property
+    def word_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """RB's noise-free tables, built on first use and read-only.
+
+        ``words`` is the (elements, longest word) int8 table of generator
+        indices, padded with ``len(generators)``, an identity generator;
+        ``row_maps[g, b]`` is the row of column b's one nonzero in
+        generator g's noiseless PTM, the identity's last.
+        """
+        pad = len(self.generators)
+        words = np.full((len(self), max(len(e.word) for e in self.elements)),
+                        pad, dtype=np.int8)
+        for element in self.elements:
+            words[element.index, :len(element.word)] = element.word
+        ptms = _ptm(np.array([circuit_channel(g) for g in self.generators]))
+        row_maps = np.argmax(np.abs(ptms), axis=-2)
+        _monomial_weights(ptms, row_maps)  # raises unless each is Clifford
+        row_maps = np.vstack([row_maps, np.arange(4 ** self.qubit_count)])
+        return _read_only(words), _read_only(row_maps)
+
 
 # keyed on the qubit count, however the caller spells two_qubit
 _cached_group = functools.cache(CliffordGroup)
@@ -174,10 +214,42 @@ def clifford_group(two_qubit: bool = True) -> CliffordGroup:
     return _cached_group(2 if two_qubit else 1)
 
 
-def _rb_channels(group: CliffordGroup, interleaved: Circuit | None,
-                 noise: NoiseModel):
-    """Generator channels, and None or the interleaved (channel, unitary)."""
-    pair = None
+@functools.cache
+def _pauli_basis(qubit_count: int) -> np.ndarray:
+    """(4^n, 4^n): row a is the row-major vec of the a-th Pauli string,
+    strings in label order (I, X, Y, Z per factor)."""
+    labels = itertools.product(PAULI_LABELS, repeat=qubit_count)
+    return _read_only(np.array([PauliString(label).dense().reshape(-1)
+                                for label in labels]))
+
+
+def _ptm(channels: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrices R = B* S B^T / d of a (..., 4^n, 4^n)
+    stack of channels S acting on rho.reshape(-1), as
+    :func:`circuit_channel` returns them."""
+    qubit_count = (channels.shape[-1].bit_length() - 1) // 2
+    basis = _pauli_basis(qubit_count)
+    return (basis.conj() @ channels @ basis.T).real / 2 ** qubit_count
+
+
+def _monomial_weights(ptms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The entry of each column b in row ``rows[..., b]`` of a stack of
+    PTMs; ValueError if any column has weight in another row."""
+    weights = np.take_along_axis(ptms, rows[..., None, :], axis=-2)[..., 0, :]
+    off = np.abs(ptms).sum(axis=-2) - np.abs(weights)
+    if np.max(off) > MONOMIAL_TOL:
+        raise ValueError(f"PTM has weight {np.max(off):.3g} off its "
+                         f"monomial pattern")
+    return weights
+
+
+def _rb_maps(group: CliffordGroup, interleaved: Circuit | None,
+             noise: NoiseModel):
+    """One run's noisy maps: the (generators + 1, 4^n) weights of each
+    generator's monomial PTM (the identity pad's last, all ones), and the
+    PTM and unitary of the interleaved circuit (the identity for None)."""
+    size = 4 ** group.qubit_count
+    ptm, u = np.eye(size), np.eye(2 ** group.qubit_count, dtype=complex)
     if interleaved is not None:
         if interleaved.qubit_count != group.qubit_count:
             raise ValueError("interleaved circuit has wrong qubit count")
@@ -187,34 +259,80 @@ def _rb_channels(group: CliffordGroup, interleaved: Circuit | None,
                 "interleaved circuit is not a Clifford; unitary:\n"
                 f"{np.round(u, 4)}"
             )
-        pair = (circuit_channel(interleaved, noise), u)
-    generators = [circuit_channel(g, noise) for g in group.generators]
-    return generators, pair
+        ptm = _ptm(circuit_channel(interleaved, noise))
+    ptms = _ptm(np.array([circuit_channel(g, noise)
+                          for g in group.generators]))
+    weights = _monomial_weights(ptms, group.word_tables[1][:-1])
+    return np.vstack([weights, np.ones(size)]), (ptm, u)
 
 
-def _sequence_return_probability(group, indices, generators, interleaved):
-    """Ground-state return probability of one sequence plus recovery."""
+def _walk_words(group: CliffordGroup, indices: np.ndarray,
+                weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The monomial PTMs of group elements as (rows, scale), each of
+    shape (len(indices), 4^n): column b's one nonzero is scale[b] in row
+    rows[b].  All elements walk their generator words at once."""
+    words, row_maps = group.word_tables
+    size = row_maps.shape[1]
+    flat_maps, flat_weights = row_maps.ravel(), weights.ravel()
+    rows = np.broadcast_to(np.arange(size), (len(indices), size))
+    scale = np.ones((len(indices), size))
+    # one word position at a time: each element's generator offset
+    for offset in words[indices].T.astype(np.intp)[:, :, None] * size:
+        at = offset + rows
+        scale = scale * flat_weights[at]
+        rows = flat_maps[at]
+    return rows, scale
+
+
+def _after(first: np.ndarray, rows: np.ndarray,
+           scale: np.ndarray) -> np.ndarray:
+    """first @ R for every monomial PTM R given as (rows, scale) by
+    :func:`_walk_words`: column b of the product is scale[b] times
+    column rows[b] of ``first``."""
+    return np.swapaxes(first.T[rows] * scale[..., None], -1, -2)
+
+
+def _return_probabilities(group: CliffordGroup, draws: list[np.ndarray],
+                          weights: np.ndarray, pair) -> list[np.ndarray]:
+    """Ground-state return probability of every sequence plus recovery.
+
+    ``draws`` holds one (k, m) array of element indices per sequence
+    length, ``pair`` the interleaved (PTM, unitary); the result holds one
+    (k,) array per entry of ``draws``.
+    """
+    ptm, u = pair
     n = group.qubit_count
     dim = 2 ** n
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[0] = 1.0
-    total = np.eye(dim, dtype=complex)
-    for idx in indices:
-        element = group.elements[idx]
-        for gi in element.word:
-            vec = generators[gi] @ vec
-        total = element.unitary @ total
-        if interleaved is not None:
-            channel, u = interleaved
-            vec = channel @ vec
-            total = u @ total
-    recovery = group.index_of(total.conj().T)
-    if recovery is None:
+    drawn = np.concatenate([indices.ravel() for indices in draws])
+    ideal = u @ np.array([group.elements[i].unitary for i in drawn.tolist()])
+    bounds = np.cumsum([0] + [indices.size for indices in draws])
+    totals = np.concatenate([
+        ordered_product(ideal[lo:hi].reshape(indices.shape + (dim, dim)))
+        for indices, lo, hi in zip(draws, bounds, bounds[1:])
+    ])
+    keys = _phase_fixed_keys(totals.conj().transpose(0, 2, 1))
+    recovery = [group._lookup.get(key) for key in keys]
+    if None in recovery:
         raise ClosureError("sequence product left the Clifford group")
-    for gi in group.elements[recovery].word:
-        vec = generators[gi] @ vec
-    out = DensityState(vec.reshape(dim, dim), n)
-    return float(out.probabilities()[0])
+    rows, scale = _walk_words(group, np.concatenate([drawn, recovery]),
+                              weights)
+    basis = _pauli_basis(n)
+    start = basis[:, 0].real  # Pauli vector of |0..0><0..0|
+    out = []
+    last = len(drawn)  # the next recovery
+    for indices, lo, hi in zip(draws, bounds, bounds[1:]):
+        k = len(indices)
+        seq = _after(ptm, rows[lo:hi], scale[lo:hi])
+        before = ordered_product(seq.reshape(indices.shape + ptm.shape)
+                                 ) @ start
+        paulis = np.empty_like(before)  # the recovery's monomial PTM
+        paulis[np.arange(k)[:, None], rows[last:last + k]] = \
+            scale[last:last + k] * before
+        rhos = (paulis @ basis / dim).reshape(k, dim, dim)
+        out.append(np.array([DensityState(rho, n).probabilities()[0]
+                             for rho in rhos]))
+        last += k
+    return out
 
 
 def rb_run(m_values, k_sequences: int, interleaved: Circuit | None,
@@ -228,22 +346,24 @@ def rb_run(m_values, k_sequences: int, interleaved: Circuit | None,
     """
     if group is None:
         group = clifford_group(two_qubit=True)
-    generators, pair = _rb_channels(group, interleaved, noise)
+    weights, pair = _rb_maps(group, interleaved, noise)
     ms = sorted(int(m) for m in m_values)
-    if any(m < 1 for m in ms):
-        raise ValueError("sequence lengths must be >= 1")
-    means, errs = [], []
+    if not ms or ms[0] < 1:
+        raise ValueError("need one or more sequence lengths, each >= 1")
+    if k_sequences < 1:
+        raise ValueError("need at least one sequence per length")
     order = len(group)
-    for mi, m in enumerate(ms):
-        vals = []
-        for j in range(k_sequences):
-            rng = np.random.default_rng(
+    draws = [
+        np.array([
+            np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(mi, j))
-            )
-            indices = rng.integers(order, size=m)
-            vals.append(_sequence_return_probability(
-                group, indices, generators, pair))
-        vals = np.array(vals)
+            ).integers(order, size=m)
+            for j in range(k_sequences)
+        ])
+        for mi, m in enumerate(ms)
+    ]
+    means, errs = [], []
+    for vals in _return_probabilities(group, draws, weights, pair):
         means.append(float(vals.mean()))
         errs.append(float(vals.std(ddof=1) / math.sqrt(len(vals)))
                     if len(vals) > 1 else 0.0)

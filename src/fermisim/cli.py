@@ -14,6 +14,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -99,7 +100,10 @@ def _add_common(parser) -> None:
     parser.add_argument("--config", help="JSON config file to merge")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as
+    it was, so every invocation shares it."""
     parser = argparse.ArgumentParser(
         prog="fermisim",
         description="Fermionic-model circuit compilation and verification "
@@ -151,8 +155,7 @@ def _sweep_values(args) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _build_config(args)
         if args.command == "run":

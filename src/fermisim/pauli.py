@@ -122,9 +122,7 @@ class PauliString:
 
 
 def _canonical_terms(qubit_count, raw_terms, offset):
-    """Fold phases into coefficients, combine like strings, split identity.
-
-    A non-finite coefficient or offset raises ValueError."""
+    """Fold phases into coefficients, combine like strings, split identity."""
     acc: dict[tuple[str, ...], complex] = {}
     for coeff, string in raw_terms:
         if string.qubit_count != qubit_count:
@@ -137,17 +135,12 @@ def _canonical_terms(qubit_count, raw_terms, offset):
     identity = ("I",) * qubit_count
     for key in sorted(acc):
         c = acc[key]
-        if not cmath.isfinite(c):
-            raise ValueError(f"coefficient {c} of {''.join(key)} is not "
-                             f"finite")
         if abs(c) <= COEFF_TOL:
             continue
         if key == identity and abs(c.imag) <= COEFF_TOL:
             offset += c.real
             continue
         terms.append((c, PauliString(key)))
-    if not math.isfinite(offset):
-        raise ValueError(f"scalar offset {offset} is not finite")
     return tuple(terms), float(offset)
 
 
@@ -158,12 +151,22 @@ class WeightedPauliSum:
     The all-identity component is kept separately in ``scalar_offset``
     (it only ever contributes a global phase to evolutions).  Terms are
     stored canonically: phases folded into coefficients, like strings
-    combined, deterministic label order.
+    combined, deterministic label order.  Every constructor, the bare
+    one included, rejects a non-finite coefficient or offset.
     """
 
     qubit_count: int
     terms: tuple[tuple[complex, PauliString], ...] = ()
     scalar_offset: float = 0.0
+
+    def __post_init__(self):
+        for c, s in self.terms:
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {c} of {s.label()} is not "
+                                 f"finite")
+        if not math.isfinite(self.scalar_offset):
+            raise ValueError(f"scalar offset {self.scalar_offset} is not "
+                             f"finite")
 
     @classmethod
     def from_terms(cls, qubit_count, terms, scalar_offset=0.0) -> WeightedPauliSum:

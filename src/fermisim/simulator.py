@@ -311,6 +311,21 @@ def invariant_support(hamiltonians: np.ndarray,
         inside = grown
 
 
+def ordered_product(factors: np.ndarray) -> np.ndarray:
+    """Time-ordered product of a (batch, count, d, d) stack: for each
+    batch row, ``factors[count - 1] @ ... @ factors[0]``.
+
+    Pairwise: each level multiplies neighbours (later @ earlier) in one
+    batched matmul, about log2(count) levels; the last factor of a level
+    of odd length passes to the next level as it is.
+    """
+    while (count := factors.shape[1]) > 1:
+        pairs = factors[:, 1::2] @ factors[:, 0:count - 1:2]
+        factors = (np.concatenate([pairs, factors[:, -1:]], axis=1)
+                   if count % 2 else pairs)
+    return factors[:, 0]
+
+
 def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
                   every: int | None = None) -> list[PureState]:
     """Apply exp(-i H_k dt_k) for k = 0, 1, ... in order.
@@ -325,10 +340,9 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     All arithmetic runs on the state's :func:`invariant_support`, and
     the window states get exact zeros outside it; on the full space it
     is the same arithmetic as on the full matrices.  Each window's
-    ``every`` slice propagators are multiplied into one by a pairwise,
-    time-ordered batched product (all windows at once, about
-    log2(every) levels), and only the window propagators touch the
-    state.
+    ``every`` slice propagators are multiplied into one by
+    :func:`ordered_product` (all windows at once), and only the window
+    propagators touch the state.
     """
     hs = np.asarray(hamiltonians)
     dim = 2 ** state.qubit_count
@@ -348,15 +362,9 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     with np.errstate(over="raise", invalid="raise"):  # no NaN phases
         phases = np.exp(-1j * vals * dts[:, None])
     props = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    props = props.reshape(-1, every, sub, sub)
-    while props.shape[1] > 1:
-        if props.shape[1] % 2:  # pad with the identity as a last slice
-            pad = np.broadcast_to(np.eye(sub), (len(props), 1, sub, sub))
-            props = np.concatenate([props, pad], axis=1)
-        props = props[:, 1::2] @ props[:, 0::2]  # later @ earlier
     amps = state.amplitudes[support]
     out = []
-    for u in props[:, 0]:
+    for u in ordered_product(props.reshape(-1, every, sub, sub)):
         amps = u @ amps
         full = np.zeros(dim, dtype=complex)
         full[support] = amps

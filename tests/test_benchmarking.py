@@ -8,14 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fermisim.benchmarking as benchmarking
 from fermisim.benchmarking import (
     KEY_DECIMALS,
+    ClosureError,
     DecayFit,
     FitError,
-    _rb_channels,
-    _sequence_return_probability,
+    _after,
+    _ptm,
+    _rb_maps,
+    _return_probabilities,
+    _walk_words,
     clifford_group,
     extract_interleaved_error,
     fit_decay,
@@ -27,7 +33,13 @@ from fermisim.compiler import compile_zz_block, plan_for_model, \
     compile_trotter_step
 from fermisim.experiments import quarter_angle_step_circuit
 from fermisim.fermions import two_mode_model
-from fermisim.simulator import NoiseModel, apply_circuit, basis_state
+from fermisim.simulator import (
+    DensityState,
+    NoiseModel,
+    apply_circuit,
+    basis_state,
+    circuit_channel,
+)
 from fermisim.tomography import simulate_qpt_dataset
 
 GOLDEN = Path(__file__).parent / "data" / "pre_kernel_golden.json"
@@ -185,6 +197,25 @@ class TestCachedGroup:
                 "assert b._cached_group.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", code], check=True)
 
+    def test_word_tables_built_on_first_rb_use_only(self):
+        code = "\n".join([
+            "import numpy as np, pytest",
+            "import fermisim, fermisim.benchmarking as b",
+            "from fermisim.simulator import NoiseModel",
+            "group = fermisim.clifford_group()",
+            "assert 'word_tables' not in vars(group)",
+            "b.rb_run([1, 2], 1, None, NoiseModel(), 0, group)",
+            "words, row_maps = vars(group)['word_tables']",
+            "assert words.dtype == np.int8 and words.shape == (11520, 14)",
+            "assert row_maps.shape == (6, 16)",
+            "for table in (words, row_maps):",
+            "    with pytest.raises(ValueError):",
+            "        table[0, 0] = 1",
+            "    with pytest.raises(ValueError):",
+            "        table.flags.writeable = True",
+        ])
+        subprocess.run([sys.executable, "-c", code], check=True)
+
 
 class TestRbRun:
     def test_noise_free_sequences_return(self, group2):
@@ -212,6 +243,14 @@ class TestRbRun:
         bad = Circuit(2, (Gate("CZPHI", (0, 1), 0.3),))
         with pytest.raises(ValueError, match="not a Clifford"):
             rb_run([1, 2], 2, bad, NoiseModel(), seed=1, group=group2)
+
+    def test_no_sequences_rejected(self, group1):
+        # zero sequences per length used to give NaN means
+        with pytest.raises(ValueError, match="at least one sequence"):
+            rb_run([1, 2], 0, None, NoiseModel(), seed=1, group=group1)
+        for ms in ([], [0, 3]):
+            with pytest.raises(ValueError, match="sequence lengths"):
+                rb_run(ms, 2, None, NoiseModel(), seed=1, group=group1)
 
     def test_deterministic_under_seed(self, group2):
         a = rb_run([1, 4], 3, None, NoiseModel(), seed=11, group=group2)
@@ -308,15 +347,73 @@ def _interleaved_circuits():
             "step": quarter_angle_step_circuit()}
 
 
+def _reference_rb_channels(group, interleaved, noise):
+    """The per-run channels of the mat-vec path the PTM walk replaced:
+    the generators' noisy channels, and None or the interleaved
+    (channel, unitary)."""
+    pair = None
+    if interleaved is not None:
+        pair = (circuit_channel(interleaved, noise),
+                circuit_unitary(interleaved))
+    return [circuit_channel(g, noise) for g in group.generators], pair
+
+
+def _reference_return_probability(group, indices, generators, interleaved):
+    """One sequence through per-generator mat-vecs on vec(|00><00|), as
+    the PTM walk's parent computed it."""
+    n = group.qubit_count
+    dim = 2 ** n
+    vec = np.zeros(dim * dim, dtype=complex)
+    vec[0] = 1.0
+    total = np.eye(dim, dtype=complex)
+    for idx in indices:
+        element = group.elements[idx]
+        for gi in element.word:
+            vec = generators[gi] @ vec
+        total = element.unitary @ total
+        if interleaved is not None:
+            channel, u = interleaved
+            vec = channel @ vec
+            total = u @ total
+    recovery = group.index_of(total.conj().T)
+    if recovery is None:
+        raise ClosureError("sequence product left the Clifford group")
+    for gi in group.elements[recovery].word:
+        vec = generators[gi] @ vec
+    out = DensityState(vec.reshape(dim, dim), n)
+    return float(out.probabilities()[0])
+
+
+def _reference_rb_run(m_values, k_sequences, interleaved, noise, seed,
+                      group):
+    """rb_run's table through the reference mat-vec path, same draws."""
+    generators, pair = _reference_rb_channels(group, interleaved, noise)
+    ms = sorted(int(m) for m in m_values)
+    means, errs = [], []
+    for mi, m in enumerate(ms):
+        vals = []
+        for j in range(k_sequences):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(mi, j)))
+            indices = rng.integers(len(group), size=m)
+            vals.append(_reference_return_probability(
+                group, indices, generators, pair))
+        vals = np.array(vals)
+        means.append(float(vals.mean()))
+        errs.append(float(vals.std(ddof=1) / math.sqrt(len(vals)))
+                    if len(vals) > 1 else 0.0)
+    return {"m": ms, "mean": means, "stderr": errs}
+
+
 class TestSequenceChannels:
     @pytest.mark.parametrize("scale", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("tag", ["ref", "zz", "step"])
     def test_matches_gate_by_gate_simulation(self, group2, scale, tag):
-        # generator-channel mat-vecs equal running the whole expanded
-        # sequence, recovery included, through apply_circuit
+        # the PTM walk and pairwise product equal running the whole
+        # expanded sequence, recovery included, through apply_circuit
         interleaved = _interleaved_circuits()[tag]
         noise = NoiseModel().scaled(scale)
-        generators, pair = _rb_channels(group2, interleaved, noise)
+        weights, pair = _rb_maps(group2, interleaved, noise)
         rng = np.random.default_rng(int(10 * scale) + len(tag))
         for _ in range(3):
             indices = rng.integers(len(group2), size=int(rng.integers(1, 7)))
@@ -332,9 +429,49 @@ class TestSequenceChannels:
             circuit = circuit.concat(group2.decomposition(recovery))
             want = apply_circuit(basis_state(2), circuit,
                                  noise).probabilities()[0]
-            got = _sequence_return_probability(group2, indices, generators,
-                                               pair)
+            [[got]] = _return_probabilities(group2, [indices[None]],
+                                            weights, pair)
             assert abs(got - want) < 1e-13
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.booleans(), st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+           st.lists(st.integers(0, 11519), min_size=1, max_size=4))
+    def test_word_walk_is_the_element_ptm(self, two_qubit, scale, drawn):
+        group = clifford_group(two_qubit)
+        indices = np.array(drawn) % len(group)
+        noise = NoiseModel().scaled(scale)
+        weights, _ = _rb_maps(group, None, noise)
+        rows, scales = _walk_words(group, indices, weights)
+        got = _after(np.eye(rows.shape[1]), rows, scales)
+        for ptm, idx in zip(got, indices):
+            want = _ptm(circuit_channel(group.decomposition(int(idx)), noise))
+            assert np.max(np.abs(ptm - want)) < 1e-13
+
+    def test_non_monomial_generator_ptm_raises(self, group2, monkeypatch):
+        # a small non-Clifford rotation after each noisy generator spreads
+        # its PTM columns over several Pauli strings
+        def tilted(circuit, noise=None):
+            if noise is not None:
+                circuit = circuit.concat(
+                    Circuit(2, (Gate("RY", (0,), 0.1),)))
+            return circuit_channel(circuit, noise)
+
+        monkeypatch.setattr(benchmarking, "circuit_channel", tilted)
+        with pytest.raises(ValueError, match="monomial"):
+            _rb_maps(group2, None, NoiseModel())
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("tag", ["ref", "zz", "step"])
+    def test_rb_run_matches_reference_matvec_path(self, group2, tag, scale,
+                                                   k):
+        args = ([1, 5, 10, 20, 40, 60], k, _interleaved_circuits()[tag],
+                NoiseModel().scaled(scale), 23)
+        got = rb_run(*args, group=group2)
+        want = _reference_rb_run(*args, group2)
+        assert got["m"] == want["m"]
+        for key in ("mean", "stderr"):
+            assert np.allclose(got[key], want[key], rtol=0, atol=1e-13)
 
 
 class TestPreKernelGolden:

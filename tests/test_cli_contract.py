@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fermisim.experiments as experiments
-from fermisim.cli import main
+from fermisim.cli import build_parser, main
 from fermisim.experiments import (
     EXPERIMENTS,
     ORDERING_ALIASES,
@@ -116,3 +116,14 @@ def test_sweep_values_keep_the_exit_contract(tmp_path, stub_runners,
     code = main(["sweep", "--experiment", experiment, "--axis", axis,
                  "--values", *values, "--out", str(tmp_path / "sweep")])
     assert code in CONTRACT_CODES
+
+
+def test_parser_is_built_once_and_shared():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["run", "--experiment", "fig3", "--steps", "4"])
+    second = parser.parse_args(["sweep", "--experiment", "fig3", "--axis",
+                                "steps", "--values", "1"])
+    assert (first.command, first.steps) == ("run", 4)
+    assert (second.command, second.steps, second.values) == \
+        ("sweep", None, ["1"])

@@ -47,6 +47,11 @@ VALIDATED = {
     "WeightedPauliSum.identity": (
         lambda: np.array([0.25]),
         lambda x: WeightedPauliSum.identity(2, x[0])),
+    # the bare dataclass constructor, laid out like from_terms
+    "WeightedPauliSum": (
+        lambda: np.array([0.5, -0.25, 1.0]),
+        lambda x: WeightedPauliSum(
+            1, ((complex(x[0], x[1]), PauliString(("X",))),), x[2])),
 }
 
 
