@@ -1,43 +1,35 @@
 """Clifford-group machinery and interleaved randomized benchmarking.
 
-The one- and two-qubit Clifford groups (orders 24 and 11520) are built
-by breadth-first closure over generator unitaries, deduplicated with a
-global-phase-fixed hash.  The closure runs a BFS level at a time: blocks
-of frontier elements are multiplied by every generator in one stacked
-matmul and keyed in one vectorised pass, and Python only numbers the
-new keys, in (frontier element, generator) order.  Each element stores
-its generator word, which doubles as a hardware gate decomposition (H
-as a half-turn plus pi pulse, S as a virtual phase, CZ as the pi-phase
-entangler), and a read-only view of its unitary into its level's
-array; the group is cached per process and built on first use.  An
-inverse is found by hashing the adjoint.
+A channel S on rho.reshape(-1) has the real Pauli transfer matrix (PTM)
+R = B* S B^T / d, B stacking the Pauli strings.  A Clifford modulo
+global phase is exactly its PTM, a signed permutation, so each element's
+one identity is its int8 code, ``code[b] = sign * (row + 1)`` for the
+one nonzero of column b.  Codes compose by a gather and invert by a
+scatter, exactly, and their bytes key the dict that numbers the
+elements.  A unitary is an element only if its PTM is monomial with
+weights +-1 to within ``MONOMIAL_TOL``.
 
-Benchmarking runs sequences of uniformly random Cliffords (optionally
-interleaving a fixed circuit after each one), appends the recovery
-Clifford inverting the whole sequence, and simulates under the
-configured per-gate depolarizing noise in the Pauli-transfer picture:
-a channel S on rho.reshape(-1) becomes the real PTM R = B* S B^T / d,
-B stacking the Pauli strings.  A Clifford gate under depolarizing noise
-maps each Pauli string to one Pauli string times a factor, so every
-generator's PTM is monomial: one nonzero per column, in the row its
-noiseless PTM puts it.  Each run takes the noisy generator PTMs from
-``circuit_channel`` (the one source of noise) and walks the generator
-words of all drawn elements and recoveries at once, a gather and a
-multiply per word position.  A sequence's map is the time-ordered
-product of R_int R_e, formed pairwise and batched over the sequences
-of one length; the recovery comes from the same pairwise product of
-the ideal unitaries and one batched key lookup.  The only per-group
-tables are the padded int8 generator words (about 160 KB for the
-two-qubit group) and the generators' noiseless row maps, built on the
-first RB use; no per-element channel is ever cached.  Sequence fidelity
-is the ground-state return probability.  Decays are fitted to
-A p^m + B and interleaved gate errors extracted with the ratio formula
-r = (1 - p_int/p_ref)(d - 1)/d.
+The one- and two-qubit groups (orders 24 and 11520) come from a
+breadth-first closure over the generators' codes, one gather per level,
+numbered in (frontier element, generator) order.  Each element keeps its
+generator word, a hardware gate decomposition (H as a half-turn plus a
+pi pulse, S as a virtual phase, CZ as the pi-phase entangler).  Groups
+are cached per process and built on first use.
+
+RB runs sequences of uniformly random Cliffords (optionally each
+followed by a fixed interleaved circuit) and the recovery inverting the
+whole sequence, under per-gate depolarizing noise, under which a
+Clifford's PTM keeps its pattern and scales its weights.  Each run takes
+the noisy generator PTMs from ``circuit_channel`` (the one source of
+noise) and walks the words of all drawn elements and recoveries at once.
+A sequence's map, the time-ordered product of R_int R_e, and the codes'
+product that gives its recovery are formed pairwise.  Sequence fidelity
+is the ground-state return probability; decays are fitted to A p^m + B
+and interleaved errors taken from r = (1 - p_int/p_ref)(d - 1)/d.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,7 +38,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .circuits import Circuit, Gate, circuit_unitary
-from .pauli import PAULI_LABELS, PauliString
+from .pauli import pauli_basis, read_only
 from .simulator import (
     DensityState,
     NoiseModel,
@@ -56,8 +48,6 @@ from .simulator import (
 
 SINGLE_QUBIT_ORDER = 24
 TWO_QUBIT_ORDER = 11520
-KEY_DECIMALS = 8  # rounding of a phase-fixed unitary before hashing
-_KEY_BLOCK = 64  # frontier rows per stacked product; bounds temporaries
 MONOMIAL_TOL = 1e-12  # rounding a Clifford PTM may carry off its pattern
 
 
@@ -69,113 +59,136 @@ class FitError(RuntimeError):
     """Raised when decay data cannot support a fit."""
 
 
-def _hadamard_gates(q: int) -> tuple[Gate, ...]:
-    return (Gate("RY", (q,), math.pi / 2), Gate("PI_X", (q,)))
-
-
-def _phase_gates(q: int) -> tuple[Gate, ...]:
-    return (Gate("VIRTUAL_Z", (q,), math.pi / 2),)
-
-
 def _generators(n: int) -> list[Circuit]:
+    """H then S on each qubit, then CZ."""
     gens = []
     for q in range(n):
-        gens.append(Circuit(n, _hadamard_gates(q)))
-        gens.append(Circuit(n, _phase_gates(q)))
+        gens.append(Circuit(n, (Gate("RY", (q,), math.pi / 2),
+                                Gate("PI_X", (q,)))))
+        gens.append(Circuit(n, (Gate("VIRTUAL_Z", (q,), math.pi / 2),)))
     if n == 2:
         gens.append(Circuit(2, (Gate("CZPHI", (0, 1), math.pi),)))
     return gens
 
 
-def _phase_fixed_keys(stack: np.ndarray) -> list[bytes]:
-    """Hashable fingerprints of a (count, d, d) stack of unitaries, each
-    modulo global phase, in stack order.
-
-    The phase reference is the first entry (row-major) whose magnitude
-    clears a fixed threshold; Clifford entries are either ~0 or at least
-    1/4, so the choice is stable against accumulated rounding.  A real
-    stack is keyed as complex, like the group's own unitaries.
-    """
-    flat = stack.reshape(len(stack), -1).astype(complex, copy=False)
-    ref = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 0.1, axis=1)]
-    fixed = flat * (np.abs(ref) / ref)[:, None]
-    rounded = np.round(fixed, KEY_DECIMALS) + 0.0  # normalise -0.0
-    rows = np.ascontiguousarray(rounded)
-    row = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-    return rows.view(row)[:, 0].tolist()  # one bytes object per row
+def _ptm(channels: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrices R = B* S B^T / d of a (..., 4^n, 4^n)
+    stack of channels S acting on rho.reshape(-1), as
+    :func:`circuit_channel` returns them."""
+    qubit_count = (channels.shape[-1].bit_length() - 1) // 2
+    basis = pauli_basis(qubit_count).reshape(4 ** qubit_count, -1)
+    return (basis.conj() @ channels @ basis.T).real / 2 ** qubit_count
 
 
-def phase_fixed_key(u: np.ndarray) -> bytes:
-    """Fingerprint of one unitary modulo global phase: the closure's key."""
-    return _phase_fixed_keys(np.asarray(u)[None])[0]
+def _monomial_weights(ptms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The entry of each column b in row ``rows[..., b]`` of a stack of
+    PTMs; ValueError if any column has weight in another row."""
+    weights = np.take_along_axis(ptms, rows[..., None, :], axis=-2)[..., 0, :]
+    off = np.max(np.abs(ptms).sum(axis=-2) - np.abs(weights))
+    if not off <= MONOMIAL_TOL:
+        raise ValueError(f"PTM has weight {off:.3g} off its monomial pattern")
+    return weights
+
+
+def _codes(ptms: np.ndarray) -> np.ndarray:
+    """The codes of a stack of noiseless Clifford PTMs; ValueError
+    unless every PTM is monomial with weights +-1."""
+    rows = np.argmax(np.abs(ptms), axis=-2)
+    weights = _monomial_weights(ptms, rows)
+    off = np.max(np.abs(np.abs(weights) - 1.0))
+    if not off <= MONOMIAL_TOL:
+        raise ValueError(f"PTM weight is {off:.3g} off +-1")
+    return (np.sign(weights) * (rows + 1)).astype(np.int8)
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """The codes of ``earlier`` followed by ``later``, the PTM products
+    R_later @ R_earlier, broadcast over leading axes: one flat gather."""
+    later, earlier = np.broadcast_arrays(later, earlier)
+    size = later.shape[-1]
+    offsets = np.arange(0, later.size, size).reshape(earlier.shape[:-1] + (1,))
+    return later.reshape(-1)[np.abs(earlier) - 1 + offsets] * np.sign(earlier)
+
+
+def _inverse(codes: np.ndarray) -> np.ndarray:
+    """The inverse of each signed permutation in a (count, 4^n) stack."""
+    inverse = np.empty_like(codes)
+    columns = np.arange(1, codes.shape[-1] + 1, dtype=np.int8)
+    np.put_along_axis(inverse, np.abs(codes) - 1, np.sign(codes) * columns,
+                      axis=-1)
+    return inverse
+
+
+def _keys(codes: np.ndarray) -> list[bytes]:
+    """Each code's bytes, the group's exact dict key, in stack order."""
+    rows = np.ascontiguousarray(codes, dtype=np.int8)
+    return rows.view(np.dtype((np.void, rows.shape[-1])))[:, 0].tolist()
 
 
 @dataclass(frozen=True, slots=True)
 class CliffordElement:
     index: int
     word: tuple[int, ...]       # generator indices, applied in order
-    unitary: np.ndarray         # read-only view into its BFS level's array
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array``; its writeable flag cannot be set
-    back, because its base is read-only too."""
-    array.flags.writeable = False
-    return array.view()
 
 
 class CliffordGroup:
-    """Closure of the generator set with decomposition and lookup."""
+    """Closure of the generator set with decomposition and lookup;
+    ``codes[i]`` is element i's code (read-only)."""
 
     def __init__(self, qubit_count: int):
         if qubit_count not in (1, 2):
             raise ValueError("only 1- and 2-qubit groups are supported")
         self.qubit_count = qubit_count
         self.generators = _generators(qubit_count)
-        gens = np.array([circuit_unitary(g) for g in self.generators])
-        dim = 2 ** qubit_count
-        level = _read_only(np.eye(dim, dtype=complex)[None])
-        elements = [CliffordElement(0, (), level[0])]
-        lookup = {phase_fixed_key(level[0]): 0}
-        frontier = elements
-        while frontier:
-            fresh, parts = [], []  # (frontier row, generator); unitaries
-            for start in range(0, len(level), _KEY_BLOCK):
-                # products[f, g] = gens[g] @ level[start + f], numbered in
-                # this (frontier element, generator) order
-                products = gens[None] @ level[start:start + _KEY_BLOCK, None]
-                products = products.reshape(-1, dim, dim)
-                kept = []
-                for pos, key in enumerate(_phase_fixed_keys(products)):
-                    if key not in lookup:
-                        lookup[key] = len(elements) + len(fresh)
-                        fresh.append((start + pos // len(gens),
-                                      pos % len(gens)))
-                        kept.append(pos)
-                parts.append(products[kept])
-            level = _read_only(np.concatenate(parts))
-            frontier = [
-                CliffordElement(len(elements) + j,
-                                frontier[f].word + (g,), level[j])
-                for j, (f, g) in enumerate(fresh)
-            ]
-            elements.extend(frontier)
+        gens = _codes(_ptm(np.array([circuit_channel(g)
+                                     for g in self.generators])))
+        level = np.arange(1, 4 ** qubit_count + 1, dtype=np.int8)[None]
+        words, lookup, parts = [()], {level[0].tobytes(): 0}, [level]
+        while len(level):
+            first = len(words) - len(level)  # the index of level[0]
+            # products[f, g] is generator g after level[f], numbered in
+            # this (frontier element, generator) order
+            products = _compose(gens, level[:, None]).reshape(
+                -1, level.shape[1])
+            fresh = []
+            for pos, key in enumerate(_keys(products)):
+                if key not in lookup:
+                    lookup[key] = len(words)
+                    f, g = divmod(pos, len(gens))
+                    words.append(words[first + f] + (g,))
+                    fresh.append(pos)
+            level = products[fresh]
+            parts.append(level)
         expected = SINGLE_QUBIT_ORDER if qubit_count == 1 else TWO_QUBIT_ORDER
-        if len(elements) != expected:
+        if len(words) != expected:
             raise ClosureError(
-                f"closure produced {len(elements)} elements, "
+                f"closure produced {len(words)} elements, "
                 f"expected {expected}"
             )
-        self.elements = elements
+        self.elements = [CliffordElement(i, w) for i, w in enumerate(words)]
+        self.codes = read_only(np.concatenate(parts))
+        self.generator_codes = read_only(gens)
         self._lookup = lookup
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index_of(self, u: np.ndarray) -> int | None:
-        return self._lookup.get(phase_fixed_key(u))
+        """The index of the element equal to ``u`` up to global phase, or
+        None if ``u`` is no Clifford on this group's qubits."""
+        u = np.asarray(u)
+        if u.shape != (2 ** self.qubit_count,) * 2:
+            return None
+        try:
+            code = _codes(_ptm(np.kron(u, u.conj())))
+        except ValueError:
+            return None
+        return self._lookup.get(code.tobytes())
 
     def decomposition(self, index: int) -> Circuit:
+        if not 0 <= index < len(self):
+            raise ValueError(f"element index {index} outside "
+                             f"[0, {len(self)})")
         gates: list[Gate] = []
         for gi in self.elements[index].word:
             gates.extend(self.generators[gi].gates)
@@ -186,23 +199,18 @@ class CliffordGroup:
 
     @functools.cached_property
     def word_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """RB's noise-free tables, built on first use and read-only.
-
-        ``words`` is the (elements, longest word) int8 table of generator
-        indices, padded with ``len(generators)``, an identity generator;
-        ``row_maps[g, b]`` is the row of column b's one nonzero in
-        generator g's noiseless PTM, the identity's last.
-        """
+        """RB's noise-free tables, built on first use and read-only: the
+        (elements, longest word) int8 table of generator indices, padded
+        with ``len(generators)``, an identity generator; and ``row_maps``,
+        the rows of each generator's code, the identity's last."""
         pad = len(self.generators)
         words = np.full((len(self), max(len(e.word) for e in self.elements)),
                         pad, dtype=np.int8)
         for element in self.elements:
             words[element.index, :len(element.word)] = element.word
-        ptms = _ptm(np.array([circuit_channel(g) for g in self.generators]))
-        row_maps = np.argmax(np.abs(ptms), axis=-2)
-        _monomial_weights(ptms, row_maps)  # raises unless each is Clifford
-        row_maps = np.vstack([row_maps, np.arange(4 ** self.qubit_count)])
-        return _read_only(words), _read_only(row_maps)
+        row_maps = np.abs(np.vstack([self.generator_codes, self.codes[0]]))
+        row_maps = row_maps.astype(np.intp) - 1
+        return read_only(words), read_only(row_maps)
 
 
 # keyed on the qubit count, however the caller spells two_qubit
@@ -214,56 +222,29 @@ def clifford_group(two_qubit: bool = True) -> CliffordGroup:
     return _cached_group(2 if two_qubit else 1)
 
 
-@functools.cache
-def _pauli_basis(qubit_count: int) -> np.ndarray:
-    """(4^n, 4^n): row a is the row-major vec of the a-th Pauli string,
-    strings in label order (I, X, Y, Z per factor)."""
-    labels = itertools.product(PAULI_LABELS, repeat=qubit_count)
-    return _read_only(np.array([PauliString(label).dense().reshape(-1)
-                                for label in labels]))
-
-
-def _ptm(channels: np.ndarray) -> np.ndarray:
-    """Real Pauli transfer matrices R = B* S B^T / d of a (..., 4^n, 4^n)
-    stack of channels S acting on rho.reshape(-1), as
-    :func:`circuit_channel` returns them."""
-    qubit_count = (channels.shape[-1].bit_length() - 1) // 2
-    basis = _pauli_basis(qubit_count)
-    return (basis.conj() @ channels @ basis.T).real / 2 ** qubit_count
-
-
-def _monomial_weights(ptms: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The entry of each column b in row ``rows[..., b]`` of a stack of
-    PTMs; ValueError if any column has weight in another row."""
-    weights = np.take_along_axis(ptms, rows[..., None, :], axis=-2)[..., 0, :]
-    off = np.abs(ptms).sum(axis=-2) - np.abs(weights)
-    if np.max(off) > MONOMIAL_TOL:
-        raise ValueError(f"PTM has weight {np.max(off):.3g} off its "
-                         f"monomial pattern")
-    return weights
-
-
 def _rb_maps(group: CliffordGroup, interleaved: Circuit | None,
              noise: NoiseModel):
     """One run's noisy maps: the (generators + 1, 4^n) weights of each
     generator's monomial PTM (the identity pad's last, all ones), and the
-    PTM and unitary of the interleaved circuit (the identity for None)."""
+    noisy PTM and code of the interleaved circuit (identities for None)."""
     size = 4 ** group.qubit_count
-    ptm, u = np.eye(size), np.eye(2 ** group.qubit_count, dtype=complex)
+    ptm, code = np.eye(size), group.codes[0]
     if interleaved is not None:
         if interleaved.qubit_count != group.qubit_count:
             raise ValueError("interleaved circuit has wrong qubit count")
         u = circuit_unitary(interleaved)
-        if not group.contains_unitary(u):
+        index = group.index_of(u)
+        if index is None:
             raise ValueError(
                 "interleaved circuit is not a Clifford; unitary:\n"
                 f"{np.round(u, 4)}"
             )
-        ptm = _ptm(circuit_channel(interleaved, noise))
+        ptm, code = _ptm(circuit_channel(interleaved, noise)), \
+            group.codes[index]
     ptms = _ptm(np.array([circuit_channel(g, noise)
                           for g in group.generators]))
     weights = _monomial_weights(ptms, group.word_tables[1][:-1])
-    return np.vstack([weights, np.ones(size)]), (ptm, u)
+    return np.vstack([weights, np.ones(size)]), (ptm, code)
 
 
 def _walk_words(group: CliffordGroup, indices: np.ndarray,
@@ -297,26 +278,28 @@ def _return_probabilities(group: CliffordGroup, draws: list[np.ndarray],
     """Ground-state return probability of every sequence plus recovery.
 
     ``draws`` holds one (k, m) array of element indices per sequence
-    length, ``pair`` the interleaved (PTM, unitary); the result holds one
+    length, ``pair`` the interleaved (PTM, code); the result holds one
     (k,) array per entry of ``draws``.
     """
-    ptm, u = pair
+    ptm, code = pair
     n = group.qubit_count
     dim = 2 ** n
     drawn = np.concatenate([indices.ravel() for indices in draws])
-    ideal = u @ np.array([group.elements[i].unitary for i in drawn.tolist()])
     bounds = np.cumsum([0] + [indices.size for indices in draws])
-    totals = np.concatenate([
-        ordered_product(ideal[lo:hi].reshape(indices.shape + (dim, dim)))
-        for indices, lo, hi in zip(draws, bounds, bounds[1:])
-    ])
-    keys = _phase_fixed_keys(totals.conj().transpose(0, 2, 1))
-    recovery = [group._lookup.get(key) for key in keys]
-    if None in recovery:
-        raise ClosureError("sequence product left the Clifford group")
+    # the ideal totals of all lengths in one batch: each drawn element
+    # then the interleaved circuit, shorter rows padded with the identity
+    lengths = np.concatenate([np.full(len(i), i.shape[1]) for i in draws])
+    drawn_at = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.zeros(drawn_at.shape, dtype=np.intp)
+    padded[drawn_at] = drawn  # row-major, as ``drawn`` is
+    steps = np.where(drawn_at[..., None],
+                     _compose(code, group.codes[padded]), group.codes[0])
+    totals = ordered_product(steps, _compose)
+    # the group is closed, so every recovery is an element
+    recovery = [group._lookup[key] for key in _keys(_inverse(totals))]
     rows, scale = _walk_words(group, np.concatenate([drawn, recovery]),
                               weights)
-    basis = _pauli_basis(n)
+    basis = pauli_basis(n).reshape(4 ** n, -1)
     start = basis[:, 0].real  # Pauli vector of |0..0><0..0|
     out = []
     last = len(drawn)  # the next recovery

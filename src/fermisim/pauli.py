@@ -18,6 +18,8 @@ so they are safe to share across threads or processes.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -119,6 +121,22 @@ class PauliString:
             out = (out[:, None, :, None]
                    * PAULI_MATRICES[f][None, :, None, :]).reshape(d, d)
         return out
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``; its writeable flag cannot be set
+    back, because its base is read-only too."""
+    array.flags.writeable = False
+    return array.view()
+
+
+@functools.cache
+def pauli_basis(qubit_count: int) -> np.ndarray:
+    """The 4^n Pauli strings on ``qubit_count`` qubits as one read-only
+    (4^n, 2^n, 2^n) stack, in label order (I, X, Y, Z per factor, the
+    first factor most significant)."""
+    strings = itertools.product(PAULI_LABELS, repeat=qubit_count)
+    return read_only(np.array([PauliString(s).dense() for s in strings]))
 
 
 def _canonical_terms(qubit_count, raw_terms, offset):

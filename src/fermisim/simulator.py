@@ -311,16 +311,17 @@ def invariant_support(hamiltonians: np.ndarray,
         inside = grown
 
 
-def ordered_product(factors: np.ndarray) -> np.ndarray:
-    """Time-ordered product of a (batch, count, d, d) stack: for each
-    batch row, ``factors[count - 1] @ ... @ factors[0]``.
+def ordered_product(factors: np.ndarray, product=np.matmul) -> np.ndarray:
+    """Time-ordered product of a (batch, count, ...) stack: for each
+    batch row, ``factors[count - 1] @ ... @ factors[0]``, or the same
+    fold with ``product(later, earlier)`` in place of matmul.
 
     Pairwise: each level multiplies neighbours (later @ earlier) in one
-    batched matmul, about log2(count) levels; the last factor of a level
+    batched call, about log2(count) levels; the last factor of a level
     of odd length passes to the next level as it is.
     """
     while (count := factors.shape[1]) > 1:
-        pairs = factors[:, 1::2] @ factors[:, 0:count - 1:2]
+        pairs = product(factors[:, 1::2], factors[:, 0:count - 1:2])
         factors = (np.concatenate([pairs, factors[:, -1:]], axis=1)
                    if count % 2 else pairs)
     return factors[:, 0]

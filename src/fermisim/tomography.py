@@ -43,17 +43,14 @@ from scipy.optimize import minimize
 
 from .circuits import Circuit, Gate, circuit_unitary
 from .compiler import compile_zz_block, conjugate_basis
-from .pauli import PAULI_MATRICES
+from .pauli import pauli_basis
 from .simulator import PSD_TOL, DensityState, NoiseModel, circuit_channel
 
 BASIS_TAG = "IXYZ*IXYZ:row-major"
 PAULI_BASIS_LABELS = tuple(
     a + b for a in "IXYZ" for b in "IXYZ"
 )
-PAULI_BASIS = np.stack([
-    np.kron(PAULI_MATRICES[l[0]], PAULI_MATRICES[l[1]])
-    for l in PAULI_BASIS_LABELS
-])
+PAULI_BASIS = pauli_basis(2)
 
 PREP_GATE_LABELS = ("I", "X/2", "Y/2", "X")
 
@@ -128,7 +125,7 @@ class ProcessMatrix:
 
 def chi_of_unitary(u: np.ndarray) -> ProcessMatrix:
     """Rank-1 chi of a two-qubit unitary."""
-    coeffs = np.array([np.trace(e.conj().T @ u) / 4 for e in PAULI_BASIS])
+    coeffs = np.einsum("mab,ab->m", PAULI_BASIS.conj(), u) / 4
     return ProcessMatrix(np.outer(coeffs, coeffs.conj()))
 
 
@@ -404,8 +401,7 @@ def anticommutation_experiment(noise: NoiseModel | None = None,
     Returns their fidelities to the ideal processes; the composed
     process is compared against the identity channel.
     """
-    sx, sy = PAULI_MATRICES["X"], PAULI_MATRICES["Y"]
-    gen = (np.kron(sx, sx) + np.kron(sy, sy)) / 2
+    gen = (PAULI_BASIS[5] + PAULI_BASIS[10]) / 2  # (XX + YY) / 2
     ideal_1 = chi_of_unitary(expm(-1j * math.pi / 2 * gen))
     ideal_2 = chi_of_unitary(expm(1j * math.pi / 2 * gen))
     circuits = {

@@ -1,4 +1,5 @@
 """Clifford group closure and randomized benchmarking self-consistency."""
+import functools
 import inspect
 import json
 import math
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 import fermisim.benchmarking as benchmarking
 from fermisim.benchmarking import (
-    KEY_DECIMALS,
     ClosureError,
     DecayFit,
     FitError,
@@ -25,11 +25,10 @@ from fermisim.benchmarking import (
     clifford_group,
     extract_interleaved_error,
     fit_decay,
-    phase_fixed_key,
     rb_run,
 )
 from fermisim.circuits import Circuit, Gate, circuit_unitary, equal_up_to_phase
-from fermisim.compiler import compile_zz_block, plan_for_model, \
+from fermisim.compiler import ORDERINGS, compile_zz_block, plan_for_model, \
     compile_trotter_step
 from fermisim.experiments import quarter_angle_step_circuit
 from fermisim.fermions import two_mode_model
@@ -79,18 +78,20 @@ class TestCliffordGroup:
     def test_inverses(self, group2):
         rng = np.random.default_rng(1)
         for idx in rng.integers(len(group2), size=25):
-            u = group2.elements[int(idx)].unitary
+            u = circuit_unitary(group2.decomposition(idx))
             inv = group2.index_of(u.conj().T)
-            prod = group2.elements[inv].unitary @ u
+            prod = circuit_unitary(group2.decomposition(inv)) @ u
             assert equal_up_to_phase(prod, np.eye(4), tol=1e-8)
 
     def test_decompositions_reproduce_unitaries(self, group2):
+        # a decomposition's unitary is the element: its index and code
         rng = np.random.default_rng(2)
         for idx in rng.integers(len(group2), size=25):
-            c = group2.decomposition(int(idx))
-            assert equal_up_to_phase(
-                circuit_unitary(c), group2.elements[int(idx)].unitary,
-                tol=1e-8)
+            channel = circuit_channel(group2.decomposition(idx))
+            assert group2.index_of(
+                circuit_unitary(group2.decomposition(idx))) == idx
+            assert np.array_equal(benchmarking._codes(_ptm(channel)),
+                                  group2.codes[idx])
 
     def test_normalizes_pauli_group(self, group2):
         rng = np.random.default_rng(3)
@@ -99,13 +100,13 @@ class TestCliffordGroup:
                   np.kron(PAULI_1Q[3], np.eye(2)),
                   np.kron(np.eye(2), PAULI_1Q[3])]
         for idx in rng.integers(len(group2), size=10):
-            u = group2.elements[int(idx)].unitary
+            u = circuit_unitary(group2.decomposition(idx))
             for p in paulis:
                 assert is_pauli_up_to_phase(u @ p @ u.conj().T)
 
-    def test_phase_key_ignores_global_phase(self, group2):
-        u = group2.elements[137].unitary
-        assert phase_fixed_key(u) == phase_fixed_key(np.exp(0.3j) * u)
+    def test_index_ignores_global_phase(self, group2):
+        u = circuit_unitary(group2.decomposition(137))
+        assert group2.index_of(u) == group2.index_of(np.exp(0.3j) * u) == 137
 
     def test_membership(self, group2):
         zz = circuit_unitary(compile_zz_block(np.pi / 2, (0, 1)))
@@ -114,27 +115,58 @@ class TestCliffordGroup:
             Circuit(2, (Gate("CZPHI", (0, 1), 0.3),)))
         assert not group2.contains_unitary(not_clifford)
 
+    def test_membership_is_exact(self, group1, group2):
+        # a rounded unitary key used to accept CZPHI within 1e-8 of pi;
+        # the PTM of CZPHI(pi + delta) has weight about delta off its
+        # monomial pattern, a compiled Clifford's at most a few 1e-15
+        def czphi(phi):
+            return circuit_unitary(Circuit(2, (Gate("CZPHI", (0, 1), phi),)))
+
+        cliffords = [czphi(np.pi + 1e-14),
+                     circuit_unitary(compile_zz_block(np.pi / 2, (0, 1)))]
+        cliffords += [circuit_unitary(quarter_angle_step_circuit(ordering))
+                      for ordering in ORDERINGS]
+        for u in cliffords:
+            for phase in (1.0, np.exp(0.3j), -1j):
+                assert group2.contains_unitary(phase * u)
+        for delta in (1e-9, 1e-10):
+            assert not group2.contains_unitary(czphi(np.pi + delta))
+        # a matrix of the wrong size is no element
+        assert group2.index_of(np.eye(2)) is None
+        assert group1.index_of(np.eye(4)) is None
+
+    def test_decomposition_rejects_out_of_range_index(self, group1):
+        # -1 used to give the last element through negative indexing
+        for index in (-1, -len(group1), len(group1)):
+            with pytest.raises(ValueError, match="outside"):
+                group1.decomposition(index)
+        assert group1.decomposition(len(group1) - 1).gates
+
     def test_real_arrays_key_like_complex(self, group2):
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
         for real in (np.eye(4), np.kron(hadamard, np.eye(2))):
-            assert phase_fixed_key(real) == phase_fixed_key(real + 0j)
             assert group2.index_of(real) == group2.index_of(real + 0j)
             assert group2.contains_unitary(real)
         assert group2.index_of(np.eye(4)) == 0
 
 
+_REFERENCE_KEY_DECIMALS = 8  # the rounding of the unitary-keyed closure
+
+
 def _reference_key(u):
-    """The per-unitary phase-fixed key the batched key pass replaced."""
+    """The per-unitary phase-fixed key of the unitary-keyed closure."""
     flat = u.reshape(-1)
     idx = int(np.argmax(np.abs(flat) > 0.1))
     fixed = u * (abs(flat[idx]) / flat[idx])
-    rounded = np.round(fixed, KEY_DECIMALS) + 0.0
+    rounded = np.round(fixed, _REFERENCE_KEY_DECIMALS) + 0.0
     return rounded.tobytes()
 
 
+@functools.cache
 def _reference_closure(qubit_count):
-    """The per-element BFS the frontier-batched closure replaced:
-    (index, word, unitary) triples and the key -> index lookup."""
+    """The per-element BFS over unitaries that the signed-permutation
+    closure replaced: (index, word, unitary) triples and the key -> index
+    lookup."""
     gen_unitaries = [circuit_unitary(g)
                      for g in benchmarking._generators(qubit_count)]
     elements = [(0, (), np.eye(2 ** qubit_count, dtype=complex))]
@@ -160,33 +192,37 @@ class TestClosureBitIdentity:
     @pytest.mark.parametrize("qubit_count", [1, 2])
     def test_matches_per_element_closure(self, qubit_count):
         group = clifford_group(two_qubit=qubit_count == 2)
-        elements, lookup = _reference_closure(qubit_count)
+        elements, _ = _reference_closure(qubit_count)
         assert len(group.elements) == len(elements)
-        for got, (index, word, unitary) in zip(group.elements, elements):
+        for got, (index, word, _) in zip(group.elements, elements):
             assert got.index == index
             assert got.word == word
-            assert np.array_equal(got.unitary, unitary)
-        assert group._lookup == lookup
 
     def test_every_key_maps_back(self, group1, group2):
         for group in (group1, group2):
-            for element in group.elements:
-                assert group.index_of(element.unitary) == element.index
+            elements, _ = _reference_closure(group.qubit_count)
+            for index, _, unitary in elements:
+                assert group.index_of(unitary) == index
 
     def test_key_is_the_reference_key(self, group2):
+        # inverses and rephased elements find the reference key's index
+        _, lookup = _reference_closure(2)
         rng = np.random.default_rng(4)
         for idx in rng.integers(len(group2), size=25):
-            u = group2.elements[int(idx)].unitary
+            u = circuit_unitary(group2.decomposition(idx))
             for v in (u, u.conj().T, np.exp(0.7j) * u):
-                assert phase_fixed_key(v) == _reference_key(v)
+                assert group2.index_of(v) == lookup[_reference_key(v)]
 
 
 class TestCachedGroup:
-    def test_unitaries_are_read_only(self, group2):
-        with pytest.raises(ValueError):
-            group2.elements[5].unitary[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            group2.elements[5].unitary.flags.writeable = True
+    def test_codes_are_read_only(self, group2):
+        assert group2.codes.dtype == np.int8
+        assert group2.codes.shape == (11520, 16)
+        for table in (group2.codes, group2.generator_codes):
+            with pytest.raises(ValueError):
+                table[5 % len(table), 0] = 1
+            with pytest.raises(ValueError):
+                table.flags.writeable = True
 
     def test_clifford_group_is_a_plain_function(self):
         # the benchmark's tracer wraps it by name
@@ -367,10 +403,9 @@ def _reference_return_probability(group, indices, generators, interleaved):
     vec[0] = 1.0
     total = np.eye(dim, dtype=complex)
     for idx in indices:
-        element = group.elements[idx]
-        for gi in element.word:
+        for gi in group.elements[idx].word:
             vec = generators[gi] @ vec
-        total = element.unitary @ total
+        total = circuit_unitary(group.decomposition(idx)) @ total
         if interleaved is not None:
             channel, u = interleaved
             vec = channel @ vec
@@ -421,7 +456,7 @@ class TestSequenceChannels:
             total = np.eye(4, dtype=complex)
             for idx in indices:
                 circuit = circuit.concat(group2.decomposition(idx))
-                total = group2.elements[idx].unitary @ total
+                total = circuit_unitary(group2.decomposition(idx)) @ total
                 if interleaved is not None:
                     circuit = circuit.concat(interleaved)
                     total = circuit_unitary(interleaved) @ total

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from scipy.stats import unitary_group
 
 from fermisim.circuits import Circuit, Gate
+from fermisim.pauli import PAULI_MATRICES, pauli_basis
 from fermisim.simulator import NoiseModel
 from fermisim.tomography import (
     BASIS_TAG,
@@ -40,6 +41,17 @@ class TestBasis:
         assert PAULI_BASIS_LABELS[:5] == ("II", "IX", "IY", "IZ", "XI")
         assert PAULI_BASIS_LABELS[-1] == "ZZ"
 
+    def test_one_read_only_basis(self):
+        # the package's one Pauli basis, bit for bit the kron products
+        kron = np.stack([np.kron(PAULI_MATRICES[a], PAULI_MATRICES[b])
+                         for a, b in PAULI_BASIS_LABELS])
+        assert np.array_equal(PAULI_BASIS, kron)
+        assert PAULI_BASIS is pauli_basis(2)
+        with pytest.raises(ValueError):
+            PAULI_BASIS[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            PAULI_BASIS.flags.writeable = True
+
     def test_orthogonality(self):
         gram = np.einsum("mab,nab->mn", PAULI_BASIS.conj(), PAULI_BASIS)
         assert np.allclose(gram, 4 * np.eye(16), atol=1e-12)
@@ -53,6 +65,18 @@ class TestBasis:
 
 
 class TestChiOfUnitary:
+    def test_matches_trace_loop(self):
+        # one contraction in place of 16 traces tr(E_m^dag U) / 4; each
+        # coefficient sums four unit-modulus products, so only rounding
+        # of a few ulps may differ
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            u = random_unitary(rng)
+            coeffs = np.array([np.trace(e.conj().T @ u) / 4
+                               for e in PAULI_BASIS])
+            want = np.outer(coeffs, coeffs.conj())
+            assert np.max(np.abs(chi_of_unitary(u).chi - want)) < 1e-15
+
     def test_identity_chi(self):
         chi = identity_process().chi
         assert chi[0, 0] == pytest.approx(1.0)
