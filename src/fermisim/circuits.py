@@ -16,6 +16,7 @@ comparisons are made modulo global phase via :func:`phase_distance`.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +25,12 @@ import numpy as np
 
 # CIRCUIT_QUBIT_LIMIT and CapacityError are re-exported for callers
 from .pauli import DENSE_QUBIT_LIMIT as CIRCUIT_QUBIT_LIMIT
-from .pauli import PAULI_MATRICES, CapacityError, check_dense_width
+from .pauli import (
+    PAULI_MATRICES,
+    CapacityError,
+    check_dense_width,
+    read_only,
+)
 
 GATE_KINDS = (
     "RX", "RY", "RZ", "PI_X", "PI_Y", "VIRTUAL_Z", "IDLE", "DETUNE", "CZPHI",
@@ -69,28 +75,59 @@ class Gate:
         return DURATION_CLASS[self.kind]
 
 
+# (kind, param) of the parameter-free and fixed-angle gates the compiler
+# and the tomography rotations emit; their unitaries are built once
+_FIXED_GATES = frozenset({
+    ("PI_X", 0.0), ("PI_Y", 0.0),
+    ("RX", math.pi / 2), ("RX", -math.pi / 2), ("RX", 2 * math.pi),
+    ("RY", math.pi / 2), ("RY", -math.pi / 2), ("CZPHI", math.pi),
+})
+
+
 def gate_unitary(g: Gate) -> np.ndarray:
-    """2x2 or 4x4 unitary of a gate on its own targets."""
-    th = g.param
-    if g.kind == "RX":
+    """2x2 or 4x4 unitary of a gate on its own targets.
+
+    The fixed gates of ``_FIXED_GATES`` share one read-only array each,
+    built on first use; every other gate gets a fresh array.
+    """
+    if (g.kind, g.param) in _FIXED_GATES:
+        return _fixed_unitary(g.kind, g.param)
+    return _unitary(g.kind, g.param)
+
+
+@functools.cache
+def _fixed_unitary(kind: str, param: float) -> np.ndarray:
+    return read_only(_unitary(kind, param))
+
+
+def _unitary(kind: str, th: float) -> np.ndarray:
+    if kind == "RX":
         c, s = math.cos(th / 2), math.sin(th / 2)
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if g.kind == "RY":
+    if kind == "RY":
         c, s = math.cos(th / 2), math.sin(th / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if g.kind == "RZ":
-        return np.diag([np.exp(-1j * th / 2), np.exp(1j * th / 2)])
-    if g.kind == "PI_X":
+    if kind == "RZ":
+        return np.array([[np.exp(-1j * th / 2), 0], [0, np.exp(1j * th / 2)]])
+    if kind == "PI_X":
         return -1j * PAULI_MATRICES["X"]
-    if g.kind == "PI_Y":
+    if kind == "PI_Y":
         return -1j * PAULI_MATRICES["Y"]
-    if g.kind == "VIRTUAL_Z":
-        return np.diag([1.0, np.exp(1j * th)])
-    if g.kind in ("IDLE", "DETUNE"):
+    if kind == "VIRTUAL_Z":
+        return np.array([[1.0, 0.0], [0.0, np.exp(1j * th)]])
+    if kind in ("IDLE", "DETUNE"):
         return np.eye(2, dtype=complex)
-    if g.kind == "CZPHI":
-        return np.diag([1.0, 1.0, 1.0, np.exp(1j * th)])
-    raise ValueError(f"unknown gate kind {g.kind!r}")
+    if kind == "CZPHI":
+        return _czphi([th])[0]
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def _czphi(params) -> np.ndarray:
+    """(k, 4, 4) stack of CZPHI unitaries diag(1, 1, 1, e^{i param})."""
+    u = np.zeros((len(params), 4, 4), dtype=complex)
+    u[:, (0, 1, 2), (0, 1, 2)] = 1.0
+    u[:, 3, 3] = np.exp(1j * np.asarray(params, dtype=float))
+    return u
 
 
 @dataclass(frozen=True)
@@ -139,8 +176,7 @@ class Circuit:
         return cls.from_json_dict(json.loads(text))
 
 
-_EYE2 = np.eye(2, dtype=complex)
-_EYE2.setflags(write=False)
+_EYE2 = read_only(np.eye(2, dtype=complex))
 
 
 def entangler_blocks(c: Circuit):
@@ -152,28 +188,96 @@ def entangler_blocks(c: Circuit):
     run still pending at the end.  ``IDLE``/``DETUNE`` add no factor.
     ``counts`` holds each target's number of noisy (non-virtual)
     one-qubit gates in the block, for the noise model.
+
+    The fold depends on the gates only through their kinds, targets and
+    which of them are fixed (``_FIXED_GATES``), so its plan is cached
+    per such structure (:func:`_fold_plan`), with every product of
+    fixed gates made once.  A call multiplies in the other one-qubit
+    gates, in the same order as one factor at a time, and forms every
+    entangling block as CZPHI times the kron of its two runs in one
+    batched product.
     """
-    pending: dict[int, list] = {}  # qubit -> [unitary or None, count]
-    for g in c.gates:
-        if len(g.targets) == 1:
-            run = pending.setdefault(g.targets[0], [None, 0])
-            run[1] += g.duration_class != "virtual"
-            if g.kind not in ("IDLE", "DETUNE"):
-                u = gate_unitary(g)
+    gates = c.gates
+    entanglers, krons, mixed, blocks, leftovers = _fold_plan(tuple([
+        (g.kind, g.targets, g.param) if (g.kind, g.param) in _FIXED_GATES
+        else (g.kind, g.targets) for g in gates]))
+    if entanglers:
+        if mixed:
+            krons = krons.copy()
+            for row, runs in mixed:
+                krons[row] = _kron2(*(_run_product(*run, gates)
+                                      for run in runs))
+        units = _czphi([gates[i].param for i in entanglers]) @ krons
+        for u, (targets, counts) in zip(units, blocks):
+            yield u, targets, counts
+    for run, targets, counts in leftovers:
+        u = _run_product(*run, gates)
+        yield (_EYE2 if u is None else u), targets, counts
+
+
+def _run_product(prefix, rest, gates):
+    """A run's product: the cached product of its leading fixed gates,
+    times each later gate in turn."""
+    u = prefix
+    for i in rest:
+        v = gate_unitary(gates[i])
+        u = v if u is None else v @ u
+    return u
+
+
+def _kron2(ua, ub) -> np.ndarray:
+    """kron(ua, ub) of two one-qubit runs, None for an empty run."""
+    ua, ub = (_EYE2 if x is None else x for x in (ua, ub))
+    return (ua[:, None, :, None] * ub[None, :, None, :]).reshape(4, 4)
+
+
+@functools.lru_cache(maxsize=256)
+def _fold_plan(structure: tuple) -> tuple:
+    """The fold of :func:`entangler_blocks` for gates of the given
+    (kind, targets[, param of a fixed gate]) structure:
+    (entanglers, krons, mixed, blocks, leftovers).
+
+    Per entangling block, in gate order: ``entanglers`` holds its gate
+    index, ``krons`` (read-only) the kron of its two runs (identity for
+    none), and ``blocks`` its (targets, counts).  ``mixed`` lists the
+    (row, runs) of blocks whose runs hold gates that are not fixed;
+    their kron rows are formed per call.  ``leftovers`` are the
+    (run, (qubit,), (count,)) of the runs still pending at the end.
+    Each run is (prefix, rest): the read-only product of its leading
+    fixed gates (None if none) and the indices of the gates after them.
+    """
+    pending: dict[int, list] = {}  # qubit -> [prefix, rest, count]
+    entanglers, krons, mixed, blocks = [], [], [], []
+    for i, (kind, targets, *param) in enumerate(structure):
+        if len(targets) == 1:
+            run = pending.setdefault(targets[0], [None, [], 0])
+            run[2] += DURATION_CLASS[kind] != "virtual"
+            if kind in ("IDLE", "DETUNE"):
+                continue
+            if param and not run[1]:  # still in the fixed prefix
+                u = _fixed_unitary(kind, *param)
                 run[0] = u if run[0] is None else u @ run[0]
+            else:
+                run[1].append(i)
             continue
-        a, b = g.targets
-        ua, ka = pending.pop(a, (None, 0))
-        ub, kb = pending.pop(b, (None, 0))
-        m = gate_unitary(g)
-        if ua is not None or ub is not None:  # times kron(ua, ub)
-            ua, ub = (_EYE2 if x is None else x for x in (ua, ub))
-            m = m @ (ua[:, None, :, None] * ub[None, :, None, :]).reshape(4, 4)
-        yield m, g.targets, (ka, kb)
-    for q, (u, k) in pending.items():
-        yield (_EYE2 if u is None else u), (q,), (k,)
+        runs = [pending.pop(q, [None, [], 0]) for q in targets]
+        if any(rest for _, rest, _ in runs):
+            mixed.append((len(entanglers), _frozen_runs(runs)))
+        entanglers.append(i)
+        krons.append(_kron2(runs[0][0], runs[1][0]))
+        blocks.append((targets, tuple(k for _, _, k in runs)))
+    leftovers = tuple((*_frozen_runs([run]), (q,), (run[2],))
+                      for q, run in pending.items())
+    return (tuple(entanglers), read_only(np.array(krons).reshape(-1, 4, 4)),
+            tuple(mixed), tuple(blocks), leftovers)
 
 
+def _frozen_runs(runs) -> tuple:
+    return tuple((None if prefix is None else read_only(prefix), tuple(rest))
+                 for prefix, rest, _ in runs)
+
+
+@functools.cache
 def block_layout(axes: tuple[int, ...], legs: int) -> tuple[tuple, tuple]:
     """(perm, inverse) for a block on ``axes`` of a (2,)*legs + (batch,)
     tensor: ``perm`` brings the block's axes to the front in order,

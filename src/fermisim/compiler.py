@@ -19,6 +19,13 @@ The lowering has three layers:
    an identity up to global phase, so decorated and bare steps implement
    the same unitary.
 
+A step depends on its time step only through its phases, so nothing
+else is built twice: a step's ordered sections and closing alignment
+gates are cached per (Hamiltonian, ordering, parity), and each
+interaction block is a cached section template per (kind, pair, qubit
+count, detune exception, split branch), into which only its two CZPHI
+phases are put fresh.
+
 Orderings: ``canonical_s5`` emits, per step, hopping XX+YY blocks pair
 by pair followed by the diagonal section.  ``odd_even_s6`` alternates
 XX-first and YY-first step templates so that basis rotations at step
@@ -30,13 +37,19 @@ V(t), U(t); ``digitize_schedule`` and the exact ramp reference in
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, Gate
-from .fermions import SCHEDULE_MODELS, FermionModel, spin_hamiltonian
+from .fermions import (
+    SCHEDULE_MODELS,
+    FermionModel,
+    model_hamiltonian,
+    spin_hamiltonian,
+)
 from .pauli import WeightedPauliSum
 
 PHASE_RANGE = (0.5, 4.0)
@@ -57,6 +70,18 @@ def canonical_phase(phi: float) -> float:
     return out
 
 
+def _zz_phases(phi: float) -> tuple[float, float, bool]:
+    """(first, second, split) of :func:`compile_zz_block`: its two CZPHI
+    phases, and whether the asymmetric split (with its virtual-Z pair)
+    is taken."""
+    net = canonical_phase(phi)
+    if abs(net) >= PHASE_RANGE[0]:
+        theta = canonical_phase(-net)
+        return theta, theta, False
+    return (canonical_phase(_SPLIT_SHIFT - net),
+            canonical_phase(-(net + _SPLIT_SHIFT)), True)
+
+
 def compile_zz_block(phi: float, qubits: tuple[int, int],
                      echo_axis: str = "X") -> Circuit:
     """Echoed two-CZPHI realisation of diag(1, e^{i phi}, e^{i phi}, 1).
@@ -68,26 +93,24 @@ def compile_zz_block(phi: float, qubits: tuple[int, int],
     """
     if echo_axis not in ("X", "Y"):
         raise ValueError("echo_axis must be 'X' or 'Y'")
+    return _zz_circuit(qubits, echo_axis, *_zz_phases(phi))
+
+
+def _zz_circuit(qubits: tuple[int, int], echo_axis: str, first: float,
+                second: float, split: bool) -> Circuit:
     a, b = qubits
     pi_kind = "PI_X" if echo_axis == "X" else "PI_Y"
-    net = canonical_phase(phi)
-    gates = []
-    if abs(net) >= PHASE_RANGE[0]:
-        theta = canonical_phase(-net)
-        first, second, correction = theta, theta, None
-    else:
-        first = canonical_phase(_SPLIT_SHIFT - net)
-        second = canonical_phase(-(net + _SPLIT_SHIFT))
-        correction = -_SPLIT_SHIFT
-    gates.append(Gate("CZPHI", (a, b), first))
-    gates.append(Gate(pi_kind, (a,)))
-    gates.append(Gate(pi_kind, (b,)))
-    gates.append(Gate("CZPHI", (a, b), second))
-    gates.append(Gate(pi_kind, (a,)))
-    gates.append(Gate(pi_kind, (b,)))
-    if correction is not None:
-        gates.append(Gate("VIRTUAL_Z", (a,), correction))
-        gates.append(Gate("VIRTUAL_Z", (b,), correction))
+    gates = [
+        Gate("CZPHI", (a, b), first),
+        Gate(pi_kind, (a,)),
+        Gate(pi_kind, (b,)),
+        Gate("CZPHI", (a, b), second),
+        Gate(pi_kind, (a,)),
+        Gate(pi_kind, (b,)),
+    ]
+    if split:
+        gates.append(Gate("VIRTUAL_Z", (a,), -_SPLIT_SHIFT))
+        gates.append(Gate("VIRTUAL_Z", (b,), -_SPLIT_SHIFT))
     return Circuit(max(qubits) + 1, tuple(gates))
 
 
@@ -193,7 +216,10 @@ class TrotterPlan:
 
 def plan_for_model(model: FermionModel, total_time: float, steps: int,
                    ordering: str = "canonical_s5") -> TrotterPlan:
-    return TrotterPlan(spin_hamiltonian(model), total_time, steps, ordering)
+    """Plan on the model's Hamiltonian, built once per model
+    (:func:`fermisim.fermions.model_hamiltonian`)."""
+    return TrotterPlan(model_hamiltonian(model)[0], total_time, steps,
+                       ordering)
 
 
 # Census alignment for the canonical model shapes.  The published step
@@ -214,22 +240,25 @@ def _shape_key(sections, n):
     return (n, hops, reps)
 
 
-def _emit_block(section: _Section, n: int, dt: float,
-                detune_exception: set[int]) -> list[Gate]:
-    """One interaction block plus spectator bookkeeping.
+@functools.cache
+def _section_template(kind: str, pair: tuple[int, int], n: int,
+                      detune_exception: frozenset[int], split: bool):
+    """(gates, CZPHI indices) of one interaction block plus spectator
+    bookkeeping, with both CZPHI phases left at 0.
 
+    A block depends on its phase only through the two CZPHI phases and
+    the split branch of :func:`compile_zz_block`, so every other gate
+    is built once per (kind, pair, qubit count, exception, branch).
     Spectators are parked (detune) during each entangling gate and
     echoed alongside the active pair; both active qubits idle one slot
     at the end of the block while frequencies settle.
     """
-    phi = 2.0 * section.coeff * dt
-    pair = tuple(sorted(section.qubits))
     spectators = [q for q in range(n) if q not in pair]
-    echo_axis = "Y" if section.kind == "xx" else "X"
-    block = compile_zz_block(phi, pair, echo_axis=echo_axis)
-    if section.kind == "xx":
+    echo_axis = "Y" if kind == "xx" else "X"
+    block = _zz_circuit(pair, echo_axis, 0.0, 0.0, split)
+    if kind == "xx":
         block = conjugate_basis(block, "XX")
-    elif section.kind == "yy":
+    elif kind == "yy":
         block = conjugate_basis(block, "YY")
     pi_kind = "PI_Y" if echo_axis == "Y" else "PI_X"
     gates = []
@@ -237,14 +266,29 @@ def _emit_block(section: _Section, n: int, dt: float,
         gates.append(g)
         if g.kind == "CZPHI":
             for s in spectators:
-                kind = "IDLE" if s in detune_exception else "DETUNE"
-                gates.append(Gate(kind, (s,)))
+                kind_s = "IDLE" if s in detune_exception else "DETUNE"
+                gates.append(Gate(kind_s, (s,)))
         elif g.kind in ("PI_X", "PI_Y") and g.targets[0] == pair[1]:
             # second pulse of an active echo pair: echo the spectators too
             for s in spectators:
                 gates.append(Gate(pi_kind, (s,)))
     for q in pair:
         gates.append(Gate("IDLE", (q,)))
+    return tuple(gates), tuple(i for i, g in enumerate(gates)
+                               if g.kind == "CZPHI")
+
+
+def _emit_block(section: _Section, n: int, dt: float,
+                detune_exception: frozenset[int]) -> list[Gate]:
+    """One interaction block: its cached template with the section's
+    two CZPHI phases put in."""
+    first, second, split = _zz_phases(2.0 * section.coeff * dt)
+    pair = tuple(sorted(section.qubits))
+    template, (i, j) = _section_template(section.kind, pair, n,
+                                         detune_exception, split)
+    gates = list(template)
+    gates[i] = Gate("CZPHI", pair, first)
+    gates[j] = Gate("CZPHI", pair, second)
     return gates
 
 
@@ -254,34 +298,48 @@ def compile_trotter_step(plan: TrotterPlan, step_index: int = 0) -> Circuit:
     The gates depend on ``step_index`` only through its parity, and only
     under the odd/even ordering (see :func:`step_templates`).
     """
-    n = plan.hamiltonian.qubit_count
+    n, slots, tail = _step_layout(plan.hamiltonian, plan.ordering,
+                                  step_index % 2)
     dt = plan.dt
-    sections = _classify(plan.hamiltonian)
-    parity = step_index % 2
-    ordered = _ordered_sections(sections, plan.ordering, parity)
-    shape = _shape_key(sections, n)
-    alignment = _ALIGNMENT.get(shape, {})
     gates: list[Gate] = []
-    for section in ordered:
+    for section, exception in slots:
         if section.kind == "vz":
-            q = section.qubits[0]
-            gates.append(Gate("VIRTUAL_Z", (q,), 2.0 * section.coeff * dt))
-            continue
-        exception: set[int] = set()
+            gates.append(Gate("VIRTUAL_Z", section.qubits,
+                              2.0 * section.coeff * dt))
+        else:
+            gates.extend(_emit_block(section, n, dt, exception))
+    return Circuit(n, (*gates, *tail))
+
+
+@functools.lru_cache(maxsize=128)
+def _step_layout(hamiltonian: WeightedPauliSum, ordering: str,
+                 parity: int) -> tuple:
+    """(qubit count, slots, tail) of a step: its ordered (section,
+    detune exception) slots and the census-alignment gates that end it.
+    Everything but the phases, so cached per Hamiltonian, ordering and
+    parity."""
+    n = hamiltonian.qubit_count
+    sections = _classify(hamiltonian)
+    ordered = _ordered_sections(sections, ordering, parity)
+    alignment = _ALIGNMENT.get(_shape_key(sections, n), {})
+    slots = []
+    for section in ordered:
+        exception: frozenset[int] = frozenset()
         if alignment.get("detune_to_idle") and section.kind == "zz":
             # the outermost spectator is already parked for the whole
             # diagonal section; it waits instead of pulsing its detuning
-            exception = {n - 1}
-        gates.extend(_emit_block(section, n, dt, exception))
+            exception = frozenset({n - 1})
+        slots.append((section, exception))
+    tail = []
     if alignment.get("refocus"):
         spect = [q for q in range(n)
                  if all(q not in s.qubits for s in ordered
                         if s.kind == "zz")]
         target = spect[-1] if spect else n - 1
-        gates.append(Gate("RX", (target,), 2 * math.pi))
+        tail.append(Gate("RX", (target,), 2 * math.pi))
     for k in range(alignment.get("idle", 0)):
-        gates.append(Gate("IDLE", (k % n,)))
-    return Circuit(n, tuple(gates))
+        tail.append(Gate("IDLE", (k % n,)))
+    return n, tuple(slots), tuple(tail)
 
 
 def step_templates(plan: TrotterPlan) -> list[Circuit]:

@@ -72,10 +72,11 @@ from .fermions import (
     FermionModel,
     coupling_matrices,
     four_mode_ahm,
-    spin_hamiltonian,
+    model_hamiltonian,
     three_mode_model,
     two_mode_model,
 )
+from .pauli import read_only
 from .simulator import (
     NoiseModel,
     apply_circuit,
@@ -257,10 +258,8 @@ def reachable_indices(model: FermionModel) -> np.ndarray:
     reaches from its input state (:func:`invariant_support`); ``p_other``
     is the population outside them.  Built once per model."""
     psi0 = prepare_input(_input_kind(model.mode_count))
-    reachable = invariant_support(spin_hamiltonian(model).to_dense()[None],
-                                  psi0.amplitudes)
-    reachable.setflags(write=False)
-    return reachable
+    return read_only(invariant_support(model_hamiltonian(model)[1][None],
+                                       psi0.amplitudes))
 
 
 def _series_rows(path: Path, files: list, model: FermionModel,
@@ -312,7 +311,7 @@ def _model_checkpoints(model: FermionModel, total_time: float, steps: int,
     plan = plan_for_model(model, total_time, steps, ordering)
     templates = step_templates(plan)
     dt = total_time / steps
-    h = plan.hamiltonian.to_dense()  # spin_hamiltonian checked Hermiticity
+    h = model_hamiltonian(model)[1]  # spin_hamiltonian checked Hermiticity
     exact = evolve_slices(np.broadcast_to(h, (steps, *h.shape)),
                           np.full(steps, dt),
                           prepare_input(_input_kind(model.mode_count)),

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import WeightedPauliSum
+from .pauli import WeightedPauliSum, read_only
 
 MAX_MODES = 4
 
@@ -71,9 +71,8 @@ def index_occupations(index: int, n_modes: int) -> tuple[int, ...]:
 def occupation_matrix(n_modes: int) -> np.ndarray:
     """Read-only (modes, 2^n) 0/1 matrix: entry (m, i) is mode m's
     occupation in basis state i.  Built on first use, then cached."""
-    occ = np.array(index_occupations(np.arange(2 ** n_modes), n_modes))
-    occ.setflags(write=False)
-    return occ
+    return read_only(np.array(index_occupations(np.arange(2 ** n_modes),
+                                                n_modes)))
 
 
 def jw_creation(mode: int, n_modes: int) -> WeightedPauliSum:
@@ -206,6 +205,16 @@ def spin_hamiltonian(model: FermionModel) -> WeightedPauliSum:
 
 
 @functools.cache
+def model_hamiltonian(model: FermionModel
+                      ) -> tuple[WeightedPauliSum, np.ndarray]:
+    """The model's spin Hamiltonian and its read-only dense form, built
+    once per model: every plan, series, census and reachable set of one
+    model shares them.  :func:`spin_hamiltonian` stays uncached."""
+    hamiltonian = spin_hamiltonian(model)
+    return hamiltonian, read_only(hamiltonian.to_dense())
+
+
+@functools.cache
 def coupling_matrices(mode_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only dense (H_hop, H_rep) of a schedule model shape.
 
@@ -221,7 +230,5 @@ def coupling_matrices(mode_count: int) -> tuple[np.ndarray, np.ndarray]:
         m = spin_hamiltonian(SCHEDULE_MODELS[mode_count](v, u)).to_dense()
         if m.imag.any() or not np.array_equal(m, m.T):
             raise AssertionError("coupling matrix is not real symmetric")
-        m = m.real.copy()
-        m.setflags(write=False)
-        terms.append(m)
+        terms.append(read_only(m.real))
     return tuple(terms)

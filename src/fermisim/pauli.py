@@ -124,8 +124,11 @@ class PauliString:
 
 
 def read_only(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array``; its writeable flag cannot be set
-    back, because its base is read-only too."""
+    """A read-only view of ``array``, copied first unless it owns its
+    data; its writeable flag cannot be set back, because the array it
+    views is read-only too."""
+    if not array.flags.owndata:
+        array = array.copy()
     array.flags.writeable = False
     return array.view()
 

@@ -195,24 +195,34 @@ _TRACE2, _TRACE4 = (np.outer(np.eye(d).ravel(), np.eye(d).ravel()) / d
 _EYE4 = np.eye(4)
 
 
-def _block_channel(u: np.ndarray, counts: tuple[int, ...],
-                   noise: NoiseModel | None) -> np.ndarray:
-    """D_2 o (U (x) U*) o (D_1^ka (x) D_1^kb) of an entangling block, or
-    (u (x) u*) o D_1^k of a one-qubit run, on the row-major vec of the
-    targets' density block.  k noisy one-qubit gates on a target leave
-    one depolarizing of kept weight (1 - p_1)^k.  Each D is
-    w I + (1 - w) tr(.) I/d, and tr(.) I/d absorbs a unitary channel on
-    either side and any trace-preserving map before it."""
-    d = len(u)
-    s = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, -1)
+def _block_channels(us: np.ndarray, counts: tuple,
+                    noise: NoiseModel | None) -> np.ndarray:
+    """Channels of a stack of same-size blocks, (k, d, d) unitaries with
+    (k, targets) noisy one-qubit gate counts, on the row-major vec of
+    the targets' density block: D_2 o (U (x) U*) o (D_1^ka (x) D_1^kb)
+    of entangling blocks, or (U (x) U*) o D_1^k of one-qubit runs.
+
+    k noisy one-qubit gates on a target leave one depolarizing of kept
+    weight (1 - p_1)^k.  Each D is w I + (1 - w) tr(.) I/d, and
+    tr(.) I/d absorbs a unitary channel on either side and any
+    trace-preserving map before it.  One broadcast product forms every
+    U (x) U*, and one batched matmul every depolarizing composition.
+    """
+    k, d, _ = us.shape
+    s = (us[:, :, None, :, None] * us.conj()[:, None, :, None, :]).reshape(
+        k, d * d, d * d)
     if noise is None:
         return s
-    w1 = [(1.0 - noise.channel_probability(1)) ** k for k in counts]
+    p1 = noise.channel_probability(1)
+    # each weight as a float power: numpy's power can round differently
+    w1 = np.array([[(1.0 - p1) ** n for n in row]
+                   for row in counts])[..., None, None]
     if d == 2:
-        return w1[0] * s + (1.0 - w1[0]) * _TRACE2
-    da, db = (w * _EYE4 + (1.0 - w) * _TRACE2 for w in w1)
+        return w1[:, 0] * s + (1.0 - w1[:, 0]) * _TRACE2
+    da, db = (w1[:, i] * _EYE4 + (1.0 - w1[:, i]) * _TRACE2 for i in (0, 1))
     # da (x) db on the (ket a, ket b, bra a, bra b) axes
-    s = s @ (da.reshape((2, 1) * 4) * db.reshape((1, 2) * 4)).reshape(16, 16)
+    s = s @ (da.reshape((k,) + (2, 1) * 4)
+             * db.reshape((k,) + (1, 2) * 4)).reshape(k, 16, 16)
     w2 = 1.0 - noise.channel_probability(2)
     return w2 * s + (1.0 - w2) * _TRACE4
 
@@ -234,10 +244,18 @@ class LoweredCircuit:
     @functools.cached_property
     def channel_blocks(self) -> tuple:
         n = self.circuit.qubit_count
+        channels = [None] * len(self.fold)
+        for width in (1, 2):  # one batch per block size
+            rows = [i for i, (_, targets, _) in enumerate(self.fold)
+                    if len(targets) == width]
+            if rows:
+                us, _, counts = zip(*(self.fold[i] for i in rows))
+                for i, m in zip(rows, _block_channels(np.stack(us), counts,
+                                                      self.noise)):
+                    channels[i] = m
         return tuple(
-            (_block_channel(u, counts, self.noise),
-             *block_layout(targets + tuple(q + n for q in targets), 2 * n))
-            for u, targets, counts in self.fold)
+            (m, *block_layout(targets + tuple(q + n for q in targets), 2 * n))
+            for m, (_, targets, _) in zip(channels, self.fold))
 
 
 def lower_circuit(circuit: Circuit,

@@ -18,16 +18,19 @@ with gate noise), analyse with the same 16 rotations, and record the
 four computational-basis outcome probabilities.  Each probability is
 W_r chi W_r^dag for one row of a fixed 1024 x 16 design matrix W.
 
-Reconstruction seeds its fit with the linear inversion of the 1024
+Reconstruction starts from the linear inversion of the 1024
 constraints, solved through the normal equations: the right-hand side
 is W^H diag(y) W, and the 256 x 256 Gram matrix of the constraint map
-is factored once per process (lazily, read-only).  It then fits chi to
-the constraints by least squares, parameterising chi = T T^dag
-(Cholesky factor) to enforce Hermitian positive semidefiniteness and
-driving trace preservation with a scheduled penalty; an optimiser stage
-that reports failure, or a result that misses trace preservation,
-raises ReconstructionError.  On clean data from a unitary the fit
-recovers the exact rank-1 chi.
+is factored once per process (lazily, read-only).  When the Hermitised
+inversion is already physical (smallest eigenvalue at least
+-SEED_PSD_TOL, TP defect at most TP_TOL), it is the answer, clipped to
+PSD; the package's exact-probability datasets take this branch, and on
+clean data from a unitary it is the exact rank-1 chi.  Otherwise it
+seeds a maximum-likelihood fit of chi to the constraints by least
+squares, parameterising chi = T T^dag (Cholesky factor) to enforce
+Hermitian positive semidefiniteness and driving trace preservation with
+a scheduled penalty; an optimiser stage that reports failure, or a
+result that misses trace preservation, raises ReconstructionError.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from scipy.optimize import minimize
 
 from .circuits import Circuit, Gate, circuit_unitary
 from .compiler import compile_zz_block, conjugate_basis
-from .pauli import pauli_basis
+from .pauli import pauli_basis, read_only
 from .simulator import PSD_TOL, DensityState, NoiseModel, circuit_channel
 
 BASIS_TAG = "IXYZ*IXYZ:row-major"
@@ -55,6 +58,8 @@ PAULI_BASIS = pauli_basis(2)
 PREP_GATE_LABELS = ("I", "X/2", "Y/2", "X")
 
 TP_TOL = 1e-6
+# Most negative eigenvalue of a linear-inversion chi kept without a fit
+SEED_PSD_TOL = 1e-12
 
 
 class ReconstructionError(RuntimeError):
@@ -203,9 +208,8 @@ def _analysis_unitaries() -> np.ndarray:
 
     Column 0 of rotation i is preparation i, rotation i applied to |00>.
     """
-    u = np.stack([circuit_unitary(tomography_rotation(j)) for j in range(16)])
-    u.flags.writeable = False
-    return u
+    return read_only(np.stack([circuit_unitary(tomography_rotation(j))
+                               for j in range(16)]))
 
 
 def simulate_qpt_dataset(process, noise: NoiseModel | None = None
@@ -248,8 +252,7 @@ def _design_matrix() -> np.ndarray:
     analyses = _analysis_unitaries()
     tmp = np.einsum("mab,ib->mia", PAULI_BASIS, analyses[:, :, 0])
     w = np.einsum("jka,mia->ijkm", analyses, tmp).reshape(-1, 16)
-    w.flags.writeable = False
-    return w
+    return read_only(w)
 
 
 @functools.cache
@@ -262,9 +265,8 @@ def _gram_factor() -> np.ndarray:
     """
     w = _design_matrix()
     m = (w[:, :, None] * w.conj()[:, None, :]).reshape(len(w), -1)
-    factor = np.linalg.cholesky(m.conj().T @ m)
-    factor.flags.writeable = False
-    return factor
+    # Fortran order, as LAPACK reads it, so no solve copies it
+    return read_only(np.asfortranarray(np.linalg.cholesky(m.conj().T @ m)))
 
 
 def _linear_inversion(y: np.ndarray) -> np.ndarray:
@@ -274,7 +276,7 @@ def _linear_inversion(y: np.ndarray) -> np.ndarray:
     """
     w = _design_matrix()
     rhs = (w.conj().T @ (y[:, None] * w)).reshape(-1)
-    chi_vec = cho_solve((_gram_factor(), True), rhs)
+    chi_vec = cho_solve((_gram_factor(), True), rhs, check_finite=False)
     return chi_vec.reshape(16, 16)
 
 
@@ -298,10 +300,18 @@ def _t_to_params(t: np.ndarray) -> np.ndarray:
     return np.concatenate([vals.real, vals.imag])
 
 
+@functools.cache
+def _tp_map() -> np.ndarray:
+    """Read-only (256, 16) matrix whose row (m, n) is E_n^dag E_m
+    flattened: it maps vec(chi) to sum_mn chi[m, n] E_n^dag E_m."""
+    return read_only(np.einsum("nba,mbc->mnac", PAULI_BASIS.conj(),
+                               PAULI_BASIS).reshape(256, 16))
+
+
 def _tp_operator(chi: np.ndarray) -> np.ndarray:
-    return np.einsum(
-        "mn,nba,mbc->ac", chi, PAULI_BASIS.conj(), PAULI_BASIS
-    ) - np.eye(4)
+    """sum_mn chi[m, n] E_n^dag E_m - I, zero for a trace-preserving
+    chi."""
+    return (chi.reshape(-1) @ _tp_map()).reshape(4, 4) - np.eye(4)
 
 
 def _fit_objective(x: np.ndarray, weight: float, w: np.ndarray,
@@ -335,17 +345,50 @@ _MAX_ITERATIONS = 400  # L-BFGS-B iteration cap of each penalty stage
 def reconstruct_chi(dataset: QPTDataset, return_info: bool = False):
     """Physical chi minimising the quadratic data misfit.
 
-    Linear inversion seeds a Cholesky-parameterised refinement
-    (chi = T T^dag, so Hermitian PSD by construction) that minimises
-    misfit plus a trace-preservation penalty on an increasing weight
-    schedule.  Raises ReconstructionError if an optimiser stage reports
-    failure or the result fails the physicality checks.
+    The Hermitised linear inversion is the unconstrained least-squares
+    chi.  When it is already physical (minimum eigenvalue at least
+    -``SEED_PSD_TOL``, TP defect at most ``TP_TOL`` once clipped to
+    PSD) it is the answer, and ``info["branch"]`` is
+    ``"linear_inversion"``.  Otherwise it seeds the maximum-likelihood
+    branch (``"mle"``): a Cholesky-parameterised refinement (chi =
+    T T^dag, so Hermitian PSD by construction) that minimises misfit
+    plus a trace-preservation penalty on an increasing weight schedule.
+    Raises ReconstructionError if an optimiser stage reports failure or
+    the result fails the physicality checks.
     """
     w = _design_matrix()
     y = dataset.probabilities.reshape(-1)
-    chi0 = _linear_inversion(y)
-    chi0 = (chi0 + chi0.conj().T) / 2
-    vals, vecs = np.linalg.eigh(chi0)
+    chi = _linear_inversion(y)
+    vals, vecs = np.linalg.eigh((chi + chi.conj().T) / 2)
+    process = ProcessMatrix((vecs * np.clip(vals, 0.0, None))
+                            @ vecs.conj().T)
+    branch, iterations = "linear_inversion", 0
+    defect = process.tp_defect()
+    if not (vals[0] >= -SEED_PSD_TOL and defect <= TP_TOL):
+        branch = "mle"
+        chi, iterations = _maximum_likelihood(vals, vecs, w, y)
+        process = ProcessMatrix(chi)
+        defect = process.tp_defect()
+    residual = float(np.sqrt(np.mean(
+        (_model_probabilities(w, process.chi) - y) ** 2)))
+    if not defect <= TP_TOL:
+        raise ReconstructionError(
+            f"trace preservation not reached: defect {defect:.3e}, "
+            f"rms residual {residual:.3e} after weight schedule"
+        )
+    info = {
+        "branch": branch,
+        "rms_residual": residual,
+        "tp_defect": defect,
+        "iterations": iterations,
+    }
+    return (process, info) if return_info else process
+
+
+def _maximum_likelihood(vals, vecs, w, y):
+    """(chi, last stage's iteration count) of the penalised Cholesky
+    fit, seeded by the linear inversion vecs diag(vals) vecs^H clipped
+    to positive definite."""
     vals = np.clip(vals, 1e-12, None)
     chi0 = (vecs * vals) @ vecs.conj().T
     t0 = np.linalg.cholesky(chi0 + 1e-12 * np.eye(16))
@@ -363,22 +406,7 @@ def reconstruct_chi(dataset: QPTDataset, return_info: bool = False):
             )
         x = result.x
     t = _params_to_t(x)
-    chi = t @ t.conj().T
-    process = ProcessMatrix(chi)
-    residual = float(np.sqrt(np.mean((_model_probabilities(w, chi) - y)
-                                     ** 2)))
-    defect = process.tp_defect()
-    if not defect <= TP_TOL:
-        raise ReconstructionError(
-            f"trace preservation not reached: defect {defect:.3e}, "
-            f"rms residual {residual:.3e} after weight schedule"
-        )
-    info = {
-        "rms_residual": residual,
-        "tp_defect": defect,
-        "iterations": int(result.nit),
-    }
-    return (process, info) if return_info else process
+    return t @ t.conj().T, int(result.nit)
 
 
 def hopping_exchange_circuit(sign: float = 1.0) -> Circuit:

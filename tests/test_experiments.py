@@ -599,6 +599,17 @@ class TestCli:
                                           monkeypatch, stage, weight):
         import fermisim.tomography as tomography
         calls = []
+        simulate = tomography.simulate_qpt_dataset
+
+        def non_physical(process, noise=None):
+            # a planted perturbation makes the noiseless linear inversion
+            # non-physical, so reconstruct_chi runs the MLE
+            probs = simulate(process, noise).probabilities
+            probs = probs + np.random.default_rng(12).uniform(
+                -5e-8, 5e-8, probs.shape)
+            probs = np.clip(probs, 0, None)
+            return tomography.QPTDataset(
+                probs / probs.sum(axis=2, keepdims=True))
 
         def failing_at_stage(fun, x0, **kwargs):
             calls.append(x0)
@@ -607,6 +618,7 @@ class TestCli:
             return OptimizeResult(x=x0, success=False, nit=0,
                                   message="ABNORMAL: line search failed")
 
+        monkeypatch.setattr(tomography, "simulate_qpt_dataset", non_physical)
         monkeypatch.setattr(tomography, "minimize", failing_at_stage)
         code = main(["run", "--experiment", "anticommutation_fig2d",
                      "--out", str(tmp_path)])

@@ -15,6 +15,7 @@ from fermisim.pauli import (
     PauliString,
     WeightedPauliSum,
     commutes,
+    read_only,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -241,3 +242,50 @@ class TestJson:
         assert payload["n"] == 2
         assert payload["offset"] == pytest.approx(0.25)
         assert payload["terms"] == [{"c": [0.5, 0.0], "p": "XX"}]
+
+
+class TestReadOnlyCaches:
+    def test_no_cached_array_can_be_made_writeable(self):
+        # every process-wide cached array goes through pauli.read_only,
+        # so no caller can turn its writeable flag back on
+        import math
+
+        from fermisim import benchmarking, circuits, experiments, fermions
+        from fermisim import tomography
+        from fermisim.circuits import Gate
+        from fermisim.pauli import pauli_basis
+
+        model = fermions.three_mode_model(1.0, 1.0)
+        fold = circuits._fold_plan(tuple(
+            (g.kind, g.targets, g.param) for g in (
+                Gate("RY", (0,), math.pi / 2), Gate("PI_X", (1,)),
+                Gate("CZPHI", (0, 1), math.pi), Gate("PI_Y", (0,)))))
+        group = benchmarking.clifford_group(two_qubit=False)
+        cached = [
+            pauli_basis(1), pauli_basis(2),
+            tomography._analysis_unitaries(), tomography._design_matrix(),
+            tomography._gram_factor(), tomography._tp_map(),
+            experiments.reachable_indices(model),
+            fermions.model_hamiltonian(model)[1],
+            fermions.occupation_matrix(3), *fermions.coupling_matrices(3),
+            circuits._EYE2,
+            *(circuits.gate_unitary(Gate(kind, (0,), param))
+              for kind, param in circuits._FIXED_GATES if kind != "CZPHI"),
+            circuits.gate_unitary(Gate("CZPHI", (0, 1), math.pi)),
+            fold[1], *(prefix for _, runs in fold[2] for prefix, _ in runs
+                       if prefix is not None),
+            *(run[0] for run, _, _ in fold[4] if run[0] is not None),
+            group.codes, group.generator_codes, *group.word_tables,
+        ]
+        assert fold[1].shape == (1, 4, 4) and len(fold[4]) == 1
+        for array in cached:
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
+    def test_read_only_copies_a_view(self):
+        owner = np.arange(6.0)
+        view = read_only(owner.reshape(2, 3))
+        with pytest.raises(ValueError):
+            view.flags.writeable = True
+        owner[0] = 7.0  # the caller's array stays its own
+        assert view[0, 0] == 0.0

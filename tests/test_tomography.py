@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import minimize
 from scipy.stats import unitary_group
 
 from fermisim.circuits import Circuit, Gate
@@ -34,6 +35,38 @@ EXCHANGE_GEN = (np.kron(SX, SX) + np.kron(SY, SY)) / 2
 
 def random_unitary(rng):
     return unitary_group.rvs(4, random_state=rng)
+
+
+def always_mle_chi(dataset):
+    """reconstruct_chi as it was before the linear-inversion branch: the
+    penalised Cholesky fit, seeded by the clipped linear inversion, run
+    on every dataset."""
+    from fermisim.tomography import (
+        _MAX_ITERATIONS,
+        _PENALTY_WEIGHTS,
+        _design_matrix,
+        _fit_objective,
+        _linear_inversion,
+        _params_to_t,
+        _t_to_params,
+    )
+    w = _design_matrix()
+    y = dataset.probabilities.reshape(-1)
+    chi0 = _linear_inversion(y)
+    chi0 = (chi0 + chi0.conj().T) / 2
+    vals, vecs = np.linalg.eigh(chi0)
+    vals = np.clip(vals, 1e-12, None)
+    chi0 = (vecs * vals) @ vecs.conj().T
+    x = _t_to_params(np.linalg.cholesky(chi0 + 1e-12 * np.eye(16)))
+    for weight in _PENALTY_WEIGHTS:
+        result = minimize(_fit_objective, x, args=(weight, w, y), jac=True,
+                          method="L-BFGS-B",
+                          options={"maxiter": _MAX_ITERATIONS})
+        assert result.success
+        x = result.x
+    t = _params_to_t(x)
+    return t @ t.conj().T
+
 
 
 class TestBasis:
@@ -227,6 +260,45 @@ class TestReconstruction:
         chi_hat, info = reconstruct_chi(QPTDataset(probs), return_info=True)
         assert chi_hat.is_physical()
         assert info["tp_defect"] <= 1e-6
+
+    @pytest.mark.parametrize("noise_scale", [None, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_clean_data_keeps_the_linear_inversion(self, sign, noise_scale):
+        # the exchange halves of anticommutation_fig2d: the seed is
+        # physical, so no fit runs, and chi stays within 1.1e-11 of the
+        # fit that used to run on every dataset
+        noise = None if noise_scale is None else NoiseModel().scaled(
+            noise_scale)
+        ds = simulate_qpt_dataset(hopping_exchange_circuit(sign), noise)
+        chi_hat, info = reconstruct_chi(ds, return_info=True)
+        assert info["branch"] == "linear_inversion"
+        assert info["iterations"] == 0
+        assert chi_hat.is_physical()
+        assert np.max(np.abs(chi_hat.chi - always_mle_chi(ds))) <= 1.1e-11
+
+    def test_noiseless_linear_inversion_is_the_exact_chi(self):
+        rng = np.random.default_rng(16)
+        for u in [np.eye(4), *(random_unitary(rng) for _ in range(3))]:
+            chi_hat, info = reconstruct_chi(
+                simulate_qpt_dataset(chi_of_unitary(u)), return_info=True)
+            assert info["branch"] == "linear_inversion"
+            assert np.max(np.abs(chi_hat.chi - chi_of_unitary(u).chi)) \
+                <= 1e-13
+
+    def test_non_physical_seed_takes_the_mle(self):
+        # the perturbation of test_output_always_physical on noiseless
+        # data pushes the rank-1 seed's zero eigenvalues below zero (on
+        # the noisy data its smallest eigenvalue stays near 2.4e-3)
+        rng = np.random.default_rng(12)
+        ds = simulate_qpt_dataset(hopping_exchange_circuit(1.0))
+        probs = ds.probabilities + rng.uniform(-5e-8, 5e-8, (16, 16, 4))
+        probs = np.clip(probs, 0, None)
+        ds = QPTDataset(probs / probs.sum(axis=2, keepdims=True))
+        chi_hat, info = reconstruct_chi(ds, return_info=True)
+        assert info["branch"] == "mle"
+        assert chi_hat.is_physical()
+        assert info["tp_defect"] <= 1e-6
+        assert np.max(np.abs(chi_hat.chi - always_mle_chi(ds))) <= 1e-12
 
     def test_stability_under_tiny_perturbation(self):
         ds = simulate_qpt_dataset(hopping_exchange_circuit(1.0))
