@@ -1,8 +1,8 @@
 """Clifford-group machinery and interleaved randomized benchmarking.
 
-A channel S on rho.reshape(-1) has the real Pauli transfer matrix (PTM)
-R = B* S B^T / d, B stacking the Pauli strings.  A Clifford modulo
-global phase is exactly its PTM, a signed permutation, so each element's
+Channels are real Pauli transfer matrices (PTMs), the package's one
+convention (:mod:`fermisim.simulator`).  A Clifford modulo global phase
+is exactly its PTM, a signed permutation, so each element's
 one identity is its int8 code, ``code[b] = sign * (row + 1)`` for the
 one nonzero of column b.  Codes compose by a gather and invert by a
 scatter, exactly, and their bytes key the dict that numbers the
@@ -40,10 +40,12 @@ from scipy.optimize import OptimizeWarning, curve_fit
 from .circuits import Circuit, Gate, circuit_unitary
 from .pauli import pauli_basis, read_only
 from .simulator import (
-    DensityState,
     NoiseModel,
+    check_densities,
     circuit_channel,
+    density_matrices,
     ordered_product,
+    unitary_ptms,
 )
 
 SINGLE_QUBIT_ORDER = 24
@@ -69,15 +71,6 @@ def _generators(n: int) -> list[Circuit]:
     if n == 2:
         gens.append(Circuit(2, (Gate("CZPHI", (0, 1), math.pi),)))
     return gens
-
-
-def _ptm(channels: np.ndarray) -> np.ndarray:
-    """Real Pauli transfer matrices R = B* S B^T / d of a (..., 4^n, 4^n)
-    stack of channels S acting on rho.reshape(-1), as
-    :func:`circuit_channel` returns them."""
-    qubit_count = (channels.shape[-1].bit_length() - 1) // 2
-    basis = pauli_basis(qubit_count).reshape(4 ** qubit_count, -1)
-    return (basis.conj() @ channels @ basis.T).real / 2 ** qubit_count
 
 
 def _monomial_weights(ptms: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -140,8 +133,8 @@ class CliffordGroup:
             raise ValueError("only 1- and 2-qubit groups are supported")
         self.qubit_count = qubit_count
         self.generators = _generators(qubit_count)
-        gens = _codes(_ptm(np.array([circuit_channel(g)
-                                     for g in self.generators])))
+        gens = _codes(np.array([circuit_channel(g)
+                                for g in self.generators]))
         level = np.arange(1, 4 ** qubit_count + 1, dtype=np.int8)[None]
         words, lookup, parts = [()], {level[0].tobytes(): 0}, [level]
         while len(level):
@@ -180,7 +173,7 @@ class CliffordGroup:
         if u.shape != (2 ** self.qubit_count,) * 2:
             return None
         try:
-            code = _codes(_ptm(np.kron(u, u.conj())))
+            code = _codes(unitary_ptms(u[None])[0])
         except ValueError:
             return None
         return self._lookup.get(code.tobytes())
@@ -239,10 +232,8 @@ def _rb_maps(group: CliffordGroup, interleaved: Circuit | None,
                 "interleaved circuit is not a Clifford; unitary:\n"
                 f"{np.round(u, 4)}"
             )
-        ptm, code = _ptm(circuit_channel(interleaved, noise)), \
-            group.codes[index]
-    ptms = _ptm(np.array([circuit_channel(g, noise)
-                          for g in group.generators]))
+        ptm, code = circuit_channel(interleaved, noise), group.codes[index]
+    ptms = np.array([circuit_channel(g, noise) for g in group.generators])
     weights = _monomial_weights(ptms, group.word_tables[1][:-1])
     return np.vstack([weights, np.ones(size)]), (ptm, code)
 
@@ -283,7 +274,6 @@ def _return_probabilities(group: CliffordGroup, draws: list[np.ndarray],
     """
     ptm, code = pair
     n = group.qubit_count
-    dim = 2 ** n
     drawn = np.concatenate([indices.ravel() for indices in draws])
     bounds = np.cumsum([0] + [indices.size for indices in draws])
     # the ideal totals of all lengths in one batch: each drawn element
@@ -299,8 +289,7 @@ def _return_probabilities(group: CliffordGroup, draws: list[np.ndarray],
     recovery = [group._lookup[key] for key in _keys(_inverse(totals))]
     rows, scale = _walk_words(group, np.concatenate([drawn, recovery]),
                               weights)
-    basis = pauli_basis(n).reshape(4 ** n, -1)
-    start = basis[:, 0].real  # Pauli vector of |0..0><0..0|
+    start = pauli_basis(n)[:, 0, 0].real  # Pauli vector of |0..0><0..0|
     out = []
     last = len(drawn)  # the next recovery
     for indices, lo, hi in zip(draws, bounds, bounds[1:]):
@@ -311,9 +300,9 @@ def _return_probabilities(group: CliffordGroup, draws: list[np.ndarray],
         paulis = np.empty_like(before)  # the recovery's monomial PTM
         paulis[np.arange(k)[:, None], rows[last:last + k]] = \
             scale[last:last + k] * before
-        rhos = (paulis @ basis / dim).reshape(k, dim, dim)
-        out.append(np.array([DensityState(rho, n).probabilities()[0]
-                             for rho in rhos]))
+        rhos = density_matrices(paulis, n)
+        check_densities(rhos)
+        out.append(np.clip(rhos[:, 0, 0].real, 0.0, None))
         last += k
     return out
 

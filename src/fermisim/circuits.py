@@ -279,17 +279,17 @@ def _frozen_runs(runs) -> tuple:
 
 @functools.cache
 def block_layout(axes: tuple[int, ...], legs: int) -> tuple[tuple, tuple]:
-    """(perm, inverse) for a block on ``axes`` of a (2,)*legs + (batch,)
-    tensor: ``perm`` brings the block's axes to the front in order,
-    keeping the batch axis last, and ``inverse`` undoes it."""
+    """(perm, inverse) for a block on ``axes`` of ``legs`` qubit axes plus
+    a last batch axis: ``perm`` brings the block's axes to the front in
+    order, keeping the batch axis last, and ``inverse`` undoes it."""
     perm = (*axes, *(i for i in range(legs + 1) if i not in axes))
     return perm, tuple(sorted(range(legs + 1), key=perm.__getitem__))
 
 
 def run_blocks(t: np.ndarray, blocks) -> np.ndarray:
-    """Apply :func:`block_layout` blocks (matrix, perm, inverse) to a
-    (2,)*legs + (batch,) tensor in order: the one loop behind the
-    unitary, the channel matrix and both simulator backends."""
+    """Apply :func:`block_layout` blocks (matrix, perm, inverse) in order
+    to a tensor of qubit axes and a last batch axis: the one loop behind
+    the unitary, the channel matrix and both simulator backends."""
     shape = t.shape
     for m, perm, inverse in blocks:
         t = (m @ t.transpose(perm).reshape(len(m), -1)).reshape(

@@ -219,15 +219,15 @@ def coupling_matrices(mode_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only dense (H_hop, H_rep) of a schedule model shape.
 
     ``SCHEDULE_MODELS[mode_count](V, U)`` has the dense Hamiltonian
-    ``V * H_hop + U * H_rep`` (offset included).  Built on first use
-    from the unit-coupling models, then cached.  Both are real
+    ``V * H_hop + U * H_rep`` (offset included), taken on first use from
+    the unit-coupling models' :func:`model_hamiltonian`.  Both are real
     symmetric (XX, YY, ZZ and Z strings only) and stored as real arrays.
     """
     if mode_count not in SCHEDULE_MODELS:
         raise ValueError("schedules support 2- or 3-mode models")
     terms = []
     for v, u in ((1.0, 0.0), (0.0, 1.0)):
-        m = spin_hamiltonian(SCHEDULE_MODELS[mode_count](v, u)).to_dense()
+        m = model_hamiltonian(SCHEDULE_MODELS[mode_count](v, u))[1]
         if m.imag.any() or not np.array_equal(m, m.T):
             raise AssertionError("coupling matrix is not real symmetric")
         terms.append(read_only(m.real))

@@ -12,18 +12,18 @@ Idles and detunes carry the single-qubit error; virtual-Z and RZ frame
 rotations are error-free.  Noisy evolution is exact channel algebra, no
 trajectory sampling, so every run is deterministic.
 
-One fold serves both backends (:func:`lower_circuit`): each qubit's
-run of one-qubit gates becomes a 2x2 unitary multiplied into the next
-CZPHI on that qubit, one block per entangling gate plus one per
-leftover run.  The pure backend applies the block unitaries U; the
-density backend applies each block's channel
-D_2 o (U (x) U*) o (D_1^ka (x) D_1^kb), exact because depolarizing
-commutes with every unitary on its support.  One kernel,
-:func:`fermisim.circuits.run_blocks`, applies blocks with precomputed
-axis layouts.  :func:`circuit_channel` runs the channel blocks on the
-identity batch and returns the matrix acting on the row-major
-``rho.reshape(-1)``, the package's one channel convention (the
-tomography module's ``superoperator`` uses it too).
+The package's one channel convention is the real Pauli-transfer matrix
+(PTM) R[i, j] = tr(P_i Lambda(P_j)) / 2^n on real Pauli vectors
+r_P = tr(P rho) (:func:`fermisim.pauli.pauli_basis` order), the density
+backend's working state.  One fold serves both backends
+(:func:`lower_circuit`): each qubit's run of one-qubit gates becomes a
+2x2 unitary multiplied into the next CZPHI on that qubit, one block per
+entangling gate plus one per leftover run.  The pure backend applies
+the block unitaries U, the density backend each block's PTM
+diag(l) R_U diag(r): depolarizing commutes with every unitary on its
+support and scales each Pauli string that is not the identity there.
+:func:`fermisim.circuits.run_blocks` applies both, and
+:func:`circuit_channel` runs the PTM blocks on the identity batch.
 
 Exact evolution has one propagator, :func:`evolve_slices`: it takes a
 (slices, d, d) stack of dense Hamiltonians through one batched
@@ -52,14 +52,13 @@ import numpy as np
 from .circuits import (
     Circuit,
     Gate,
-    block_layout,
     census_single_qubit_total,
     entangler_blocks,
     run_blocks,
     unitary_blocks,
 )
 from .fermions import occupation_basis_index, occupation_matrix
-from .pauli import WeightedPauliSum, check_dense_width
+from .pauli import WeightedPauliSum, check_dense_width, pauli_basis
 
 NORM_TOL = 1e-10
 PSD_TOL = 1e-8
@@ -124,15 +123,51 @@ class DensityState:
         dim = 2 ** self.qubit_count
         if rho.shape != (dim, dim):
             raise ValueError("density matrix has wrong shape")
-        if not abs(np.trace(rho).real - 1.0) <= NORM_TOL:
-            raise ValueError("density matrix trace is not 1")
-        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-8:
-            raise ValueError("density matrix is not Hermitian")
-        if not np.linalg.eigvalsh(rho).min() >= -PSD_TOL:
-            raise ValueError("density matrix is not positive semidefinite")
+        check_densities(rho[None])
 
     def probabilities(self) -> np.ndarray:
         return np.clip(np.diag(self.rho).real, 0.0, None)
+
+    @functools.cached_property
+    def _pauli(self) -> np.ndarray:
+        """The Pauli vector; the density backend sets it on its outputs."""
+        basis = pauli_basis(self.qubit_count)
+        # tr(P rho) = vdot(P, rho), real for Hermitian P and rho
+        return (self.rho.conj().reshape(-1)
+                @ basis.reshape(len(basis), -1).T).real
+
+
+def check_densities(rhos: np.ndarray) -> None:
+    """ValueError unless every matrix of a (k, d, d) stack has unit
+    trace and is Hermitian and positive semidefinite."""
+    if not abs(rhos.trace(axis1=1, axis2=2).real - 1.0).max() <= NORM_TOL:
+        raise ValueError("density matrix trace is not 1")
+    if not abs(rhos - rhos.conj().transpose(0, 2, 1)).max() <= 1e-8:
+        raise ValueError("density matrix is not Hermitian")
+    if not np.linalg.eigvalsh(rhos).min() >= -PSD_TOL:
+        raise ValueError("density matrix is not positive semidefinite")
+
+
+def density_matrices(vectors: np.ndarray, qubit_count: int) -> np.ndarray:
+    """rho = sum_P r_P P / 2^n of each row of a (k, 4^n) stack of Pauli
+    vectors, as a (k, 2^n, 2^n) stack."""
+    basis = pauli_basis(qubit_count)
+    rhos = vectors @ basis.reshape(len(basis), -1) / 2 ** qubit_count
+    return rhos.reshape(-1, *basis.shape[1:])
+
+
+def unitary_ptms(us: np.ndarray) -> np.ndarray:
+    """Real PTMs R[i, j] = tr(P_i U P_j U^dag) / d of a (k, d, d) stack of
+    unitaries."""
+    k, d, _ = us.shape
+    basis = pauli_basis(d.bit_length() - 1)
+    # (U P_j U^dag)[a, b] at [k, (a, j), b], in two matrix products
+    images = (us.reshape(-1, d) @ basis.transpose(1, 0, 2).reshape(d, -1)
+              ).reshape(k, -1, d) @ us.conj().transpose(0, 2, 1)
+    images = images.reshape(k, d, d * d, d).transpose(0, 1, 3, 2)
+    # tr(P_i X) = vdot(P_i, X), since P_i is Hermitian
+    return (basis.reshape(d * d, -1).conj()
+            @ images.reshape(k, d * d, -1)).real / d
 
 
 def basis_state(qubit_count: int, index: int = 0) -> PureState:
@@ -189,51 +224,35 @@ def prepare_input(kind: str) -> PureState:
     return state_from_occupations({k: 1.0 for k in kets}, n)
 
 
-# X -> tr(X) I/d as a matrix on the row-major vec of d x d blocks
-_TRACE2, _TRACE4 = (np.outer(np.eye(d).ravel(), np.eye(d).ravel()) / d
-                    for d in (2, 4))
-_EYE4 = np.eye(4)
-
-
 def _block_channels(us: np.ndarray, counts: tuple,
                     noise: NoiseModel | None) -> np.ndarray:
-    """Channels of a stack of same-size blocks, (k, d, d) unitaries with
-    (k, targets) noisy one-qubit gate counts, on the row-major vec of
-    the targets' density block: D_2 o (U (x) U*) o (D_1^ka (x) D_1^kb)
-    of entangling blocks, or (U (x) U*) o D_1^k of one-qubit runs.
-
-    k noisy one-qubit gates on a target leave one depolarizing of kept
-    weight (1 - p_1)^k.  Each D is w I + (1 - w) tr(.) I/d, and
-    tr(.) I/d absorbs a unitary channel on either side and any
-    trace-preserving map before it.  One broadcast product forms every
-    U (x) U*, and one batched matmul every depolarizing composition.
+    """PTMs diag(l) R_U diag(r) of a stack of same-size blocks, (k, d, d)
+    unitaries with (k, targets) noisy one-qubit gate counts.  k noisy
+    one-qubit gates leave kept weight w = (1 - p_1)^k on their target, so
+    r is the kron of the targets' (1, w, w, w); an entangling block's
+    two-qubit depolarizing is l = (1, w_2, ..., w_2).
     """
-    k, d, _ = us.shape
-    s = (us[:, :, None, :, None] * us.conj()[:, None, :, None, :]).reshape(
-        k, d * d, d * d)
+    ptms = unitary_ptms(us)
     if noise is None:
-        return s
+        return ptms
     p1 = noise.channel_probability(1)
     # each weight as a float power: numpy's power can round differently
-    w1 = np.array([[(1.0 - p1) ** n for n in row]
-                   for row in counts])[..., None, None]
-    if d == 2:
-        return w1[:, 0] * s + (1.0 - w1[:, 0]) * _TRACE2
-    da, db = (w1[:, i] * _EYE4 + (1.0 - w1[:, i]) * _TRACE2 for i in (0, 1))
-    # da (x) db on the (ket a, ket b, bra a, bra b) axes
-    s = s @ (da.reshape((k,) + (2, 1) * 4)
-             * db.reshape((k,) + (1, 2) * 4)).reshape(k, 16, 16)
-    w2 = 1.0 - noise.channel_probability(2)
-    return w2 * s + (1.0 - w2) * _TRACE4
+    r = np.array([[[1.0] + [(1.0 - p1) ** n] * 3 for n in row]
+                  for row in counts])
+    if len(us[0]) == 2:
+        return ptms * r
+    ptms = ptms * (r[:, 0, :, None] * r[:, 1, None, :]).reshape(-1, 1, 16)
+    ptms[:, 1:] *= 1.0 - noise.channel_probability(2)  # diag(l)
+    return ptms
 
 
 @dataclass(frozen=True, eq=False)
 class LoweredCircuit:
     """A circuit folded once (:func:`fermisim.circuits.entangler_blocks`)
-    for both backends.  ``blocks`` are (unitary, perm, inverse) on the
-    ket axes, for pure states; ``channel_blocks``, built from the same
-    fold on first use, are (superoperator, perm, inverse) on the (ket,
-    bra) axes, ``noise`` included, for densities.
+    for both backends: ``blocks`` (unitary, perm, inverse) on a
+    (2,)*n + (batch,) tensor of amplitudes; ``channel_blocks``, built on
+    first use, (PTM, perm, inverse), ``noise`` included, on a
+    (4,)*n + (batch,) tensor of Pauli vectors.
     """
 
     circuit: Circuit
@@ -243,19 +262,16 @@ class LoweredCircuit:
 
     @functools.cached_property
     def channel_blocks(self) -> tuple:
-        n = self.circuit.qubit_count
-        channels = [None] * len(self.fold)
+        channels = {}
         for width in (1, 2):  # one batch per block size
             rows = [i for i, (_, targets, _) in enumerate(self.fold)
                     if len(targets) == width]
             if rows:
                 us, _, counts = zip(*(self.fold[i] for i in rows))
-                for i, m in zip(rows, _block_channels(np.stack(us), counts,
-                                                      self.noise)):
-                    channels[i] = m
-        return tuple(
-            (m, *block_layout(targets + tuple(q + n for q in targets), 2 * n))
-            for m, (_, targets, _) in zip(channels, self.fold))
+                channels.update(zip(rows, _block_channels(
+                    np.stack(us), counts, self.noise)))
+        return tuple((channels[i], perm, inverse)
+                     for i, (_, perm, inverse) in enumerate(self.blocks))
 
 
 def lower_circuit(circuit: Circuit,
@@ -270,11 +286,11 @@ def lower_circuit(circuit: Circuit,
 
 def circuit_channel(circuit: Circuit,
                     noise: NoiseModel | None = None) -> np.ndarray:
-    """4^n x 4^n matrix of a (noisy) circuit acting on rho.reshape(-1)."""
+    """Real 4^n x 4^n PTM of a (noisy) circuit on Pauli vectors."""
     n = circuit.qubit_count
     check_dense_width(2 * n, "circuit channel")  # a 2n-qubit unitary's size
     dim = 4 ** n
-    t = np.eye(dim, dtype=complex).reshape((2,) * (2 * n) + (dim,))
+    t = np.eye(dim).reshape((4,) * n + (dim,))
     t = run_blocks(t, lower_circuit(circuit, noise).channel_blocks)
     return t.reshape(dim, dim)
 
@@ -284,7 +300,8 @@ def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None,
     """Run a circuit; a noisy run promotes pure states to densities.
 
     Noiseless runs on pure states use the pure backend, all others the
-    density backend.  ``lowered``, from :func:`lower_circuit` on this
+    density backend, on the state's Pauli vector (the one a returned
+    density carries).  ``lowered``, from :func:`lower_circuit` on this
     circuit, skips folding it again; a density run also needs it lowered
     with this noise model.
     """
@@ -303,9 +320,11 @@ def apply_circuit(state, circuit: Circuit, noise: NoiseModel | None = None,
                           lowered.blocks)
         return PureState(amps.reshape(-1), n)
     dense = state.to_density() if isinstance(state, PureState) else state
-    t = run_blocks(dense.rho.reshape((2,) * (2 * n) + (1,)),
-                   lowered.channel_blocks)
-    return DensityState(t.reshape(dense.rho.shape), n)
+    r = run_blocks(dense._pauli.reshape((4,) * n + (1,)),
+                   lowered.channel_blocks).reshape(-1)
+    out = DensityState(density_matrices(r, n)[0], n)
+    object.__setattr__(out, "_pauli", r)
+    return out
 
 
 def invariant_support(hamiltonians: np.ndarray,

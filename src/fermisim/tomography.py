@@ -6,22 +6,22 @@ II, IX, IY, IZ, XI, ... (first qubit major).  That order is pinned in
 ``PAULI_BASIS_LABELS`` and used everywhere; chi matrices are meaningless
 without it.
 
-A channel as a matrix has one convention in the package: it acts on
-the row-major vectorisation ``rho.reshape(-1)``.  :func:`superoperator`
-returns S = sum_mn chi[m,n] E_m (x) conj(E_n), the same matrix that
-:func:`fermisim.simulator.circuit_channel` returns for a circuit, and
-datasets, composition and the chi conversions all go through it.
+A channel as a matrix is the package's one convention, the real PTM on
+Pauli vectors (:mod:`fermisim.simulator`): :func:`ptm_of_chi` gives a
+chi's, the matrix :func:`fermisim.simulator.circuit_channel` gives a
+circuit's, and :func:`chi_of_ptm` inverts it.
 
 Synthetic datasets prepare the 16 product states reached by
-{I, X/2, Y/2, X} on each qubit, apply the process under test (optionally
-with gate noise), analyse with the same 16 rotations, and record the
-four computational-basis outcome probabilities.  Each probability is
-W_r chi W_r^dag for one row of a fixed 1024 x 16 design matrix W.
+{I, X/2, Y/2, X} on each qubit, apply the process under test's PTM
+(optionally with gate noise), analyse with the same 16 rotations, and
+record the four computational-basis outcome probabilities, as real dot
+products of Pauli vectors.  Each probability is W_r chi W_r^dag for one
+row of a fixed 1024 x 16 design matrix W.
 
 Reconstruction starts from the linear inversion of the 1024
-constraints, solved through the normal equations: the right-hand side
-is W^H diag(y) W, and the 256 x 256 Gram matrix of the constraint map
-is factored once per process (lazily, read-only).  When the Hermitised
+constraints, solved for the PTM by two cached pseudo-inverses, since the
+probabilities are the preparation and effect Pauli vectors' products
+with it, then turned into chi.  When the Hermitised
 inversion is already physical (smallest eigenvalue at least
 -SEED_PSD_TOL, TP defect at most TP_TOL), it is the answer, clipped to
 PSD; the package's exact-probability datasets take this branch, and on
@@ -41,13 +41,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, expm
+from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .circuits import Circuit, Gate, circuit_unitary
 from .compiler import compile_zz_block, conjugate_basis
 from .pauli import pauli_basis, read_only
-from .simulator import PSD_TOL, DensityState, NoiseModel, circuit_channel
+from .simulator import (
+    PSD_TOL,
+    NoiseModel,
+    check_densities,
+    circuit_channel,
+    density_matrices,
+)
 
 BASIS_TAG = "IXYZ*IXYZ:row-major"
 PAULI_BASIS_LABELS = tuple(
@@ -144,33 +150,30 @@ def identity_process() -> ProcessMatrix:
     return chi_of_unitary(np.eye(4, dtype=complex))
 
 
-def superoperator(process: ProcessMatrix) -> np.ndarray:
-    """Row-major superoperator: Lambda(rho).reshape(-1) = S rho.reshape(-1).
-
-    S = sum_mn chi[m, n] kron(E_m, conj(E_n)), the convention of
-    :func:`fermisim.simulator.circuit_channel`.
-    """
-    return np.einsum(
-        "mn,mab,ncd->acbd", process.chi, PAULI_BASIS, PAULI_BASIS.conj()
-    ).reshape(16, 16)
+@functools.cache
+def _chi_to_ptm() -> np.ndarray:
+    """Read-only (256, 256) T[(i, j), (m, n)] = tr(P_i E_m P_j E_n^dag) / 4
+    mapping vec(chi) to vec(R); T / 4 is unitary."""
+    t = np.einsum("iab,mbc,jcd,nda->ijmn", *[PAULI_BASIS] * 4, optimize=True)
+    return read_only(t.reshape(256, 256) / 4)
 
 
-def chi_from_superoperator(s: np.ndarray) -> ProcessMatrix:
-    """Inverse of :func:`superoperator`, by orthogonality of the basis.
+def ptm_of_chi(process: ProcessMatrix) -> np.ndarray:
+    """The real PTM R[i, j] = tr(P_i Lambda(P_j)) / 4 of a chi process,
+    the convention of :func:`fermisim.simulator.circuit_channel`."""
+    return (_chi_to_ptm() @ process.chi.reshape(-1)).real.reshape(16, 16)
 
-    chi[m, n] = tr(kron(E_m, conj(E_n))^dag S) / 16, contracted factor
-    by factor instead of building the 256 Kronecker products.
-    """
-    chi = np.einsum("mik,njl,ijkl->mn", PAULI_BASIS.conj(), PAULI_BASIS,
-                    np.asarray(s).reshape(4, 4, 4, 4), optimize=True)
-    return ProcessMatrix(chi / 16.0)
+
+def chi_of_ptm(ptm: np.ndarray) -> ProcessMatrix:
+    """Inverse of :func:`ptm_of_chi`: chi = T^H vec(R) / 16."""
+    chi = (np.conj(ptm).reshape(-1) @ _chi_to_ptm()).conj()
+    return ProcessMatrix(chi.reshape(16, 16) / 16)
 
 
 def compose_processes(first: ProcessMatrix,
                       second: ProcessMatrix) -> ProcessMatrix:
     """chi of the sequential channel second(first(rho))."""
-    return chi_from_superoperator(superoperator(second) @
-                                  superoperator(first))
+    return chi_of_ptm(ptm_of_chi(second) @ ptm_of_chi(first))
 
 
 def process_fidelity(a: ProcessMatrix, b: ProcessMatrix) -> float:
@@ -203,13 +206,17 @@ class QPTDataset:
 
 
 @functools.cache
-def _analysis_unitaries() -> np.ndarray:
-    """The 16 rotation unitaries, stacked; built once, read-only.
-
-    Column 0 of rotation i is preparation i, rotation i applied to |00>.
-    """
-    return read_only(np.stack([circuit_unitary(tomography_rotation(j))
-                               for j in range(16)]))
+def _qpt_vectors() -> tuple:
+    """Read-only Pauli vectors from the rotations' PTMs, built once: the
+    (16, 16) preparations P (row i: rotation i applied to |00>), the
+    (64, 16) analysis effects E (row (j, k): the vector whose dot product
+    with a state's is <k| R_j rho R_j^dag |k>), pinv(P) and pinv(E)."""
+    ptms = np.stack([circuit_channel(tomography_rotation(j))
+                     for j in range(16)])
+    z = PAULI_BASIS.diagonal(axis1=1, axis2=2).real.T  # tr(P |k><k|)
+    vectors = (ptms @ z[0], (z @ ptms).reshape(64, 16) / 4)
+    pinvs = tuple(np.linalg.pinv(v) for v in vectors)
+    return tuple(read_only(a) for a in vectors + pinvs)
 
 
 def simulate_qpt_dataset(process, noise: NoiseModel | None = None
@@ -218,7 +225,8 @@ def simulate_qpt_dataset(process, noise: NoiseModel | None = None
 
     Preparation and analysis rotations are ideal; optional gate noise
     applies to the process circuit only.  The process is turned into its
-    row-major channel matrix once and applied to all 16 preparations.
+    PTM once and applied to all 16 preparations, whose outputs pass one
+    batched density check.
     """
     if isinstance(process, ProcessMatrix):
         if noise is not None:
@@ -226,19 +234,16 @@ def simulate_qpt_dataset(process, noise: NoiseModel | None = None
                 "noise applies to circuit processes; chi matrices are "
                 "already channels"
             )
-        channel = superoperator(process)
+        channel = ptm_of_chi(process)
     elif isinstance(process, Circuit):
         channel = circuit_channel(process, noise)
     else:
         raise TypeError("process must be a Circuit or ProcessMatrix")
-    analyses = _analysis_unitaries()
-    outputs = [DensityState((channel @ np.outer(v, v.conj()).reshape(-1))
-                            .reshape(4, 4), 2).rho
-               for v in analyses[:, :, 0]]
+    preparations, effects, _, _ = _qpt_vectors()
+    outputs = preparations @ channel.T
+    check_densities(density_matrices(outputs, 2))
     # probs[i, j, k] = <k| R_j rho_i R_j^dag |k>
-    probs = np.einsum("jka,iab,jkb->ijk", analyses, np.stack(outputs),
-                      analyses.conj(), optimize=True).real
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip((outputs @ effects.T).reshape(16, 16, 4), 0.0, None)
     return QPTDataset(probs / probs.sum(axis=2, keepdims=True))
 
 
@@ -249,35 +254,21 @@ def _design_matrix() -> np.ndarray:
     The model probability of row r is W_r chi W_r^dag.  Built once,
     read-only.
     """
-    analyses = _analysis_unitaries()
+    analyses = np.stack([circuit_unitary(tomography_rotation(j))
+                         for j in range(16)])  # column 0: preparation
     tmp = np.einsum("mab,ib->mia", PAULI_BASIS, analyses[:, :, 0])
     w = np.einsum("jka,mia->ijkm", analyses, tmp).reshape(-1, 16)
     return read_only(w)
 
 
-@functools.cache
-def _gram_factor() -> np.ndarray:
-    """Lower Cholesky factor of the linear-inversion Gram matrix M^H M.
-
-    M[r, (m, n)] = W[r, m] conj(W[r, n]) maps vec(chi) to the 1024
-    probabilities; the 16 x 16 x 4 tomography set determines chi, so
-    M^H M (256 x 256) is positive definite.  Built once, read-only.
-    """
-    w = _design_matrix()
-    m = (w[:, :, None] * w.conj()[:, None, :]).reshape(len(w), -1)
-    # Fortran order, as LAPACK reads it, so no solve copies it
-    return read_only(np.asfortranarray(np.linalg.cholesky(m.conj().T @ m)))
-
-
 def _linear_inversion(y: np.ndarray) -> np.ndarray:
-    """Least-squares chi of prob = M vec(chi), via the normal equations.
-
-    M^H y = vec(W^H diag(y) W), solved with the cached Gram factor.
-    """
-    w = _design_matrix()
-    rhs = (w.conj().T @ (y[:, None] * w)).reshape(-1)
-    chi_vec = cho_solve((_gram_factor(), True), rhs, check_finite=False)
-    return chi_vec.reshape(16, 16)
+    """Least-squares chi of the probabilities y = P R^T E^T of the
+    process PTM R (:func:`_qpt_vectors`): R = pinv(E) Y^T pinv(P)^T, which
+    also solves the complex least squares in chi, as chi -> R is
+    invertible."""
+    _, _, prep_inverse, effect_inverse = _qpt_vectors()
+    return chi_of_ptm(effect_inverse @ y.reshape(16, 64).T
+                      @ prep_inverse.T).chi
 
 
 def _model_probabilities(w: np.ndarray, chi: np.ndarray) -> np.ndarray:
@@ -330,9 +321,8 @@ def _fit_objective(x: np.ndarray, weight: float, w: np.ndarray,
     value = float(np.sum(resid ** 2)) \
         + weight * float(np.sum(np.abs(defect) ** 2))
     g_chi = 2.0 * (w.T @ (resid[:, None] * w.conj()))
-    g_chi += 2.0 * weight * np.einsum(
-        "nba,mbc,ca->mn", PAULI_BASIS.conj(), PAULI_BASIS, defect
-    )
+    g_chi += 2.0 * weight * (_tp_map() @ defect.T.reshape(-1)).reshape(
+        16, 16)
     d_tbar = g_chi.conj() @ t
     grad = np.concatenate([2 * d_tbar.real[_TRIL], 2 * d_tbar.imag[_TRIL]])
     return value, grad

@@ -18,7 +18,6 @@ from fermisim.benchmarking import (
     DecayFit,
     FitError,
     _after,
-    _ptm,
     _rb_maps,
     _return_probabilities,
     _walk_words,
@@ -32,6 +31,7 @@ from fermisim.compiler import ORDERINGS, compile_zz_block, plan_for_model, \
     compile_trotter_step
 from fermisim.experiments import quarter_angle_step_circuit
 from fermisim.fermions import two_mode_model
+from fermisim.pauli import pauli_basis
 from fermisim.simulator import (
     DensityState,
     NoiseModel,
@@ -90,7 +90,7 @@ class TestCliffordGroup:
             channel = circuit_channel(group2.decomposition(idx))
             assert group2.index_of(
                 circuit_unitary(group2.decomposition(idx))) == idx
-            assert np.array_equal(benchmarking._codes(_ptm(channel)),
+            assert np.array_equal(benchmarking._codes(channel),
                                   group2.codes[idx])
 
     def test_normalizes_pauli_group(self, group2):
@@ -385,8 +385,8 @@ def _interleaved_circuits():
 
 def _reference_rb_channels(group, interleaved, noise):
     """The per-run channels of the mat-vec path the PTM walk replaced:
-    the generators' noisy channels, and None or the interleaved
-    (channel, unitary)."""
+    the generators' noisy PTMs, and None or the interleaved (PTM,
+    unitary)."""
     pair = None
     if interleaved is not None:
         pair = (circuit_channel(interleaved, noise),
@@ -395,12 +395,12 @@ def _reference_rb_channels(group, interleaved, noise):
 
 
 def _reference_return_probability(group, indices, generators, interleaved):
-    """One sequence through per-generator mat-vecs on vec(|00><00|), as
-    the PTM walk's parent computed it."""
+    """One sequence through per-generator mat-vecs on the Pauli vector
+    of |00><00|, as the PTM walk's parent computed it."""
     n = group.qubit_count
     dim = 2 ** n
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[0] = 1.0
+    basis = pauli_basis(n)
+    vec = basis[:, 0, 0].real  # tr(P |00><00|)
     total = np.eye(dim, dtype=complex)
     for idx in indices:
         for gi in group.elements[idx].word:
@@ -415,7 +415,7 @@ def _reference_return_probability(group, indices, generators, interleaved):
         raise ClosureError("sequence product left the Clifford group")
     for gi in group.elements[recovery].word:
         vec = generators[gi] @ vec
-    out = DensityState(vec.reshape(dim, dim), n)
+    out = DensityState(np.einsum("p,pab->ab", vec, basis) / dim, n)
     return float(out.probabilities()[0])
 
 
@@ -479,7 +479,7 @@ class TestSequenceChannels:
         rows, scales = _walk_words(group, indices, weights)
         got = _after(np.eye(rows.shape[1]), rows, scales)
         for ptm, idx in zip(got, indices):
-            want = _ptm(circuit_channel(group.decomposition(int(idx)), noise))
+            want = circuit_channel(group.decomposition(int(idx)), noise)
             assert np.max(np.abs(ptm - want)) < 1e-13
 
     def test_non_monomial_generator_ptm_raises(self, group2, monkeypatch):

@@ -244,6 +244,14 @@ class TestCouplingMatrices:
             want = spin_hamiltonian(SCHEDULE_MODELS[n](v, u)).to_dense()
             assert np.allclose(v * hop + u * rep, want, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bit_identical_to_the_dense_spin_hamiltonian(self, n):
+        # taken from the unit-coupling models' one dense cache
+        for m, (v, u) in zip(coupling_matrices(n), ((1.0, 0.0), (0.0, 1.0))):
+            dense = spin_hamiltonian(SCHEDULE_MODELS[n](v, u)).to_dense()
+            assert np.array_equal(m, dense.real)
+            assert not dense.imag.any()
+
     def test_cached_read_only(self):
         hop, rep = coupling_matrices(3)
         assert coupling_matrices(3)[0] is hop

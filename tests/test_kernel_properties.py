@@ -20,11 +20,7 @@ from fermisim.simulator import (
     apply_circuit,
     circuit_channel,
 )
-from fermisim.tomography import (
-    chi_from_superoperator,
-    chi_of_circuit,
-    superoperator,
-)
+from fermisim.tomography import chi_of_circuit, chi_of_ptm, ptm_of_chi
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -82,10 +78,9 @@ def test_zero_noise_is_unitary_conjugation(circuit, seed):
 def test_circuit_channel_matches_apply_circuit(circuit, seed, scale):
     state = random_density(circuit.qubit_count, seed)
     noise = NoiseModel().scaled(scale)
-    dim = 2 ** circuit.qubit_count
-    got = circuit_channel(circuit, noise) @ state.rho.reshape(-1)
+    got = circuit_channel(circuit, noise) @ pauli_vector(state.rho)
     want = apply_circuit(state, circuit, noise).rho
-    assert np.allclose(got.reshape(dim, dim), want, rtol=0, atol=1e-12)
+    assert np.allclose(from_pauli_vector(got), want, rtol=0, atol=1e-12)
 
 
 # Unfolded gate-by-gate reference for the entangler-block kernel: every
@@ -112,6 +107,35 @@ def embedded(m: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
 
 PAULIS = [np.eye(2), np.array([[0, 1], [1, 0]]),
           np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+
+def pauli_strings(n: int) -> np.ndarray:
+    """The 4^n Pauli strings by np.kron, the first factor most
+    significant."""
+    out = np.ones((1, 1, 1))
+    for _ in range(n):
+        out = np.stack([np.kron(a, p) for a in out for p in PAULIS])
+    return out
+
+
+def pauli_vector(rho: np.ndarray) -> np.ndarray:
+    """r_P = tr(P rho)."""
+    n = len(rho).bit_length() - 1
+    return np.einsum("pab,ba->p", pauli_strings(n), rho).real
+
+
+def from_pauli_vector(r: np.ndarray) -> np.ndarray:
+    """rho = sum_P r_P P / 2^n."""
+    n = (len(r).bit_length() - 1) // 2
+    return np.einsum("p,pab->ab", r, pauli_strings(n)) / 2 ** n
+
+
+def to_ptm(s: np.ndarray) -> np.ndarray:
+    """R = B* S B^T / d of a channel S acting on rho.reshape(-1), B
+    stacking the flattened Pauli strings."""
+    n = (len(s).bit_length() - 1) // 2
+    b = pauli_strings(n).reshape(len(s), -1)
+    return (b.conj() @ s @ b.T).real / 2 ** n
 
 
 def reference_channel(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
@@ -192,7 +216,27 @@ def test_folded_density_path_matches_gate_by_gate(circuit, seed, scale):
 def test_folded_channel_matches_gate_by_gate(circuit, scale):
     noise = NoiseModel().scaled(scale)
     assert np.allclose(circuit_channel(circuit, noise),
-                       reference_channel(circuit, noise), rtol=0, atol=1e-12)
+                       to_ptm(reference_channel(circuit, noise)),
+                       rtol=0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(long_circuits(), scales)
+def test_circuit_channel_is_a_unital_trace_preserving_ptm(circuit, scale):
+    ptm = circuit_channel(circuit, NoiseModel().scaled(scale))
+    assert ptm.dtype == np.float64
+    e0 = np.eye(len(ptm))[0]
+    assert np.max(np.abs(ptm[0] - e0)) <= 1e-12  # trace-preserving
+    assert np.max(np.abs(ptm[:, 0] - e0)) <= 1e-12  # unital
+
+
+@PROPERTY_SETTINGS
+@given(long_circuits(max_qubits=2), scales)
+def test_chi_of_circuit_channel_is_psd(circuit, scale):
+    # a one-qubit circuit runs on qubit 0 of two, its channel (x) identity
+    circuit = Circuit(2, circuit.gates)
+    chi = chi_of_ptm(circuit_channel(circuit, NoiseModel().scaled(scale)))
+    assert np.linalg.eigvalsh(chi.chi).min() >= -1e-12
 
 
 @PROPERTY_SETTINGS
@@ -200,7 +244,7 @@ def test_folded_channel_matches_gate_by_gate(circuit, scale):
 def test_chi_and_circuit_channel_share_one_convention(circuit, scale):
     noise = NoiseModel().scaled(scale)
     channel = circuit_channel(circuit, noise)
-    back = superoperator(chi_from_superoperator(channel))
+    back = ptm_of_chi(chi_of_ptm(channel))
     assert np.max(np.abs(back - channel)) <= 1e-12
-    ideal = superoperator(chi_of_circuit(circuit))
+    ideal = ptm_of_chi(chi_of_circuit(circuit))
     assert np.max(np.abs(ideal - circuit_channel(circuit))) <= 1e-12

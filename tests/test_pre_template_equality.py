@@ -6,7 +6,8 @@ and ``compile_trotter_step``, the circuits module's ``gate_unitary`` and
 ``entangler_blocks``, and the simulator's ``_block_channel``, as they
 were before section templates, constant gate unitaries, fold plans and
 batched channel blocks.  Circuits must agree gate for gate, pure block
-unitaries bit for bit, and channel blocks to 1e-15.
+unitaries bit for bit, and channel blocks to 1e-15 with the Pauli
+transfer matrices of the old row-major channel blocks.
 """
 import math
 
@@ -40,7 +41,7 @@ from fermisim.fermions import (
     three_mode_model,
     two_mode_model,
 )
-from fermisim.pauli import PAULI_MATRICES
+from fermisim.pauli import PAULI_MATRICES, pauli_basis
 from fermisim.simulator import (
     NoiseModel,
     input_circuit,
@@ -201,6 +202,14 @@ def old_block_channel(u, counts, noise):
     return w2 * s + (1.0 - w2) * _TRACE4
 
 
+def old_block_ptm(u, counts, noise):
+    """R = B* S B^T / d of the old block channel S on the row-major vec
+    of the block's density, B stacking the flattened Pauli strings."""
+    s = old_block_channel(u, counts, noise)
+    b = pauli_basis(len(counts)).reshape(len(s), -1)
+    return (b.conj() @ s @ b.T).real / len(u)
+
+
 def assert_lowering_matches(circuit, noise):
     """Pure blocks bit for bit, channel blocks to 1e-15, same layouts."""
     old = list(old_entangler_blocks(circuit))
@@ -214,10 +223,9 @@ def assert_lowering_matches(circuit, noise):
     assert len(lowered.channel_blocks) == len(old)
     for (m, perm, inverse), (u0, targets, counts) in zip(
             lowered.channel_blocks, old):
-        assert np.max(np.abs(m - old_block_channel(u0, counts, noise)),
+        assert np.max(np.abs(m - old_block_ptm(u0, counts, noise)),
                       initial=0.0) <= 1e-15
-        assert (perm, inverse) == block_layout(
-            targets + tuple(q + n for q in targets), 2 * n)
+        assert (perm, inverse) == block_layout(targets, n)
 
 
 # -- strategies -------------------------------------------------------------

@@ -16,15 +16,15 @@ from fermisim.tomography import (
     QPTDataset,
     anticommutation_experiment,
     chi_of_circuit,
+    chi_of_ptm,
     chi_of_unitary,
-    chi_from_superoperator,
     compose_processes,
     hopping_exchange_circuit,
     identity_process,
     process_fidelity,
+    ptm_of_chi,
     reconstruct_chi,
     simulate_qpt_dataset,
-    superoperator,
     tomography_rotation,
 )
 
@@ -35,6 +35,19 @@ EXCHANGE_GEN = (np.kron(SX, SX) + np.kron(SY, SY)) / 2
 
 def random_unitary(rng):
     return unitary_group.rvs(4, random_state=rng)
+
+
+def random_rho(rng):
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho)
+
+
+def apply_ptm(ptm, rho):
+    """rho through a PTM: its Pauli vector tr(P rho), mapped, summed back
+    as sum_P r_P P / 4."""
+    r = np.einsum("pab,ba->p", PAULI_BASIS, rho).real
+    return np.einsum("p,pab->ab", ptm @ r, PAULI_BASIS) / 4
 
 
 def always_mle_chi(dataset):
@@ -126,39 +139,41 @@ class TestChiOfUnitary:
         rng = np.random.default_rng(3)
         u = random_unitary(rng)
         p = chi_of_unitary(u)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
-        out = (superoperator(p) @ rho.reshape(-1)).reshape(4, 4)
+        rho = random_rho(rng)
+        out = apply_ptm(ptm_of_chi(p), rho)
         assert np.allclose(out, u @ rho @ u.conj().T, atol=1e-12)
 
 
 class TestSuperoperator:
+    """The chi <-> PTM pair, the package's one channel matrix."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         p = chi_of_unitary(random_unitary(rng))
-        back = chi_from_superoperator(superoperator(p))
+        back = chi_of_ptm(ptm_of_chi(p))
         assert np.allclose(back.chi, p.chi, atol=1e-12)
 
-    def test_row_major_action(self):
+    def test_pauli_vector_action(self):
         rng = np.random.default_rng(6)
         u = random_unitary(rng)
         p = chi_of_unitary(u)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
-        lhs = (superoperator(p) @ rho.reshape(-1)).reshape(4, 4)
+        rho = random_rho(rng)
+        lhs = apply_ptm(ptm_of_chi(p), rho)
         assert np.allclose(lhs, u @ rho @ u.conj().T, atol=1e-12)
 
     def test_inverse_matches_kron_basis_reference(self):
-        # chi[m, n] = tr(kron(E_m, conj(E_n))^dag S) / 16 over the 256
-        # Kronecker products built one by one
+        # the PTM R as the row-major superoperator S = B^T R B* / 4 (B
+        # stacks the flattened Pauli strings), then chi[m, n] =
+        # tr(kron(E_m, conj(E_n))^dag S) / 16 over the 256 Kronecker
+        # products built one by one
         rng = np.random.default_rng(8)
-        s = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        r = rng.normal(size=(16, 16))
+        b = PAULI_BASIS.reshape(16, 16)
+        s = b.T @ r @ b.conj() / 4
         basis = np.stack([np.kron(PAULI_BASIS[m], PAULI_BASIS[n].conj())
                           for m in range(16) for n in range(16)])
         want = np.einsum("kab,ab->k", basis.conj(), s).reshape(16, 16) / 16
-        got = chi_from_superoperator(s).chi
+        got = chi_of_ptm(r).chi
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
@@ -228,6 +243,17 @@ class TestDataset:
     def test_chi_process_with_noise_rejected(self):
         with pytest.raises(ValueError):
             simulate_qpt_dataset(identity_process(), NoiseModel())
+
+    def test_outputs_pass_the_density_check(self):
+        # twice the identity doubles the trace; 1.5 on II and -0.5 on XI
+        # preserves trace but sends |0><0| to a state with eigenvalue -0.5
+        doubled = ProcessMatrix(2 * identity_process().chi)
+        with pytest.raises(ValueError, match="trace is not 1"):
+            simulate_qpt_dataset(doubled)
+        chi = np.zeros((16, 16))
+        chi[0, 0], chi[4, 4] = 1.5, -0.5
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            simulate_qpt_dataset(ProcessMatrix(chi))
 
 
 class TestReconstruction:
