@@ -65,6 +65,7 @@ from .benchmarking import (
     extract_interleaved_error,
     fit_decay,
     rb_run,
+    rb_runs,
 )
 from .experiments import ExperimentConfig, run, sweep
 
@@ -87,6 +88,6 @@ __all__ = [
     "compose_processes", "process_fidelity", "reconstruct_chi",
     "simulate_qpt_dataset",
     "CliffordGroup", "DecayFit", "clifford_group",
-    "extract_interleaved_error", "fit_decay", "rb_run",
+    "extract_interleaved_error", "fit_decay", "rb_run", "rb_runs",
     "ExperimentConfig", "run", "sweep",
 ]

@@ -19,13 +19,17 @@ are cached per process and built on first use.
 RB runs sequences of uniformly random Cliffords (optionally each
 followed by a fixed interleaved circuit) and the recovery inverting the
 whole sequence, under per-gate depolarizing noise, under which a
-Clifford's PTM keeps its pattern and scales its weights.  Each run takes
-the noisy generator PTMs from ``circuit_channel`` (the one source of
-noise) and walks the words of all drawn elements and recoveries at once.
-A sequence's map, the time-ordered product of R_int R_e, and the codes'
-product that gives its recovery are formed pairwise.  Sequence fidelity
-is the ground-state return probability; decays are fitted to A p^m + B
-and interleaved errors taken from r = (1 - p_int/p_ref)(d - 1)/d.
+Clifford's PTM keeps its pattern and scales its weights.  ``rb_runs``
+runs several runs that share the lengths and the noise model in one
+pass (``rb_run`` is its one-run case): it takes the noisy generator PTMs
+from ``circuit_channel`` (the one source of noise) once, walks the words
+of all runs' drawn elements and recoveries at once, and forms all
+recoveries from one pairwise product of codes.  Each sequence's map, the
+time-ordered product of R_int R_e, is formed pairwise one (length, run)
+block at a time, so each run's table is bit-identical to that run
+alone.  Sequence fidelity is the ground-state return probability; decays
+are fitted to A p^m + B and interleaved errors taken from
+r = (1 - p_int/p_ref)(d - 1)/d.
 """
 from __future__ import annotations
 
@@ -215,27 +219,28 @@ def clifford_group(two_qubit: bool = True) -> CliffordGroup:
     return _cached_group(2 if two_qubit else 1)
 
 
-def _rb_maps(group: CliffordGroup, interleaved: Circuit | None,
-             noise: NoiseModel):
-    """One run's noisy maps: the (generators + 1, 4^n) weights of each
-    generator's monomial PTM (the identity pad's last, all ones), and the
-    noisy PTM and code of the interleaved circuit (identities for None)."""
-    size = 4 ** group.qubit_count
-    ptm, code = np.eye(size), group.codes[0]
-    if interleaved is not None:
-        if interleaved.qubit_count != group.qubit_count:
-            raise ValueError("interleaved circuit has wrong qubit count")
-        u = circuit_unitary(interleaved)
-        index = group.index_of(u)
-        if index is None:
-            raise ValueError(
-                "interleaved circuit is not a Clifford; unitary:\n"
-                f"{np.round(u, 4)}"
-            )
-        ptm, code = circuit_channel(interleaved, noise), group.codes[index]
+def _generator_weights(group: CliffordGroup,
+                       noise: NoiseModel | None) -> np.ndarray:
+    """The (generators + 1, 4^n) weights of each generator's noisy
+    monomial PTM, the identity pad's last (all ones)."""
     ptms = np.array([circuit_channel(g, noise) for g in group.generators])
     weights = _monomial_weights(ptms, group.word_tables[1][:-1])
-    return np.vstack([weights, np.ones(size)]), (ptm, code)
+    return np.vstack([weights, np.ones(ptms.shape[-1])])
+
+
+def _interleaved_map(group: CliffordGroup, interleaved: Circuit | None,
+                     noise: NoiseModel | None):
+    """The interleaved circuit's noisy PTM and code (identities for None)."""
+    if interleaved is None:
+        return np.eye(4 ** group.qubit_count), group.codes[0]
+    if interleaved.qubit_count != group.qubit_count:
+        raise ValueError("interleaved circuit has wrong qubit count")
+    u = circuit_unitary(interleaved)
+    index = group.index_of(u)
+    if index is None:
+        raise ValueError("interleaved circuit is not a Clifford; "
+                         f"unitary:\n{np.round(u, 4)}")
+    return circuit_channel(interleaved, noise), group.codes[index]
 
 
 def _walk_words(group: CliffordGroup, indices: np.ndarray,
@@ -261,71 +266,85 @@ def _after(first: np.ndarray, rows: np.ndarray,
     """first @ R for every monomial PTM R given as (rows, scale) by
     :func:`_walk_words`: column b of the product is scale[b] times
     column rows[b] of ``first``."""
-    return np.swapaxes(first.T[rows] * scale[..., None], -1, -2)
+    columns = first.T[rows]
+    columns *= scale[..., None]
+    return np.swapaxes(columns, -1, -2)
 
 
-def _return_probabilities(group: CliffordGroup, draws: list[np.ndarray],
-                          weights: np.ndarray, pair) -> list[np.ndarray]:
+def _return_probabilities(group: CliffordGroup, draws, weights: np.ndarray,
+                          pairs) -> list[list[np.ndarray]]:
     """Ground-state return probability of every sequence plus recovery.
 
-    ``draws`` holds one (k, m) array of element indices per sequence
-    length, ``pair`` the interleaved (PTM, code); the result holds one
-    (k,) array per entry of ``draws``.
+    ``draws`` holds per run one (k, m) array of element indices per
+    sequence length, ``pairs`` per run the interleaved circuit's noisy
+    PTM and code; the result holds per run one (k,) array per length.
     """
-    ptm, code = pair
     n = group.qubit_count
-    drawn = np.concatenate([indices.ravel() for indices in draws])
-    bounds = np.cumsum([0] + [indices.size for indices in draws])
-    # the ideal totals of all lengths in one batch: each drawn element
-    # then the interleaved circuit, shorter rows padded with the identity
-    lengths = np.concatenate([np.full(len(i), i.shape[1]) for i in draws])
+    blocks = [indices for run in draws for indices in run]
+    drawn = np.concatenate([indices.ravel() for indices in blocks])
+    counts = [len(indices) for indices in blocks]
+    # the ideal totals of all runs and lengths in one batch: each drawn
+    # element then its run's interleaved circuit, shorter rows padded
+    # with the identity
+    lengths = np.repeat([indices.shape[1] for indices in blocks], counts)
+    codes = np.repeat([code for (_, code), run in zip(pairs, draws)
+                       for _ in run], counts, axis=0)
     drawn_at = np.arange(lengths.max()) < lengths[:, None]
-    padded = np.zeros(drawn_at.shape, dtype=np.intp)
-    padded[drawn_at] = drawn  # row-major, as ``drawn`` is
-    steps = np.where(drawn_at[..., None],
-                     _compose(code, group.codes[padded]), group.codes[0])
+    steps = np.tile(group.codes[0], drawn_at.shape + (1,))
+    steps[drawn_at] = _compose(np.repeat(codes, lengths, axis=0),
+                               group.codes[drawn])  # row-major, as drawn
     totals = ordered_product(steps, _compose)
     # the group is closed, so every recovery is an element
     recovery = [group._lookup[key] for key in _keys(_inverse(totals))]
     rows, scale = _walk_words(group, np.concatenate([drawn, recovery]),
                               weights)
     start = pauli_basis(n)[:, 0, 0].real  # Pauli vector of |0..0><0..0|
-    out = []
-    last = len(drawn)  # the next recovery
-    for indices, lo, hi in zip(draws, bounds, bounds[1:]):
-        k = len(indices)
-        seq = _after(ptm, rows[lo:hi], scale[lo:hi])
-        before = ordered_product(seq.reshape(indices.shape + ptm.shape)
-                                 ) @ start
-        paulis = np.empty_like(before)  # the recovery's monomial PTM
-        paulis[np.arange(k)[:, None], rows[last:last + k]] = \
-            scale[last:last + k] * before
-        rhos = density_matrices(paulis, n)
-        check_densities(rhos)
-        out.append(np.clip(rhos[:, 0, 0].real, 0.0, None))
-        last += k
-    return out
+    before, lo = [], 0
+    for (ptm, _), run in zip(pairs, draws):
+        hi = lo + sum(indices.size for indices in run)
+        seqs, lo = _after(ptm, rows[lo:hi], scale[lo:hi]), hi
+        # one (length, run) block at a time: a product's batch size, and
+        # so its rounding, is the block's
+        for indices in run:
+            seq, seqs = seqs[:indices.size], seqs[indices.size:]
+            before.append(ordered_product(
+                seq.reshape(indices.shape + ptm.shape)) @ start)
+    before = np.concatenate(before)
+    paulis = np.empty_like(before)  # after each recovery's monomial PTM
+    paulis[np.arange(len(before))[:, None], rows[lo:]] = scale[lo:] * before
+    bounds = np.cumsum(counts)[:-1]
+    rhos = np.concatenate([density_matrices(block, n)
+                           for block in np.split(paulis, bounds)])
+    check_densities(rhos)
+    out = iter(np.split(np.clip(rhos[:, 0, 0].real, 0.0, None), bounds))
+    return [[next(out) for _ in run] for run in draws]
 
 
-def rb_run(m_values, k_sequences: int, interleaved: Circuit | None,
-           noise: NoiseModel, seed: int, group: CliffordGroup | None = None,
-           tag: str | None = None) -> dict:
-    """Mean sequence fidelity per Clifford count.
+def rb_runs(m_values, k_sequences: int, runs, noise: NoiseModel | None,
+            group: CliffordGroup | None = None) -> list[dict]:
+    """Mean sequence fidelity per Clifford count of several runs that
+    share the lengths, the sequence count and the noise model.
 
-    Returns {"m": [...], "mean": [...], "stderr": [...], "tag": str}.
-    Each (m, sequence) pair draws from an independent child seed, so
-    aggregation order cannot change the result.
+    ``runs`` holds one (interleaved circuit or None, seed, tag or None)
+    per run; the result holds one table per run,
+    {"m": [...], "mean": [...], "stderr": [...], "tag": str}.  Each
+    (m, sequence) pair of a run draws from an independent child of the
+    run's seed, so neither aggregation order nor the other runs can
+    change a table.  The generator channels are built once for all runs.
     """
-    if group is None:
-        group = clifford_group(two_qubit=True)
-    weights, pair = _rb_maps(group, interleaved, noise)
     ms = sorted(int(m) for m in m_values)
     if not ms or ms[0] < 1:
         raise ValueError("need one or more sequence lengths, each >= 1")
     if k_sequences < 1:
         raise ValueError("need at least one sequence per length")
+    if not runs:
+        raise ValueError("need one or more runs")
+    if group is None:
+        group = clifford_group(two_qubit=True)
+    pairs = [_interleaved_map(group, interleaved, noise)
+             for interleaved, _, _ in runs]
     order = len(group)
-    draws = [
+    draws = [[
         np.array([
             np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(mi, j))
@@ -333,18 +352,24 @@ def rb_run(m_values, k_sequences: int, interleaved: Circuit | None,
             for j in range(k_sequences)
         ])
         for mi, m in enumerate(ms)
-    ]
-    means, errs = [], []
-    for vals in _return_probabilities(group, draws, weights, pair):
-        means.append(float(vals.mean()))
-        errs.append(float(vals.std(ddof=1) / math.sqrt(len(vals)))
-                    if len(vals) > 1 else 0.0)
-    return {
-        "m": ms,
-        "mean": means,
-        "stderr": errs,
-        "tag": tag or ("interleaved" if interleaved is not None else "ref"),
-    }
+    ] for _, seed, _ in runs]
+    values = _return_probabilities(group, draws,
+                                   _generator_weights(group, noise), pairs)
+    return [{
+        "m": list(ms),
+        "mean": [float(v.mean()) for v in block],
+        "stderr": [float(v.std(ddof=1) / math.sqrt(len(v)))
+                   if len(v) > 1 else 0.0 for v in block],
+        "tag": tag or ("ref" if interleaved is None else "interleaved"),
+    } for (interleaved, _, tag), block in zip(runs, values)]
+
+
+def rb_run(m_values, k_sequences: int, interleaved: Circuit | None,
+           noise: NoiseModel, seed: int, group: CliffordGroup | None = None,
+           tag: str | None = None) -> dict:
+    """One run's table: :func:`rb_runs` of ``(interleaved, seed, tag)``."""
+    return rb_runs(m_values, k_sequences, [(interleaved, seed, tag)], noise,
+                   group)[0]
 
 
 @dataclass(frozen=True)

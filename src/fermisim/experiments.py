@@ -51,7 +51,7 @@ from .benchmarking import (
     clifford_group,
     extract_interleaved_error,
     fit_decay,
-    rb_run,
+    rb_runs,
 )
 from .circuits import (
     census_single_qubit_total,
@@ -214,6 +214,12 @@ def _positive_int_list(name: str, value) -> None:
             and all(_is_int(v) and v >= 1 for v in value)):
         raise ConfigError(f"{name}: must be a non-empty list of "
                           f"integers >= 1")
+
+
+def _rb_lengths(name: str, value) -> None:
+    _positive_int_list(name, value)
+    if len(set(value)) < 3:  # a decay fit needs three lengths
+        raise ConfigError(f"{name}: needs at least 3 distinct lengths")
 
 
 def _parse_schedule(name: str, value) -> Schedule:
@@ -561,14 +567,10 @@ def _run_rb_s3(config: ExperimentConfig, out: Path) -> dict:
     group = clifford_group(two_qubit=True)
     zz = compile_zz_block(math.pi / 2, (0, 1))
     step = quarter_angle_step_circuit(config.canonical_ordering)
-    tables = [
-        rb_run(m_values, k_sequences, None, noise, config.seed, group,
-               tag="ref"),
-        rb_run(m_values, k_sequences, zz, noise, config.seed + 1, group,
-               tag="zz_block"),
-        rb_run(m_values, k_sequences, step, noise, config.seed + 2, group,
-               tag="trotter_step"),
-    ]
+    tables = rb_runs(m_values, k_sequences,
+                     [(None, config.seed, "ref"),
+                      (zz, config.seed + 1, "zz_block"),
+                      (step, config.seed + 2, "trotter_step")], noise, group)
     rows = []
     for table in tables:
         for m, mean, err in zip(table["m"], table["mean"], table["stderr"]):
@@ -662,8 +664,7 @@ EXPERIMENTS = {
     "digital_error_s5": Experiment(_run_digital_error_s5, ("ordering",)),
     "rb_s3": Experiment(
         _run_rb_s3, ("noise_scale", "seed", "ordering"),
-        params={"m_values": _positive_int_list,
-                "k_sequences": _positive_int},
+        params={"m_values": _rb_lengths, "k_sequences": _positive_int},
         metric="zz_block_error"),
     "anticommutation_fig2d": Experiment(
         _run_anticommutation, ("noise_scale",), metric="f_composed"),

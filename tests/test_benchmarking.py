@@ -1,4 +1,5 @@
 """Clifford group closure and randomized benchmarking self-consistency."""
+import dataclasses
 import functools
 import inspect
 import json
@@ -18,18 +19,27 @@ from fermisim.benchmarking import (
     DecayFit,
     FitError,
     _after,
-    _rb_maps,
+    _generator_weights,
+    _interleaved_map,
     _return_probabilities,
     _walk_words,
     clifford_group,
     extract_interleaved_error,
     fit_decay,
     rb_run,
+    rb_runs,
 )
 from fermisim.circuits import Circuit, Gate, circuit_unitary, equal_up_to_phase
 from fermisim.compiler import ORDERINGS, compile_zz_block, plan_for_model, \
     compile_trotter_step
-from fermisim.experiments import quarter_angle_step_circuit
+from fermisim.experiments import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    quarter_angle_step_circuit,
+    run,
+    write_csv,
+    write_json,
+)
 from fermisim.fermions import two_mode_model
 from fermisim.pauli import pauli_basis
 from fermisim.simulator import (
@@ -448,7 +458,8 @@ class TestSequenceChannels:
         # expanded sequence, recovery included, through apply_circuit
         interleaved = _interleaved_circuits()[tag]
         noise = NoiseModel().scaled(scale)
-        weights, pair = _rb_maps(group2, interleaved, noise)
+        weights = _generator_weights(group2, noise)
+        pair = _interleaved_map(group2, interleaved, noise)
         rng = np.random.default_rng(int(10 * scale) + len(tag))
         for _ in range(3):
             indices = rng.integers(len(group2), size=int(rng.integers(1, 7)))
@@ -464,8 +475,8 @@ class TestSequenceChannels:
             circuit = circuit.concat(group2.decomposition(recovery))
             want = apply_circuit(basis_state(2), circuit,
                                  noise).probabilities()[0]
-            [[got]] = _return_probabilities(group2, [indices[None]],
-                                            weights, pair)
+            [[[got]]] = _return_probabilities(group2, [[indices[None]]],
+                                              weights, [pair])
             assert abs(got - want) < 1e-13
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -475,7 +486,7 @@ class TestSequenceChannels:
         group = clifford_group(two_qubit)
         indices = np.array(drawn) % len(group)
         noise = NoiseModel().scaled(scale)
-        weights, _ = _rb_maps(group, None, noise)
+        weights = _generator_weights(group, noise)
         rows, scales = _walk_words(group, indices, weights)
         got = _after(np.eye(rows.shape[1]), rows, scales)
         for ptm, idx in zip(got, indices):
@@ -493,7 +504,7 @@ class TestSequenceChannels:
 
         monkeypatch.setattr(benchmarking, "circuit_channel", tilted)
         with pytest.raises(ValueError, match="monomial"):
-            _rb_maps(group2, None, NoiseModel())
+            _generator_weights(group2, NoiseModel())
 
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0])
@@ -507,6 +518,124 @@ class TestSequenceChannels:
         assert got["m"] == want["m"]
         for key in ("mean", "stderr"):
             assert np.allclose(got[key], want[key], rtol=0, atol=1e-13)
+
+
+def _three_call_run_rb_s3(config, out):
+    """``experiments._run_rb_s3`` as it was before ``rb_runs``: three
+    separate ``rb_run`` calls, one per tag."""
+    noise = config.noise_model()
+    m_values = config.params.get("m_values", [1, 5, 10, 20, 40, 60])
+    k_sequences = int(config.params.get("k_sequences", 50))
+    group = clifford_group(two_qubit=True)
+    zz = compile_zz_block(math.pi / 2, (0, 1))
+    step = quarter_angle_step_circuit(config.canonical_ordering)
+    tables = [
+        rb_run(m_values, k_sequences, None, noise, config.seed, group,
+               tag="ref"),
+        rb_run(m_values, k_sequences, zz, noise, config.seed + 1, group,
+               tag="zz_block"),
+        rb_run(m_values, k_sequences, step, noise, config.seed + 2, group,
+               tag="trotter_step"),
+    ]
+    rows = []
+    for table in tables:
+        for m, mean, err in zip(table["m"], table["mean"], table["stderr"]):
+            rows.append((m, mean, err, table["tag"]))
+    path = out / "rb_s3.csv"
+    write_csv(path, ["m", "mean_fidelity", "stderr", "tag"], rows)
+    fits = {t["tag"]: fit_decay(t) for t in tables}
+    zz_error = extract_interleaved_error(fits["ref"], fits["zz_block"])
+    step_error = extract_interleaved_error(fits["ref"],
+                                           fits["trotter_step"])
+    summary = {
+        "experiment": "rb_s3",
+        "k_sequences": k_sequences,
+        "m_values": list(m_values),
+        "decays": {tag: {"A": f.A, "B": f.B, "p": f.p,
+                         "residual_rms": f.residual_rms}
+                   for tag, f in fits.items()},
+        "zz_block_error": zz_error,
+        "trotter_step_error": step_error,
+        "files": [path.name],
+    }
+    write_json(out / "rb_s3_fits.json", summary)
+    return summary
+
+
+def _interleaves(two_qubit):
+    if not two_qubit:
+        return [None, Circuit(1, (Gate("PI_X", (0,)),))]
+    return [None, compile_zz_block(np.pi / 2, (0, 1))] + [
+        quarter_angle_step_circuit(ordering) for ordering in ORDERINGS]
+
+
+class TestRbRuns:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.booleans(), st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+           st.sampled_from([1, 3, 5]),
+           st.lists(st.integers(1, 12), min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2 ** 32),
+                              st.sampled_from([None, "a", "b"])),
+                    min_size=1, max_size=4))
+    def test_each_table_is_its_own_rb_run(self, two_qubit, scale, k,
+                                          m_values, picks):
+        group = clifford_group(two_qubit)
+        circuits = _interleaves(two_qubit)
+        runs = [(circuits[i % len(circuits)], seed, tag)
+                for i, seed, tag in picks]
+        noise = NoiseModel().scaled(scale)
+        tables = rb_runs(m_values, k, runs, noise, group)
+        assert len(tables) == len(runs)
+        for table, (interleaved, seed, tag) in zip(tables, runs):
+            assert table == rb_run(m_values, k, interleaved, noise, seed,
+                                   group, tag)
+
+    def test_lengths_checked_before_any_channel(self, group2, monkeypatch):
+        def no_channels(circuit, noise=None):
+            raise AssertionError("channel built before validation")
+
+        monkeypatch.setattr(benchmarking, "circuit_channel", no_channels)
+        bad = Circuit(2, (Gate("CZPHI", (0, 1), 0.3),))
+        with pytest.raises(ValueError, match="sequence lengths"):
+            rb_runs([0, 3], 2, [(bad, 1, None)], NoiseModel(), group2)
+        with pytest.raises(ValueError, match="at least one sequence"):
+            rb_runs([1, 3], 0, [(bad, 1, None)], NoiseModel(), group2)
+        with pytest.raises(ValueError, match="one or more runs"):
+            rb_runs([1, 3], 2, [], NoiseModel(), group2)
+
+    def test_rb_s3_builds_seven_channels(self, tmp_path, group2,
+                                         monkeypatch):
+        # five generators once, then the ZZ block and the step
+        calls = []
+
+        def counted(circuit, noise=None):
+            calls.append(circuit)
+            return circuit_channel(circuit, noise)
+
+        monkeypatch.setattr(benchmarking, "circuit_channel", counted)
+        run(ExperimentConfig("rb_s3", str(tmp_path), noise_scale=1.0,
+                             params={"k_sequences": 1}))
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("scale", [None, 0.5, 2.0])
+    @pytest.mark.parametrize("ordering", ["s5", "s6"])
+    def test_run_outputs_match_three_rb_run_calls(self, tmp_path,
+                                                  monkeypatch, k, scale,
+                                                  ordering):
+        def outputs(out_dir):
+            run(ExperimentConfig("rb_s3", str(out_dir), noise_scale=scale,
+                                 seed=9, ordering=ordering,
+                                 params={"k_sequences": k}))
+            summary = json.loads((out_dir / "summary.json").read_text())
+            del summary["config"]["out_dir"]
+            return ((out_dir / "rb_s3.csv").read_bytes(),
+                    (out_dir / "rb_s3_fits.json").read_bytes(), summary)
+
+        got = outputs(tmp_path / "one_call")
+        monkeypatch.setitem(EXPERIMENTS, "rb_s3", dataclasses.replace(
+            EXPERIMENTS["rb_s3"], runner=_three_call_run_rb_s3))
+        assert got == outputs(tmp_path / "three_calls")
 
 
 class TestPreKernelGolden:

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import OptimizeResult, minimize
 
 import fermisim.experiments as experiments
+from fermisim.benchmarking import FitError
 from fermisim.cli import EXIT_IO, main
 from fermisim.compiler import Schedule, digitize_schedule
 from fermisim.experiments import (
@@ -659,13 +660,32 @@ class TestCli:
         assert "configuration error: total_time" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_numerical_failure_exit_three(self, tmp_path, capsys):
-        # two distinct sequence lengths cannot support a decay fit
-        cfg = {"experiment": "rb_s3", "out_dir": str(tmp_path),
+    @pytest.mark.parametrize("m_values", [[1, 2], [1, 2, 2, 1]])
+    def test_too_few_rb_lengths_exit_two(self, tmp_path, capsys, m_values):
+        # fewer than three distinct lengths cannot support a decay fit
+        cfg = {"experiment": "rb_s3", "out_dir": str(tmp_path / "out"),
                "noise_scale": 1.0,
-               "params": {"m_values": [1, 2], "k_sequences": 2}}
+               "params": {"m_values": m_values, "k_sequences": 2}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(cfg_path)])
+        assert code == 2
+        assert ("configuration error: params.m_values"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_numerical_failure_exit_three(self, tmp_path, capsys,
+                                          monkeypatch):
+        def failing_fit(table):
+            raise FitError("decay fit did not converge: planted")
+
+        monkeypatch.setattr(experiments, "fit_decay", failing_fit)
+        cfg = {"experiment": "rb_s3", "out_dir": str(tmp_path / "out"),
+               "noise_scale": 1.0,
+               "params": {"m_values": [1, 2, 3], "k_sequences": 2}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         code = main(["run", "--config", str(cfg_path)])
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert "numerical failure: decay fit" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
