@@ -22,21 +22,22 @@ whole sequence, under per-gate depolarizing noise, under which a
 Clifford's PTM keeps its pattern and scales its weights.  ``rb_runs``
 runs several runs that share the lengths and the noise model in one
 pass (``rb_run`` is its one-run case): it takes the noisy generator PTMs
-from ``circuit_channel`` (the one source of noise) once, walks the words
-of all runs' drawn elements and recoveries at once, and forms all
-recoveries from one pairwise product of codes.  Each sequence's map, the
-time-ordered product of R_int R_e, is formed pairwise one (length, run)
-block at a time, so each run's table is bit-identical to that run
-alone.  Sequence fidelity is the ground-state return probability; decays
-are fitted to A p^m + B and interleaved errors taken from
-r = (1 - p_int/p_ref)(d - 1)/d.
+from ``circuit_channel`` (the one source of noise) once, walks the word
+of each distinct element among all runs' draws and recoveries once, and
+forms all recoveries from one pairwise product of codes.  Each
+sequence's map, the time-ordered product of R_int R_e, is formed
+pairwise one (length, run) block at a time, so each run's table is
+bit-identical to that run alone.  Sequence fidelity is the ground-state
+return probability; decays are fitted to A p^m + B by bounded least
+squares given the model's closed-form Jacobian, and interleaved errors
+taken from r = (1 - p_int/p_ref)(d - 1)/d.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
@@ -296,8 +297,12 @@ def _return_probabilities(group: CliffordGroup, draws, weights: np.ndarray,
     totals = ordered_product(steps, _compose)
     # the group is closed, so every recovery is an element
     recovery = [group._lookup[key] for key in _keys(_inverse(totals))]
-    rows, scale = _walk_words(group, np.concatenate([drawn, recovery]),
-                              weights)
+    # walk each distinct element once; draws repeat, and at the default
+    # k = 50 more than half of all walked indices are repeats
+    walked, at = np.unique(np.concatenate([drawn, recovery]),
+                           return_inverse=True)
+    rows, scale = _walk_words(group, walked, weights)
+    rows, scale = rows[at], scale[at]
     start = pauli_basis(n)[:, 0, 0].real  # Pauli vector of |0..0><0..0|
     before, lo = [], 0
     for (ptm, _), run in zip(pairs, draws):
@@ -380,7 +385,8 @@ class DecayFit:
     B: float
     p: float
     residual_rms: float
-    covariance: np.ndarray
+    # a diagnostic: fits compare and hash by A, B, p and residual_rms
+    covariance: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
@@ -389,17 +395,33 @@ class DecayFit:
             raise ValueError("decay fit has a non-finite A, B or residual")
 
 
+def _decay(m: np.ndarray, a: float, b: float, p: float) -> np.ndarray:
+    """The RB decay model A p^m + B at each length m."""
+    return a * p ** m + b
+
+
+def _decay_jacobian(m: np.ndarray, a: float, b: float,
+                    p: float) -> np.ndarray:
+    """The (len(m), 3) Jacobian of :func:`_decay` in (A, B, p): columns
+    p^m, 1 and A m p^(m - 1)."""
+    jac = np.empty((len(m), 3))
+    jac[:, 0] = p ** m
+    jac[:, 1] = 1.0
+    jac[:, 2] = a * m * p ** (m - 1)
+    return jac
+
+
 def fit_decay(table: dict) -> DecayFit:
-    """Bounded least-squares fit of the RB decay."""
+    """Bounded least-squares fit of the RB decay: ``curve_fit``'s TRF
+    solver on the box A, B in [0, 1], p in [1e-6, 1], with the model's
+    closed-form Jacobian (:func:`_decay_jacobian`) in place of finite
+    differences."""
     ms = np.asarray(table["m"], dtype=float)
     ys = np.asarray(table["mean"], dtype=float)
     if len(set(ms.tolist())) < 3:
         raise FitError("need at least 3 distinct sequence lengths")
     if not np.all(np.isfinite(ys)):
         raise FitError("non-finite sequence fidelities")
-
-    def model(m, a, b, p):
-        return a * p ** m + b
 
     spread = ys.max() - ys.min()
     if spread < 1e-12:
@@ -412,13 +434,13 @@ def fit_decay(table: dict) -> DecayFit:
             # meaningless there and only kept as a diagnostic
             warnings.simplefilter("ignore", OptimizeWarning)
             params, cov = curve_fit(
-                model, ms, ys, p0=p0,
+                _decay, ms, ys, p0=p0, jac=_decay_jacobian,
                 bounds=([0.0, 0.0, 1e-6], [1.0, 1.0, 1.0]), maxfev=20000,
             )
     except RuntimeError as exc:
         raise FitError(f"decay fit did not converge: {exc}") from exc
     a, b, p = (float(v) for v in params)
-    resid = ys - model(ms, *params)
+    resid = ys - _decay(ms, *params)
     return DecayFit(a, b, p, float(np.sqrt(np.mean(resid ** 2))), cov)
 
 

@@ -107,6 +107,10 @@ EXACT_SLICES = 600
 # t <= 1e-12 * 2^53 / 2.343 = 3844, rounded down.
 MAX_TOTAL_TIME = 3800.0
 
+# Most Cliffords one RB run may draw, k_sequences x sum(m_values): about
+# 15x the default 6,800, and each draw holds 2 KiB of sequence columns.
+RB_MAX_DRAWS = 100_000
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the field."""
@@ -172,6 +176,8 @@ class ExperimentConfig:
         for key, check in spec.params.items():
             if key in self.params:
                 check(f"params.{key}", self.params[key])
+        if spec.check_params is not None:
+            spec.check_params(self.params)
 
     def schedule(self) -> Schedule:
         """``params.schedule`` parsed, or the default ramp."""
@@ -220,6 +226,21 @@ def _rb_lengths(name: str, value) -> None:
     _positive_int_list(name, value)
     if len(set(value)) < 3:  # a decay fit needs three lengths
         raise ConfigError(f"{name}: needs at least 3 distinct lengths")
+
+
+def _rb_settings(params: dict) -> tuple[list, int]:
+    """rb_s3's ``m_values`` and ``k_sequences``, defaults filled in."""
+    return (params.get("m_values", [1, 5, 10, 20, 40, 60]),
+            int(params.get("k_sequences", 50)))
+
+
+def _rb_draws(params: dict) -> None:
+    m_values, k_sequences = _rb_settings(params)
+    draws = k_sequences * sum(m_values)
+    if draws > RB_MAX_DRAWS:
+        raise ConfigError(
+            f"params: k_sequences x sum(m_values) = {draws} Cliffords "
+            f"per run; at most {RB_MAX_DRAWS}")
 
 
 def _parse_schedule(name: str, value) -> Schedule:
@@ -562,8 +583,7 @@ def quarter_angle_step_circuit(ordering: str = "canonical_s5"):
 
 def _run_rb_s3(config: ExperimentConfig, out: Path) -> dict:
     noise = config.noise_model()
-    m_values = config.params.get("m_values", [1, 5, 10, 20, 40, 60])
-    k_sequences = int(config.params.get("k_sequences", 50))
+    m_values, k_sequences = _rb_settings(config.params)
     group = clifford_group(two_qubit=True)
     zz = compile_zz_block(math.pi / 2, (0, 1))
     step = quarter_angle_step_circuit(config.canonical_ordering)
@@ -638,6 +658,8 @@ class Experiment:
     runner: Callable[[ExperimentConfig, Path], dict]
     reads: tuple[str, ...]  # top-level config fields the runner reads
     params: dict = field(default_factory=dict)  # key -> check of its value
+    # a check of the params as a whole, after each key's own
+    check_params: Callable[[dict], None] | None = None
     metric: str | None = None  # summary key a sweep reports; None: no sweep
 
 
@@ -665,7 +687,7 @@ EXPERIMENTS = {
     "rb_s3": Experiment(
         _run_rb_s3, ("noise_scale", "seed", "ordering"),
         params={"m_values": _rb_lengths, "k_sequences": _positive_int},
-        metric="zz_block_error"),
+        check_params=_rb_draws, metric="zz_block_error"),
     "anticommutation_fig2d": Experiment(
         _run_anticommutation, ("noise_scale",), metric="f_composed"),
     "census_table_s1": Experiment(_run_census, ("ordering",)),

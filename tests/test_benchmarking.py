@@ -6,12 +6,14 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeWarning, curve_fit
 
 import fermisim.benchmarking as benchmarking
 from fermisim.benchmarking import (
@@ -19,6 +21,8 @@ from fermisim.benchmarking import (
     DecayFit,
     FitError,
     _after,
+    _decay,
+    _decay_jacobian,
     _generator_weights,
     _interleaved_map,
     _return_probabilities,
@@ -342,6 +346,63 @@ class TestFitDecay:
         with pytest.raises(FitError):
             fit_decay({"m": [1, 1, 1], "mean": [0.9, 0.8, 0.7]})
 
+    def test_equal_fits_compare_equal_and_hash(self):
+        table = {"m": [1, 5, 10, 20], "mean": [0.97, 0.9, 0.82, 0.7]}
+        fit, again = fit_decay(table), fit_decay(dict(table))
+        assert fit == again
+        assert hash(fit) == hash(again)
+        assert len({fit, again}) == 1
+        # the covariance is a diagnostic, outside equality
+        assert fit == dataclasses.replace(fit, covariance=np.eye(3))
+        assert fit != dataclasses.replace(fit, p=fit.p / 2)
+
+    @pytest.mark.parametrize("p", [1e-6, 0.3, 0.97, 1.0])
+    def test_jacobian_matches_central_differences(self, p):
+        ms = np.array([1.0, 2, 5, 10, 20, 40, 60])
+        # the differences of A p^m + B lose about ulp(B) / h to
+        # cancellation: a small B and atol keep that below the bound
+        params = np.array([0.7, 0.05, p])
+        jac = _decay_jacobian(ms, *params)
+        assert jac.shape == (len(ms), 3)
+        for col, h in enumerate([1e-6, 1e-6, 1e-5 * p]):
+            step = np.eye(3)[col] * h
+            numeric = (_decay(ms, *(params + step))
+                       - _decay(ms, *(params - step))) / (2 * h)
+            assert np.allclose(jac[:, col], numeric, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("ms", [[1, 5, 10, 20, 40, 60], [1, 20, 60]])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_finite_difference_fit(self, group2, k, ms):
+        # the analytic Jacobian changes curve_fit's path but not where
+        # it stops: within 2.3e-7 over 1,200 rb_runs tables (seeds 0-19,
+        # noise 0.25-2, k = 1 and 5, six and three lengths)
+        circuits = _interleaved_circuits()
+        runs = [(circuits["ref"], 3, "ref"), (circuits["zz"], 4, "zz"),
+                (circuits["step"], 5, "step")]
+        for scale in (0.25, 0.5, 1.0, 2.0):
+            for table in rb_runs(ms, k, runs, NoiseModel().scaled(scale),
+                                 group2):
+                fit = fit_decay(table)
+                want = _finite_difference_fit(table)
+                got = (fit.A, fit.B, fit.p, fit.residual_rms)
+                assert np.max(np.abs(np.subtract(got, want))) < 1e-6
+
+
+def _finite_difference_fit(table):
+    """(A, B, p, residual_rms) of ``fit_decay``'s bounded ``curve_fit``
+    with its default two-point finite-difference Jacobian."""
+    ms = np.asarray(table["m"], dtype=float)
+    ys = np.asarray(table["mean"], dtype=float)
+    p0 = (max(ys.max() - ys.min(), 0.1), float(np.clip(ys.min(), 0.0, 1.0)),
+          0.98)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        params, _ = curve_fit(_decay, ms, ys, p0=p0,
+                              bounds=([0.0, 0.0, 1e-6], [1.0, 1.0, 1.0]),
+                              maxfev=20000)
+    resid = ys - _decay(ms, *params)
+    return (*params, np.sqrt(np.mean(resid ** 2)))
+
 
 class TestExtractError:
     def test_equal_decays_give_zero(self):
@@ -515,6 +576,21 @@ class TestSequenceChannels:
                 NoiseModel().scaled(scale), 23)
         got = rb_run(*args, group=group2)
         want = _reference_rb_run(*args, group2)
+        assert got["m"] == want["m"]
+        for key in ("mean", "stderr"):
+            assert np.allclose(got[key], want[key], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("interleaved", [
+        None, Circuit(1, (Gate("PI_X", (0,)),))], ids=["ref", "x"])
+    def test_one_qubit_rb_run_matches_reference_matvec_path(
+            self, group1, interleaved, scale):
+        # 24 elements and 20 sequences per length: draws repeat, and each
+        # distinct element is walked once
+        args = ([1, 5, 10, 20], 20, interleaved, NoiseModel().scaled(scale),
+                31)
+        got = rb_run(*args, group=group1)
+        want = _reference_rb_run(*args, group1)
         assert got["m"] == want["m"]
         for key in ("mean", "stderr"):
             assert np.allclose(got[key], want[key], rtol=0, atol=1e-13)

@@ -59,6 +59,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="noise"):
             cfg.validate()
 
+    @pytest.mark.parametrize("params", [
+        {"m_values": [1, 2, 10 ** 12]},  # with the default k = 50
+        {"m_values": [1, 2, 3], "k_sequences": 20_000},
+        {"k_sequences": 736},  # 736 x 136 with the default lengths
+    ])
+    def test_oversized_rb_work_rejected(self, params):
+        cfg = ExperimentConfig("rb_s3", "/tmp/x", params=params)
+        with pytest.raises(ConfigError, match="at most 100000"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("params", [
+        {"k_sequences": 735},
+        {"m_values": [1, 2, 99_997], "k_sequences": 1},
+    ])
+    def test_rb_work_up_to_the_cap_accepted(self, params):
+        ExperimentConfig("rb_s3", "/tmp/x", params=params).validate()
+
     def test_json_round_trip(self):
         cfg = ExperimentConfig("fig3", "/tmp/x", noise_scale=1.0, steps=4)
         again = ExperimentConfig.from_json_dict(cfg.to_json_dict())
@@ -671,6 +688,18 @@ class TestCli:
         code = main(["run", "--config", str(cfg_path)])
         assert code == 2
         assert ("configuration error: params.m_values"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_rb_work_exit_two(self, tmp_path, capsys):
+        # validated before any work: no allocation, no out_dir
+        cfg = {"experiment": "rb_s3", "out_dir": str(tmp_path / "out"),
+               "noise_scale": 1.0,
+               "params": {"m_values": [1, 2, 1_000_000_000_000]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert ("configuration error: params: k_sequences x sum(m_values)"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
