@@ -14,23 +14,24 @@ circuit's, and :func:`chi_of_ptm` inverts it.
 Synthetic datasets prepare the 16 product states reached by
 {I, X/2, Y/2, X} on each qubit, apply the process under test's PTM
 (optionally with gate noise), analyse with the same 16 rotations, and
-record the four computational-basis outcome probabilities, as real dot
-products of Pauli vectors.  Each probability is W_r chi W_r^dag for one
-row of a fixed 1024 x 16 design matrix W.
+record the four computational-basis outcome probabilities.  With the
+preparations' Pauli vectors P and the analysis effects' E, the
+probabilities of a process PTM R form the 16 x 64 table P R^T E^T, the
+one probability model: datasets, the linear inversion, the residual and
+the fit all read it.
 
-Reconstruction starts from the linear inversion of the 1024
-constraints, solved for the PTM by two cached pseudo-inverses, since the
-probabilities are the preparation and effect Pauli vectors' products
-with it, then turned into chi.  When the Hermitised
-inversion is already physical (smallest eigenvalue at least
+Reconstruction starts from the linear inversion, R = pinv(E) Y^T
+pinv(P)^T with two cached pseudo-inverses, turned into chi.  When the
+Hermitised inversion is already physical (smallest eigenvalue at least
 -SEED_PSD_TOL, TP defect at most TP_TOL), it is the answer, clipped to
 PSD; the package's exact-probability datasets take this branch, and on
 clean data from a unitary it is the exact rank-1 chi.  Otherwise it
-seeds a maximum-likelihood fit of chi to the constraints by least
-squares, parameterising chi = T T^dag (Cholesky factor) to enforce
-Hermitian positive semidefiniteness and driving trace preservation with
-a scheduled penalty; an optimiser stage that reports failure, or a
-result that misses trace preservation, raises ReconstructionError.
+seeds a maximum-likelihood fit of chi to the table by least squares,
+parameterising chi = T T^dag (Cholesky factor) to enforce Hermitian
+positive semidefiniteness and driving trace preservation, row 0 of R
+equal to e_0, with a scheduled penalty; an optimiser stage that reports
+failure, or a result that misses trace preservation, raises
+ReconstructionError.
 """
 from __future__ import annotations
 
@@ -104,11 +105,11 @@ class ProcessMatrix:
         if not np.isfinite(chi).all():
             raise ValueError("chi has non-finite entries")
 
-    def is_physical(self, psd_tol=PSD_TOL, tp_tol=TP_TOL) -> bool:
+    def is_physical(self) -> bool:
         herm = np.max(np.abs(self.chi - self.chi.conj().T)) <= 1e-8
         psd = np.linalg.eigvalsh(
-            (self.chi + self.chi.conj().T) / 2).min() >= -psd_tol
-        return herm and psd and self.tp_defect() <= tp_tol
+            (self.chi + self.chi.conj().T) / 2).min() >= -PSD_TOL
+        return herm and psd and self.tp_defect() <= TP_TOL
 
     def tp_defect(self) -> float:
         return float(np.max(np.abs(_tp_operator(self.chi))))
@@ -239,41 +240,27 @@ def simulate_qpt_dataset(process, noise: NoiseModel | None = None
         channel = circuit_channel(process, noise)
     else:
         raise TypeError("process must be a Circuit or ProcessMatrix")
-    preparations, effects, _, _ = _qpt_vectors()
-    outputs = preparations @ channel.T
+    outputs, probs = _qpt_table(channel)
     check_densities(density_matrices(outputs, 2))
-    # probs[i, j, k] = <k| R_j rho_i R_j^dag |k>
-    probs = np.clip((outputs @ effects.T).reshape(16, 16, 4), 0.0, None)
+    probs = np.clip(probs.reshape(16, 16, 4), 0.0, None)
     return QPTDataset(probs / probs.sum(axis=2, keepdims=True))
 
 
-@functools.cache
-def _design_matrix() -> np.ndarray:
-    """W[r, m] = <k| R_j E_m |prep_i> with r = (i, j, k) row-major.
-
-    The model probability of row r is W_r chi W_r^dag.  Built once,
-    read-only.
-    """
-    analyses = np.stack([circuit_unitary(tomography_rotation(j))
-                         for j in range(16)])  # column 0: preparation
-    tmp = np.einsum("mab,ib->mia", PAULI_BASIS, analyses[:, :, 0])
-    w = np.einsum("jka,mia->ijkm", analyses, tmp).reshape(-1, 16)
-    return read_only(w)
+def _qpt_table(ptm: np.ndarray) -> tuple:
+    """(P R^T, P R^T E^T) for a process PTM R (:func:`_qpt_vectors`): the
+    16 prepared states' Pauli vectors after the process, and the 16 x 64
+    probability table, entry (i, 4 j + k) = <k| R_j rho_i R_j^dag |k>."""
+    preparations, effects, _, _ = _qpt_vectors()
+    outputs = preparations @ ptm.T
+    return outputs, outputs @ effects.T
 
 
 def _linear_inversion(y: np.ndarray) -> np.ndarray:
-    """Least-squares chi of the probabilities y = P R^T E^T of the
-    process PTM R (:func:`_qpt_vectors`): R = pinv(E) Y^T pinv(P)^T, which
-    also solves the complex least squares in chi, as chi -> R is
-    invertible."""
+    """Least-squares chi of the probability table y = P R^T E^T of the
+    process PTM R: R = pinv(E) y^T pinv(P)^T, which also solves the
+    complex least squares in chi, as chi -> R is invertible."""
     _, _, prep_inverse, effect_inverse = _qpt_vectors()
-    return chi_of_ptm(effect_inverse @ y.reshape(16, 64).T
-                      @ prep_inverse.T).chi
-
-
-def _model_probabilities(w: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """W_r chi W_r^dag for every row r of the design matrix."""
-    return np.einsum("rm,rm->r", w @ chi, w.conj()).real
+    return chi_of_ptm(effect_inverse @ y.T @ prep_inverse.T).chi
 
 
 _TRIL = np.tril_indices(16)
@@ -291,39 +278,39 @@ def _t_to_params(t: np.ndarray) -> np.ndarray:
     return np.concatenate([vals.real, vals.imag])
 
 
-@functools.cache
-def _tp_map() -> np.ndarray:
-    """Read-only (256, 16) matrix whose row (m, n) is E_n^dag E_m
-    flattened: it maps vec(chi) to sum_mn chi[m, n] E_n^dag E_m."""
-    return read_only(np.einsum("nba,mbc->mnac", PAULI_BASIS.conj(),
-                               PAULI_BASIS).reshape(256, 16))
-
-
 def _tp_operator(chi: np.ndarray) -> np.ndarray:
     """sum_mn chi[m, n] E_n^dag E_m - I, zero for a trace-preserving
-    chi."""
-    return (chi.reshape(-1) @ _tp_map()).reshape(4, 4) - np.eye(4)
+    chi: sum_j (R[0, j] - delta_j0) P_j for the PTM R of chi, since
+    R[0, j] = tr(P_j sum_mn chi[m, n] E_n^dag E_m) / 4."""
+    row = _chi_to_ptm()[:16] @ chi.reshape(-1)
+    row[0] -= 1.0
+    return np.tensordot(row, PAULI_BASIS, 1)
 
 
-def _fit_objective(x: np.ndarray, weight: float, w: np.ndarray,
-                   y: np.ndarray):
+def _fit_objective(x: np.ndarray, weight: float, y: np.ndarray):
     """Penalised misfit and its gradient in the Cholesky parameters.
 
-    ``w`` is the flat design matrix and ``y`` the flat probabilities.
-    With chi = T T^dag the model probability is |T^T W|^2, so the
-    Wirtinger derivative with respect to conj(T) is conj(G) T, where G
-    is the entrywise chi-gradient; both G terms below are Hermitian.
+    ``y`` is the 16 x 64 probability table.  With chi = T T^dag and its
+    PTM R = Re(C vec chi), C = :func:`_chi_to_ptm`, the misfit is
+    |P R^T E^T - y|^2 and the penalty weight |M - I|_F^2, which is
+    4 weight |d|^2 for M - I = :func:`_tp_operator` and d = R[0] - e_0,
+    since the Pauli strings are orthogonal with norm 4.  Their gradient
+    in R is 2 E^T resid^T P, plus 8 weight d on row 0; the entrywise
+    chi-gradient G is the Hermitian part of C^T vec of it, and the
+    Wirtinger derivative with respect to conj(T) is conj(G) T.
     """
+    preparations, effects, _, _ = _qpt_vectors()
+    c = _chi_to_ptm()
     t = _params_to_t(x)
     chi = t @ t.conj().T
-    resid = _model_probabilities(w, chi) - y
-    defect = _tp_operator(chi)
-    value = float(np.sum(resid ** 2)) \
-        + weight * float(np.sum(np.abs(defect) ** 2))
-    g_chi = 2.0 * (w.T @ (resid[:, None] * w.conj()))
-    g_chi += 2.0 * weight * (_tp_map() @ defect.T.reshape(-1)).reshape(
-        16, 16)
-    d_tbar = g_chi.conj() @ t
+    ptm = (c @ chi.reshape(-1)).real.reshape(16, 16)
+    resid = _qpt_table(ptm)[1] - y
+    defect = ptm[0] - np.eye(16)[0]
+    value = float(np.sum(resid ** 2)) + 4.0 * weight * float(defect @ defect)
+    g_ptm = 2.0 * (effects.T @ resid.T @ preparations)
+    g_ptm[0] += 8.0 * weight * defect
+    g_chi = (g_ptm.reshape(-1) @ c).reshape(16, 16)
+    d_tbar = (g_chi.conj() + g_chi.T) @ t / 2
     grad = np.concatenate([2 * d_tbar.real[_TRIL], 2 * d_tbar.imag[_TRIL]])
     return value, grad
 
@@ -346,8 +333,7 @@ def reconstruct_chi(dataset: QPTDataset, return_info: bool = False):
     Raises ReconstructionError if an optimiser stage reports failure or
     the result fails the physicality checks.
     """
-    w = _design_matrix()
-    y = dataset.probabilities.reshape(-1)
+    y = dataset.probabilities.reshape(16, 64)
     chi = _linear_inversion(y)
     vals, vecs = np.linalg.eigh((chi + chi.conj().T) / 2)
     process = ProcessMatrix((vecs * np.clip(vals, 0.0, None))
@@ -356,11 +342,11 @@ def reconstruct_chi(dataset: QPTDataset, return_info: bool = False):
     defect = process.tp_defect()
     if not (vals[0] >= -SEED_PSD_TOL and defect <= TP_TOL):
         branch = "mle"
-        chi, iterations = _maximum_likelihood(vals, vecs, w, y)
+        chi, iterations = _maximum_likelihood(vals, vecs, y)
         process = ProcessMatrix(chi)
         defect = process.tp_defect()
     residual = float(np.sqrt(np.mean(
-        (_model_probabilities(w, process.chi) - y) ** 2)))
+        (_qpt_table(ptm_of_chi(process))[1] - y) ** 2)))
     if not defect <= TP_TOL:
         raise ReconstructionError(
             f"trace preservation not reached: defect {defect:.3e}, "
@@ -375,18 +361,18 @@ def reconstruct_chi(dataset: QPTDataset, return_info: bool = False):
     return (process, info) if return_info else process
 
 
-def _maximum_likelihood(vals, vecs, w, y):
-    """(chi, last stage's iteration count) of the penalised Cholesky
+def _maximum_likelihood(vals, vecs, y):
+    """(chi, iteration count over all stages) of the penalised Cholesky
     fit, seeded by the linear inversion vecs diag(vals) vecs^H clipped
     to positive definite."""
     vals = np.clip(vals, 1e-12, None)
     chi0 = (vecs * vals) @ vecs.conj().T
     t0 = np.linalg.cholesky(chi0 + 1e-12 * np.eye(16))
 
-    x = _t_to_params(t0)
+    x, iterations = _t_to_params(t0), 0
     for stage, weight in enumerate(_PENALTY_WEIGHTS, 1):
         result = minimize(
-            _fit_objective, x, args=(weight, w, y), jac=True,
+            _fit_objective, x, args=(weight, y), jac=True,
             method="L-BFGS-B", options={"maxiter": _MAX_ITERATIONS},
         )
         if not result.success:
@@ -394,9 +380,9 @@ def _maximum_likelihood(vals, vecs, w, y):
                 f"optimiser failed at stage {stage}/{len(_PENALTY_WEIGHTS)} "
                 f"(penalty weight {weight:g}): {result.message}"
             )
-        x = result.x
+        x, iterations = result.x, iterations + int(result.nit)
     t = _params_to_t(x)
-    return t @ t.conj().T, int(result.nit)
+    return t @ t.conj().T, iterations
 
 
 def hopping_exchange_circuit(sign: float = 1.0) -> Circuit:

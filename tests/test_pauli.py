@@ -263,8 +263,7 @@ class TestReadOnlyCaches:
         group = benchmarking.clifford_group(two_qubit=False)
         cached = [
             pauli_basis(1), pauli_basis(2),
-            *tomography._qpt_vectors(), tomography._design_matrix(),
-            tomography._chi_to_ptm(), tomography._tp_map(),
+            *tomography._qpt_vectors(), tomography._chi_to_ptm(),
             experiments.reachable_indices(model),
             fermions.model_hamiltonian(model)[1],
             fermions.occupation_matrix(3), *fermions.coupling_matrices(3),

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 from scipy.stats import unitary_group
 
-from fermisim.circuits import Circuit, Gate
+from fermisim.circuits import Circuit, Gate, circuit_unitary
 from fermisim.pauli import PAULI_MATRICES, pauli_basis
 from fermisim.simulator import NoiseModel
 from fermisim.tomography import (
@@ -26,6 +26,16 @@ from fermisim.tomography import (
     reconstruct_chi,
     simulate_qpt_dataset,
     tomography_rotation,
+)
+from fermisim.tomography import (
+    _MAX_ITERATIONS,
+    _PENALTY_WEIGHTS,
+    _TRIL,
+    _fit_objective,
+    _linear_inversion,
+    _params_to_t,
+    _t_to_params,
+    _tp_operator,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -50,36 +60,63 @@ def apply_ptm(ptm, rho):
     return np.einsum("p,pab->ab", ptm @ r, PAULI_BASIS) / 4
 
 
+# -- the design-matrix model, as it was before the PTM model ----------------
+
+def old_design_matrix():
+    """W[r, m] = <k| R_j E_m |prep_i> with r = (i, j, k) row-major: the
+    model probability of row r is W_r chi W_r^dag."""
+    analyses = np.stack([circuit_unitary(tomography_rotation(j))
+                         for j in range(16)])  # column 0: preparation
+    tmp = np.einsum("mab,ib->mia", PAULI_BASIS, analyses[:, :, 0])
+    return np.einsum("jka,mia->ijkm", analyses, tmp).reshape(-1, 16)
+
+
+OLD_TP_MAP = np.einsum("nba,mbc->mnac", PAULI_BASIS.conj(),
+                       PAULI_BASIS).reshape(256, 16)
+
+
+def old_tp_operator(chi):
+    """sum_mn chi[m, n] E_n^dag E_m - I."""
+    return (chi.reshape(-1) @ OLD_TP_MAP).reshape(4, 4) - np.eye(4)
+
+
+def old_fit_objective(x, weight, w, y):
+    """Penalised misfit of W_r chi W_r^dag to the flat probabilities y
+    and its gradient in the Cholesky parameters."""
+    t = _params_to_t(x)
+    chi = t @ t.conj().T
+    resid = np.einsum("rm,rm->r", w @ chi, w.conj()).real - y
+    defect = old_tp_operator(chi)
+    value = float(np.sum(resid ** 2)) \
+        + weight * float(np.sum(np.abs(defect) ** 2))
+    g_chi = 2.0 * (w.T @ (resid[:, None] * w.conj()))
+    g_chi += 2.0 * weight * (OLD_TP_MAP @ defect.T.reshape(-1)).reshape(
+        16, 16)
+    d_tbar = g_chi.conj() @ t
+    grad = np.concatenate([2 * d_tbar.real[_TRIL], 2 * d_tbar.imag[_TRIL]])
+    return value, grad
+
+
 def always_mle_chi(dataset):
     """reconstruct_chi as it was before the linear-inversion branch: the
-    penalised Cholesky fit, seeded by the clipped linear inversion, run
-    on every dataset."""
-    from fermisim.tomography import (
-        _MAX_ITERATIONS,
-        _PENALTY_WEIGHTS,
-        _design_matrix,
-        _fit_objective,
-        _linear_inversion,
-        _params_to_t,
-        _t_to_params,
-    )
-    w = _design_matrix()
+    penalised Cholesky fit of the design-matrix model, seeded by the
+    clipped linear inversion, run on every dataset."""
+    w = old_design_matrix()
     y = dataset.probabilities.reshape(-1)
-    chi0 = _linear_inversion(y)
+    chi0 = _linear_inversion(y.reshape(16, 64))
     chi0 = (chi0 + chi0.conj().T) / 2
     vals, vecs = np.linalg.eigh(chi0)
     vals = np.clip(vals, 1e-12, None)
     chi0 = (vecs * vals) @ vecs.conj().T
     x = _t_to_params(np.linalg.cholesky(chi0 + 1e-12 * np.eye(16)))
     for weight in _PENALTY_WEIGHTS:
-        result = minimize(_fit_objective, x, args=(weight, w, y), jac=True,
-                          method="L-BFGS-B",
+        result = minimize(old_fit_objective, x, args=(weight, w, y),
+                          jac=True, method="L-BFGS-B",
                           options={"maxiter": _MAX_ITERATIONS})
         assert result.success
         x = result.x
     t = _params_to_t(x)
     return t @ t.conj().T
-
 
 
 class TestBasis:
@@ -322,6 +359,7 @@ class TestReconstruction:
         ds = QPTDataset(probs / probs.sum(axis=2, keepdims=True))
         chi_hat, info = reconstruct_chi(ds, return_info=True)
         assert info["branch"] == "mle"
+        assert info["iterations"] == 3  # one per penalty stage
         assert chi_hat.is_physical()
         assert info["tp_defect"] <= 1e-6
         assert np.max(np.abs(chi_hat.chi - always_mle_chi(ds))) <= 1e-12
@@ -338,20 +376,62 @@ class TestReconstruction:
 
     def test_gradient_matches_finite_differences(self):
         # the analytic Wirtinger gradient in the fit is load-bearing
-        from fermisim.tomography import _design_matrix, _fit_objective
         rng = np.random.default_rng(14)
-        w = _design_matrix()
-        y = simulate_qpt_dataset(Circuit(2)).probabilities.reshape(-1)
+        y = simulate_qpt_dataset(Circuit(2)).probabilities.reshape(16, 64)
         x0 = rng.normal(scale=0.2, size=272)
-        _, grad = _fit_objective(x0, 10.0, w, y)
+        _, grad = _fit_objective(x0, 10.0, y)
         eps = 1e-6
         for idx in rng.choice(272, size=12, replace=False):
             xp, xm = x0.copy(), x0.copy()
             xp[idx] += eps
             xm[idx] -= eps
-            fd = (_fit_objective(xp, 10.0, w, y)[0]
-                  - _fit_objective(xm, 10.0, w, y)[0]) / (2 * eps)
+            fd = (_fit_objective(xp, 10.0, y)[0]
+                  - _fit_objective(xm, 10.0, y)[0]) / (2 * eps)
             assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+class TestPtmModelMatchesDesignMatrix:
+    """The fit's PTM model P R^T E^T against the design-matrix model
+    W_r chi W_r^dag it replaced, copied above."""
+
+    @staticmethod
+    def cholesky_points():
+        # 20 generic points and 20 near the seed of a perturbed dataset,
+        # where the maximum-likelihood fit starts
+        rng = np.random.default_rng(20)
+        ds = simulate_qpt_dataset(hopping_exchange_circuit(1.0))
+        probs = ds.probabilities + rng.uniform(-5e-8, 5e-8, (16, 16, 4))
+        probs = np.clip(probs, 0, None)
+        ds = QPTDataset(probs / probs.sum(axis=2, keepdims=True))
+        chi0 = _linear_inversion(ds.probabilities.reshape(16, 64))
+        vals, vecs = np.linalg.eigh((chi0 + chi0.conj().T) / 2)
+        chi0 = (vecs * np.clip(vals, 1e-12, None)) @ vecs.conj().T
+        seed = _t_to_params(np.linalg.cholesky(chi0 + 1e-12 * np.eye(16)))
+        points = [rng.normal(scale=0.2, size=272) for _ in range(20)]
+        points += [seed + rng.normal(scale=1e-3, size=272)
+                   for _ in range(20)]
+        return ds, points
+
+    @pytest.mark.parametrize("weight", _PENALTY_WEIGHTS)
+    def test_objective_matches_the_design_matrix_model(self, weight):
+        ds, points = self.cholesky_points()
+        w = old_design_matrix()
+        for x in points:
+            value, grad = _fit_objective(
+                x, weight, ds.probabilities.reshape(16, 64))
+            old_value, old_grad = old_fit_objective(
+                x, weight, w, ds.probabilities.reshape(-1))
+            assert abs(value - old_value) <= 1e-12 * abs(old_value)
+            assert np.max(np.abs(grad - old_grad)) \
+                <= 1e-12 * np.max(np.abs(old_grad))
+
+    def test_tp_operator_matches_the_chi_side_map(self):
+        _, points = self.cholesky_points()
+        for x in points:
+            t = _params_to_t(x)
+            chi = t @ t.conj().T
+            assert np.max(np.abs(_tp_operator(chi) - old_tp_operator(chi))) \
+                <= 1e-13
 
 
 class TestAnticommutationExperiment:
