@@ -2,11 +2,11 @@
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult, minimize
 
 import fermisim.experiments as experiments
 from fermisim.benchmarking import FitError
@@ -612,16 +612,15 @@ class TestCli:
         assert code == EXIT_IO
         assert "output error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stage,weight", [(1, "100"), (3, "1e+06")])
+    @pytest.mark.parametrize("cap,rho", [(1, "100"), (3, "1e+06")])
     def test_optimiser_failure_exit_three(self, tmp_path, capsys,
-                                          monkeypatch, stage, weight):
+                                          monkeypatch, cap, rho):
         import fermisim.tomography as tomography
-        calls = []
         simulate = tomography.simulate_qpt_dataset
 
         def non_physical(process, noise=None):
             # a planted perturbation makes the noiseless linear inversion
-            # non-physical, so reconstruct_chi runs the MLE
+            # non-physical, so reconstruct_chi runs the ADMM fit
             probs = simulate(process, noise).probabilities
             probs = probs + np.random.default_rng(12).uniform(
                 -5e-8, 5e-8, probs.shape)
@@ -629,21 +628,23 @@ class TestCli:
             return tomography.QPTDataset(
                 probs / probs.sum(axis=2, keepdims=True))
 
-        def failing_at_stage(fun, x0, **kwargs):
-            calls.append(x0)
-            if len(calls) < stage:
-                return minimize(fun, x0, **kwargs)
-            return OptimizeResult(x=x0, success=False, nit=0,
-                                  message="ABNORMAL: line search failed")
-
         monkeypatch.setattr(tomography, "simulate_qpt_dataset", non_physical)
-        monkeypatch.setattr(tomography, "minimize", failing_at_stage)
-        code = main(["run", "--experiment", "anticommutation_fig2d",
-                     "--out", str(tmp_path)])
+        monkeypatch.setattr(tomography, "_ADMM_MAX_ITERATIONS", cap)
+        # the cached R-step inverse holds rho: rebuild it for the patched
+        # value, and again for the real one once the run is over
+        monkeypatch.setattr(tomography, "_ADMM_RHO", float(rho))
+        tomography._admm_r_step.cache_clear()
+        try:
+            code = main(["run", "--experiment", "anticommutation_fig2d",
+                         "--out", str(tmp_path)])
+        finally:
+            tomography._admm_r_step.cache_clear()
         assert code == 3
         err = capsys.readouterr().err
-        assert (f"numerical failure: optimiser failed at stage {stage}/3 "
-                f"(penalty weight {weight}): ABNORMAL") in err
+        assert re.search(
+            rf"numerical failure: ADMM fit not converged after {cap} "
+            r"iterations: primal residual \d\.\d{3}e[-+]\d+, "
+            r"dual residual \d\.\d{3}e[-+]\d+", err)
 
     def test_overflowing_evolution_exit_three(self, tmp_path, capsys):
         # finite, so validate accepts it, but vals * dt overflows

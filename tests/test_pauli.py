@@ -264,6 +264,7 @@ class TestReadOnlyCaches:
         cached = [
             pauli_basis(1), pauli_basis(2),
             *tomography._qpt_vectors(), tomography._chi_to_ptm(),
+            tomography._admm_r_step(),
             experiments.reachable_indices(model),
             fermions.model_hamiltonian(model)[1],
             fermions.occupation_matrix(3), *fermions.coupling_matrices(3),

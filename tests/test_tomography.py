@@ -1,4 +1,7 @@
 """Process tomography: datasets, constrained reconstruction, composition."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -28,13 +31,9 @@ from fermisim.tomography import (
     tomography_rotation,
 )
 from fermisim.tomography import (
-    _MAX_ITERATIONS,
-    _PENALTY_WEIGHTS,
-    _TRIL,
-    _fit_objective,
     _linear_inversion,
-    _params_to_t,
-    _t_to_params,
+    _qpt_table,
+    _qpt_vectors,
     _tp_operator,
 )
 
@@ -53,6 +52,49 @@ def random_rho(rng):
     return rho / np.trace(rho)
 
 
+def planted_dataset(amplitude, seed=12, noise=None):
+    """The sign=+1 exchange half's dataset with a uniform +-amplitude
+    perturbation, clipped and renormalised."""
+    ds = simulate_qpt_dataset(hopping_exchange_circuit(1.0), noise)
+    rng = np.random.default_rng(seed)
+    probs = ds.probabilities + rng.uniform(-amplitude, amplitude,
+                                           (16, 16, 4))
+    probs = np.clip(probs, 0, None)
+    return QPTDataset(probs / probs.sum(axis=2, keepdims=True))
+
+
+def misfit(chi, ds):
+    """|P R^T E^T - y|^2 of chi's PTM R against the dataset's table."""
+    y = ds.probabilities.reshape(16, 64)
+    table = _qpt_table(ptm_of_chi(ProcessMatrix(chi)))[1]
+    return float(np.sum((table - y) ** 2))
+
+
+def kkt_violation(chi, ds):
+    """(most negative eigenvalue of Z, max |Z chi|) for the dual
+    certificate Z of chi as the solution of min |P R^T E^T - y|^2 over
+    real PTMs R with R[0] = e_0 and chi(R) PSD.
+
+    Stationarity asks the misfit gradient G = 2 E^T resid^T P, plus a
+    multiplier lambda on row 0, to be the adjoint of the chi map applied
+    to Z, which is chi_of_ptm(G + e_0 lambda^T) up to a positive factor;
+    lambda is the least-squares choice for Z chi = 0.  chi is optimal
+    when Z is PSD and annihilates the range of chi."""
+    preparations, effects, _, _ = _qpt_vectors()
+    resid = _qpt_table(ptm_of_chi(ProcessMatrix(chi)))[1] \
+        - ds.probabilities.reshape(16, 64)
+    z0 = chi_of_ptm(2.0 * effects.T @ resid.T @ preparations).chi
+    zs = np.stack([chi_of_ptm(np.outer(np.eye(16)[0], e)).chi
+                   for e in np.eye(16)])
+    a = (zs @ chi).reshape(16, -1).T
+    b = -(z0 @ chi).reshape(-1)
+    lam = np.linalg.lstsq(np.concatenate([a.real, a.imag]),
+                          np.concatenate([b.real, b.imag]), rcond=None)[0]
+    z = z0 + np.tensordot(lam, zs, 1)
+    return (np.linalg.eigvalsh((z + z.conj().T) / 2).min(),
+            np.max(np.abs(z @ chi)))
+
+
 def apply_ptm(ptm, rho):
     """rho through a PTM: its Pauli vector tr(P rho), mapped, summed back
     as sum_P r_P P / 4."""
@@ -60,7 +102,24 @@ def apply_ptm(ptm, rho):
     return np.einsum("p,pab->ab", ptm @ r, PAULI_BASIS) / 4
 
 
-# -- the design-matrix model, as it was before the PTM model ----------------
+# -- the design-matrix model and its penalised Cholesky fit, before ADMM ---
+
+TRIL = np.tril_indices(16)
+OLD_PENALTY_WEIGHTS = (1e2, 1e4, 1e6)
+OLD_MAX_ITERATIONS = 400  # L-BFGS-B iteration cap of each penalty stage
+
+
+def params_to_t(x):
+    t = np.zeros((16, 16), dtype=complex)
+    half = len(x) // 2
+    t[TRIL] = x[:half] + 1j * x[half:]
+    return t
+
+
+def t_to_params(t):
+    vals = t[TRIL]
+    return np.concatenate([vals.real, vals.imag])
+
 
 def old_design_matrix():
     """W[r, m] = <k| R_j E_m |prep_i> with r = (i, j, k) row-major: the
@@ -83,7 +142,7 @@ def old_tp_operator(chi):
 def old_fit_objective(x, weight, w, y):
     """Penalised misfit of W_r chi W_r^dag to the flat probabilities y
     and its gradient in the Cholesky parameters."""
-    t = _params_to_t(x)
+    t = params_to_t(x)
     chi = t @ t.conj().T
     resid = np.einsum("rm,rm->r", w @ chi, w.conj()).real - y
     defect = old_tp_operator(chi)
@@ -93,7 +152,7 @@ def old_fit_objective(x, weight, w, y):
     g_chi += 2.0 * weight * (OLD_TP_MAP @ defect.T.reshape(-1)).reshape(
         16, 16)
     d_tbar = g_chi.conj() @ t
-    grad = np.concatenate([2 * d_tbar.real[_TRIL], 2 * d_tbar.imag[_TRIL]])
+    grad = np.concatenate([2 * d_tbar.real[TRIL], 2 * d_tbar.imag[TRIL]])
     return value, grad
 
 
@@ -108,14 +167,14 @@ def always_mle_chi(dataset):
     vals, vecs = np.linalg.eigh(chi0)
     vals = np.clip(vals, 1e-12, None)
     chi0 = (vecs * vals) @ vecs.conj().T
-    x = _t_to_params(np.linalg.cholesky(chi0 + 1e-12 * np.eye(16)))
-    for weight in _PENALTY_WEIGHTS:
+    x = t_to_params(np.linalg.cholesky(chi0 + 1e-12 * np.eye(16)))
+    for weight in OLD_PENALTY_WEIGHTS:
         result = minimize(old_fit_objective, x, args=(weight, w, y),
                           jac=True, method="L-BFGS-B",
-                          options={"maxiter": _MAX_ITERATIONS})
+                          options={"maxiter": OLD_MAX_ITERATIONS})
         assert result.success
         x = result.x
-    t = _params_to_t(x)
+    t = params_to_t(x)
     return t @ t.conj().T
 
 
@@ -336,6 +395,7 @@ class TestReconstruction:
         chi_hat, info = reconstruct_chi(ds, return_info=True)
         assert info["branch"] == "linear_inversion"
         assert info["iterations"] == 0
+        assert info["primal_residual"] == info["dual_residual"] == 0.0
         assert chi_hat.is_physical()
         assert np.max(np.abs(chi_hat.chi - always_mle_chi(ds))) <= 1.1e-11
 
@@ -352,17 +412,66 @@ class TestReconstruction:
         # the perturbation of test_output_always_physical on noiseless
         # data pushes the rank-1 seed's zero eigenvalues below zero (on
         # the noisy data its smallest eigenvalue stays near 2.4e-3)
-        rng = np.random.default_rng(12)
-        ds = simulate_qpt_dataset(hopping_exchange_circuit(1.0))
-        probs = ds.probabilities + rng.uniform(-5e-8, 5e-8, (16, 16, 4))
-        probs = np.clip(probs, 0, None)
-        ds = QPTDataset(probs / probs.sum(axis=2, keepdims=True))
+        ds = planted_dataset(5e-8)
         chi_hat, info = reconstruct_chi(ds, return_info=True)
         assert info["branch"] == "mle"
-        assert info["iterations"] == 3  # one per penalty stage
+        assert info["primal_residual"] <= 1e-12
+        assert info["dual_residual"] <= 1e-12
         assert chi_hat.is_physical()
         assert info["tp_defect"] <= 1e-6
-        assert np.max(np.abs(chi_hat.chi - always_mle_chi(ds))) <= 1e-12
+        # measured 4.8e-13 against the penalised fit's 2.7e-12
+        assert misfit(chi_hat.chi, ds) <= misfit(always_mle_chi(ds), ds)
+
+    def test_effects_do_not_couple_the_identity_row(self):
+        # the ADMM R-step holds row 0 of R at e_0 and solves for the rest
+        # alone; that needs (E^T E)[i, 0] = 0 for i > 0
+        _, effects, _, _ = _qpt_vectors()
+        assert np.max(np.abs((effects.T @ effects)[1:, 0])) <= 1e-15
+
+    def test_admm_system_built_on_first_fit_only(self):
+        # the linear-inversion branch, the one every experiment takes,
+        # never builds the ADMM R-step inverse
+        code = "\n".join([
+            "import fermisim.tomography as t",
+            "assert t._admm_r_step.cache_info().currsize == 0",
+            "t.reconstruct_chi(t.simulate_qpt_dataset(",
+            "    t.hopping_exchange_circuit(1.0)))",
+            "assert t._admm_r_step.cache_info().currsize == 0",
+        ])
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    @pytest.mark.parametrize("amplitude", [1e-6, 1e-4])
+    def test_misfit_at_most_the_penalised_fit(self, amplitude):
+        ds = planted_dataset(amplitude)
+        chi_hat, info = reconstruct_chi(ds, return_info=True)
+        assert info["branch"] == "mle"
+        assert misfit(chi_hat.chi, ds) <= misfit(always_mle_chi(ds), ds)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("noise_scale", [None, 0.25, 0.5])
+    def test_finite_shot_scale_perturbation_converges(self, noise_scale,
+                                                      seed):
+        # the penalised Cholesky fit hit its iteration cap and raised on
+        # every dataset of this kind
+        noise = None if noise_scale is None else NoiseModel().scaled(
+            noise_scale)
+        chi_hat, info = reconstruct_chi(
+            planted_dataset(5e-3, seed, noise), return_info=True)
+        assert info["branch"] == "mle"
+        assert info["primal_residual"] <= 1e-12
+        assert info["dual_residual"] <= 1e-12
+        assert chi_hat.is_physical()
+        assert chi_hat.tp_defect() <= 1e-11
+
+    @pytest.mark.parametrize("amplitude", [5e-8, 1e-4, 5e-3])
+    def test_fit_passes_the_kkt_certificate(self, amplitude):
+        # the penalised fit missed it by 4e-9 (5e-8) to 8e-4 (1e-4)
+        ds = planted_dataset(amplitude)
+        chi_hat, info = reconstruct_chi(ds, return_info=True)
+        assert info["branch"] == "mle"
+        min_eig, leak = kkt_violation(chi_hat.chi, ds)
+        assert min_eig >= -1e-10
+        assert leak <= 1e-10
 
     def test_stability_under_tiny_perturbation(self):
         ds = simulate_qpt_dataset(hopping_exchange_circuit(1.0))
@@ -374,30 +483,15 @@ class TestReconstruction:
         wiggled = reconstruct_chi(QPTDataset(probs))
         assert np.max(np.abs(base.chi - wiggled.chi)) < 1e-4
 
-    def test_gradient_matches_finite_differences(self):
-        # the analytic Wirtinger gradient in the fit is load-bearing
-        rng = np.random.default_rng(14)
-        y = simulate_qpt_dataset(Circuit(2)).probabilities.reshape(16, 64)
-        x0 = rng.normal(scale=0.2, size=272)
-        _, grad = _fit_objective(x0, 10.0, y)
-        eps = 1e-6
-        for idx in rng.choice(272, size=12, replace=False):
-            xp, xm = x0.copy(), x0.copy()
-            xp[idx] += eps
-            xm[idx] -= eps
-            fd = (_fit_objective(xp, 10.0, y)[0]
-                  - _fit_objective(xm, 10.0, y)[0]) / (2 * eps)
-            assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
 
 class TestPtmModelMatchesDesignMatrix:
-    """The fit's PTM model P R^T E^T against the design-matrix model
-    W_r chi W_r^dag it replaced, copied above."""
+    """The PTM model's TP defect against the chi-side map of the
+    design-matrix model it replaced, copied above."""
 
     @staticmethod
     def cholesky_points():
-        # 20 generic points and 20 near the seed of a perturbed dataset,
-        # where the maximum-likelihood fit starts
+        # 20 generic points and 20 near the Cholesky seed of a perturbed
+        # dataset, where the penalised fit started
         rng = np.random.default_rng(20)
         ds = simulate_qpt_dataset(hopping_exchange_circuit(1.0))
         probs = ds.probabilities + rng.uniform(-5e-8, 5e-8, (16, 16, 4))
@@ -406,35 +500,34 @@ class TestPtmModelMatchesDesignMatrix:
         chi0 = _linear_inversion(ds.probabilities.reshape(16, 64))
         vals, vecs = np.linalg.eigh((chi0 + chi0.conj().T) / 2)
         chi0 = (vecs * np.clip(vals, 1e-12, None)) @ vecs.conj().T
-        seed = _t_to_params(np.linalg.cholesky(chi0 + 1e-12 * np.eye(16)))
+        seed = t_to_params(np.linalg.cholesky(chi0 + 1e-12 * np.eye(16)))
         points = [rng.normal(scale=0.2, size=272) for _ in range(20)]
         points += [seed + rng.normal(scale=1e-3, size=272)
                    for _ in range(20)]
-        return ds, points
-
-    @pytest.mark.parametrize("weight", _PENALTY_WEIGHTS)
-    def test_objective_matches_the_design_matrix_model(self, weight):
-        ds, points = self.cholesky_points()
-        w = old_design_matrix()
-        for x in points:
-            value, grad = _fit_objective(
-                x, weight, ds.probabilities.reshape(16, 64))
-            old_value, old_grad = old_fit_objective(
-                x, weight, w, ds.probabilities.reshape(-1))
-            assert abs(value - old_value) <= 1e-12 * abs(old_value)
-            assert np.max(np.abs(grad - old_grad)) \
-                <= 1e-12 * np.max(np.abs(old_grad))
+        return points
 
     def test_tp_operator_matches_the_chi_side_map(self):
-        _, points = self.cholesky_points()
-        for x in points:
-            t = _params_to_t(x)
+        for x in self.cholesky_points():
+            t = params_to_t(x)
             chi = t @ t.conj().T
             assert np.max(np.abs(_tp_operator(chi) - old_tp_operator(chi))) \
                 <= 1e-13
 
 
 class TestAnticommutationExperiment:
+    @pytest.mark.parametrize("noise_scale", [None, 1.0])
+    def test_ideal_halves_match_expm(self, noise_scale):
+        # the experiment builds exp(-+i (pi/2) G) in closed form
+        noise = None if noise_scale is None else NoiseModel().scaled(
+            noise_scale)
+        report, chis = anticommutation_experiment(noise,
+                                                  return_processes=True)
+        for key, half, sign in (("f1", "first", -1), ("f2", "second", 1)):
+            ideal = chi_of_unitary(expm(sign * 1j * np.pi / 2
+                                        * EXCHANGE_GEN))
+            assert abs(report[key] - process_fidelity(ideal, chis[half])) \
+                <= 1e-15
+
     def test_noiseless_is_exact(self):
         report = anticommutation_experiment(None)
         assert report["f1"] == pytest.approx(1.0, abs=1e-3)
