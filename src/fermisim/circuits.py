@@ -49,7 +49,6 @@ DURATION_CLASS = {
     "CZPHI": "entangling",
 }
 
-UNITARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Gate:
@@ -317,11 +316,6 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - |tr(A^dag B)| / dim; zero iff equal up to global phase."""
     dim = a.shape[0]
     return 1.0 - abs(np.trace(a.conj().T @ b)) / dim
-
-
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray,
-                      tol: float = UNITARY_TOL) -> bool:
-    return phase_distance(a, b) <= tol
 
 
 def gate_census(c: Circuit) -> dict[str, int]:

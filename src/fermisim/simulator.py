@@ -44,14 +44,12 @@ occupation I/O converts through that module's mode/qubit mapping.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuits import (
     Circuit,
-    Gate,
     census_single_qubit_total,
     entangler_blocks,
     run_blocks,
@@ -170,12 +168,6 @@ def unitary_ptms(us: np.ndarray) -> np.ndarray:
             @ images.reshape(k, d * d, -1)).real / d
 
 
-def basis_state(qubit_count: int, index: int = 0) -> PureState:
-    amp = np.zeros(2 ** qubit_count, dtype=complex)
-    amp[index] = 1.0
-    return PureState(amp, qubit_count)
-
-
 def state_from_occupations(weights: dict[tuple[int, ...], complex],
                            qubit_count: int) -> PureState:
     """Pure state from occupation-ket amplitudes (1 = occupied)."""
@@ -193,28 +185,6 @@ _INPUT_TARGETS = {
     "four_mode": (4, [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1),
                       (1, 0, 1, 0)]),
 }
-
-
-def _cnot(control: int, target: int) -> list[Gate]:
-    h = [Gate("RY", (target,), math.pi / 2), Gate("PI_X", (target,))]
-    return h + [Gate("CZPHI", (control, target), math.pi)] + h
-
-
-def _bell_pair(a: int, b: int) -> list[Gate]:
-    """(|01> + |10>)/sqrt(2) on qubits (a, b) from |00>."""
-    return [Gate("RY", (a,), math.pi / 2)] + _cnot(a, b) \
-        + [Gate("PI_X", (b,))]
-
-
-def input_circuit(kind: str) -> Circuit:
-    """State-preparation circuit acting on the all-zeros qubit state."""
-    if kind == "two_mode":
-        return Circuit(2, (Gate("RY", (1,), math.pi / 2),))
-    if kind == "three_mode":
-        return Circuit(3, tuple(_bell_pair(0, 1)))
-    if kind == "four_mode":
-        return Circuit(4, tuple(_bell_pair(0, 1) + _bell_pair(2, 3)))
-    raise ValueError(f"unknown input kind {kind!r}")
 
 
 def prepare_input(kind: str) -> PureState:

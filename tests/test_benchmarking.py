@@ -36,7 +36,7 @@ from fermisim.benchmarking import (
     rb_run,
     rb_runs,
 )
-from fermisim.circuits import Circuit, Gate, circuit_unitary, equal_up_to_phase
+from fermisim.circuits import Circuit, Gate, circuit_unitary
 from fermisim.compiler import ORDERINGS, compile_zz_block, plan_for_model, \
     compile_trotter_step
 from fermisim.experiments import (
@@ -53,10 +53,10 @@ from fermisim.simulator import (
     DensityState,
     NoiseModel,
     apply_circuit,
-    basis_state,
     circuit_channel,
 )
 from fermisim.tomography import simulate_qpt_dataset
+from helpers import basis_state, equal_up_to_phase
 
 GOLDEN = Path(__file__).parent / "data" / "pre_kernel_golden.json"
 
@@ -520,6 +520,38 @@ class TestFitDecay:
         assert fit.p == pytest.approx(0.7603, abs=1e-4)
         assert _exact_cost(table, fit.A, fit.B, fit.p) < 0.00481
         assert _kkt_violation(table, fit) < 1e-12
+
+    def test_step_like_profile_within_the_evaluation_bound(self,
+                                                           monkeypatch):
+        # a non-RB table whose g' is step-like where the edge A = 1
+        # becomes active: Brent's interpolation stalls and the search
+        # bisects, 95 profile evaluations in its one search here; no
+        # search took more than 96 over 40,000 random tables like it
+        # (seven lengths 7-92, means 0.165-0.168), against a cap of
+        # _MAX_ITERATIONS = 200 per search
+        table = {"m": [7, 37, 46, 52, 63, 89, 92],
+                 "mean": [0.1673, 0.1661, 0.1658, 0.167, 0.1669, 0.166,
+                          0.1662]}
+        evaluations = 0
+
+        def counted(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return _profile_at(*args)
+
+        monkeypatch.setattr(benchmarking, "_profile_at", counted)
+        fit = fit_decay(table)
+        assert fit.A == 1.0 and 0.0 < fit.p < 1.0
+        assert evaluations <= 96
+        ms = [float(m) for m in table["m"]]
+        ybar = float(np.mean(table["mean"]))
+        scan = np.concatenate((np.linspace(1e-6, 1.0, 20001)[:-1],
+                               1.0 - np.geomspace(1e-4, 1e-12, 2001)))
+        best = min(_profile_at(ms, table["mean"], ybar, float(p))[0]
+                   for p in scan)
+        # the scan's float costs carry rounding of about 1e-15 relative
+        assert _exact_cost(table, fit.A, fit.B, fit.p) \
+            <= best * (1 + 1e-12)
 
     def test_uncertified_fit_raises(self, monkeypatch):
         monkeypatch.setattr(benchmarking, "_MAX_ITERATIONS", 1)

@@ -9,11 +9,11 @@ from fermisim.circuits import (
     Gate,
     census_single_qubit_total,
     circuit_unitary,
-    equal_up_to_phase,
     gate_census,
     gate_unitary,
     validate_phase_range,
 )
+from helpers import equal_up_to_phase
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -7,7 +7,6 @@ from scipy.linalg import expm
 
 from fermisim.circuits import (
     circuit_unitary,
-    equal_up_to_phase,
     gate_census,
     census_single_qubit_total,
     phase_distance,
@@ -33,6 +32,7 @@ from fermisim.fermions import (
     two_mode_model,
 )
 from fermisim.pauli import WeightedPauliSum
+from helpers import equal_up_to_phase
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

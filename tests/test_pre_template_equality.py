@@ -44,10 +44,10 @@ from fermisim.fermions import (
 from fermisim.pauli import PAULI_MATRICES, pauli_basis
 from fermisim.simulator import (
     NoiseModel,
-    input_circuit,
     lower_circuit,
 )
 from fermisim.tomography import hopping_exchange_circuit, tomography_rotation
+from helpers import input_circuit
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None)
 

@@ -33,18 +33,17 @@ from fermisim.simulator import (
     NoiseModel,
     PureState,
     apply_circuit,
-    basis_state,
     circuit_channel,
     error_budget,
     evolve_slices,
     exact_evolve,
-    input_circuit,
     invariant_support,
     lower_circuit,
     mode_occupations,
     prepare_input,
     state_fidelity,
 )
+from helpers import basis_state, input_circuit
 
 
 class TestPreparation:
