@@ -56,6 +56,7 @@ from .benchmarking import (
 from .circuits import (
     census_single_qubit_total,
     gate_census,
+    run_blocks,
     validate_phase_range,
 )
 from .compiler import (
@@ -73,21 +74,26 @@ from .fermions import (
     coupling_matrices,
     four_mode_ahm,
     model_hamiltonian,
+    occupation_matrix,
     three_mode_model,
     two_mode_model,
 )
 from .pauli import read_only
 from .simulator import (
     NoiseModel,
-    apply_circuit,
+    PureState,
+    # unused here; perfbench/tests checks that its tracer rebinds this name
+    apply_circuit,  # noqa: F401
+    check_densities,
+    check_norms,
+    density_matrices,
     error_budget,
     evolve_slices,
     invariant_support,
     lower_circuit,
-    mode_occupations,
     prepare_input,
-    state_fidelity,
-    state_overlap,
+    state_fidelities,
+    state_overlaps,
 )
 from .tomography import anticommutation_experiment
 
@@ -106,6 +112,10 @@ EXACT_SLICES = 600
 # max|lambda| = 2.343 (four-mode, offset included), so
 # t <= 1e-12 * 2^53 / 2.343 = 3844, rounded down.
 MAX_TOTAL_TIME = 3800.0
+
+# Checkpoints of a series checked and read out together: a block's
+# densities take at most 1 MiB at four modes, however many steps run.
+_READOUT_BLOCK = 256
 
 # Most Cliffords one RB run may draw, k_sequences x sum(m_values): about
 # 15x the default 6,800, and each draw holds 2 KiB of sequence columns.
@@ -280,13 +290,52 @@ def _input_kind(mode_count: int) -> str:
 
 
 @cache
+def _input_state(mode_count: int) -> tuple[PureState, np.ndarray]:
+    """The input state of a model size and its Pauli vector, both
+    read-only; built once per mode count."""
+    psi0 = prepare_input(_input_kind(mode_count))
+    psi0 = PureState(read_only(psi0.amplitudes), mode_count)
+    return psi0, read_only(psi0.to_density()._pauli)
+
+
+@cache
 def reachable_indices(model: FermionModel) -> np.ndarray:
     """Read-only sorted basis indices that the model's Hamiltonian
     reaches from its input state (:func:`invariant_support`); ``p_other``
     is the population outside them.  Built once per model."""
-    psi0 = prepare_input(_input_kind(model.mode_count))
+    psi0 = _input_state(model.mode_count)[0]
     return read_only(invariant_support(model_hamiltonian(model)[1][None],
                                        psi0.amplitudes))
+
+
+def _occupations(probabilities: np.ndarray) -> np.ndarray:
+    """(k, modes) occupations of a (k, 2^n) stack of probabilities,
+    one matrix-vector product per row as in :func:`mode_occupations`."""
+    n = probabilities.shape[1].bit_length() - 1
+    return (occupation_matrix(n) @ probabilities[:, :, None])[:, :, 0]
+
+
+def _readout(digital: np.ndarray, exact: np.ndarray,
+             rhos: np.ndarray | None, reachable: np.ndarray) -> list:
+    """The checked CSV columns after ``time`` of a block of checkpoints.
+
+    ``digital`` and ``exact`` are (k, 2^n) amplitude stacks, ``rhos`` the
+    run's (k, 2^n, 2^n) densities, or None when the run is the digital
+    state itself.  The digital norms and the densities are checked here;
+    the exact states arrive checked.
+    """
+    check_norms(digital)
+    p_digital = np.abs(digital) ** 2
+    if rhos is None:
+        states, p_run = digital, p_digital
+    else:
+        check_densities(rhos)
+        states = rhos
+        p_run = np.clip(rhos.diagonal(axis1=1, axis2=2).real, 0.0, None)
+    return [*_occupations(p_run).T, 1.0 - p_run[:, reachable].sum(axis=1),
+            state_fidelities(p_digital, p_run),
+            state_fidelities(np.abs(exact) ** 2, p_run),
+            state_overlaps(digital, states), state_overlaps(exact, states)]
 
 
 def _series_rows(path: Path, files: list, model: FermionModel,
@@ -301,30 +350,44 @@ def _series_rows(path: Path, files: list, model: FermionModel,
     ideal digitised state and the exact evolution at the same simulated
     time, both via the measurement-side distribution metric
     (``fidelity_*``) and via the exact state overlap (``overlap_*``).
+
+    The digital run steps the amplitude vector, the noisy run the Pauli
+    vector; every ``_READOUT_BLOCK`` checkpoints are checked and read
+    out in one batched pass (:func:`_readout`).
     """
     n = model.mode_count
-    psi0 = prepare_input(_input_kind(n))
+    psi0, pauli = _input_state(n)
     reachable = reachable_indices(model)
-    digital = psi0
-    run_state = psi0.to_density() if noise is not None else psi0
+    amps = psi0.amplitudes
     lowered = {}  # id of a step circuit -> its one lowering
+    points = [(0.0, None, psi0), *checkpoints]
     rows = []
-    for t, step_circuit, exact in [(0.0, None, psi0), *checkpoints]:
-        if step_circuit is not None:
-            if id(step_circuit) not in lowered:
-                lowered[id(step_circuit)] = lower_circuit(step_circuit, noise)
-            step = lowered[id(step_circuit)]
-            digital = apply_circuit(digital, step_circuit, lowered=step)
-            # a noiseless run is the digital state itself
-            run_state = digital if noise is None else apply_circuit(
-                run_state, step_circuit, noise, lowered=step)
-        p_run = run_state.probabilities()
-        rows.append((t, *mode_occupations(run_state),
-                     float(1.0 - p_run[reachable].sum()),
-                     state_fidelity(digital.probabilities(), p_run),
-                     state_fidelity(exact.probabilities(), p_run),
-                     state_overlap(digital, run_state),
-                     state_overlap(exact, run_state)))
+    for start in range(0, len(points), _READOUT_BLOCK):
+        block = points[start:start + _READOUT_BLOCK]
+        digital = np.empty((len(block), 2 ** n), dtype=complex)
+        paulis = np.empty((len(block), 4 ** n)) if noise is not None else None
+        for j, (_, step_circuit, _) in enumerate(block):
+            if step_circuit is not None:
+                if id(step_circuit) not in lowered:
+                    lowered[id(step_circuit)] = lower_circuit(step_circuit,
+                                                              noise)
+                step = lowered[id(step_circuit)]
+                amps = run_blocks(amps.reshape((2,) * n + (1,)),
+                                  step.blocks).reshape(-1)
+                if noise is not None:
+                    pauli = run_blocks(pauli.reshape((4,) * n + (1,)),
+                                       step.channel_blocks).reshape(-1)
+            digital[j] = amps
+            if paulis is not None:
+                paulis[j] = pauli
+        rhos = None
+        if paulis is not None:
+            # one vector-matrix product per row, as for a single state
+            rhos = density_matrices(paulis[:, None], n)
+        exact = np.stack([state.amplitudes for _, _, state in block])
+        columns = _readout(digital, exact, rhos, reachable)
+        rows += zip([t for t, _, _ in block],
+                    *(column.tolist() for column in columns))
     write_csv(path, ["time", *(f"p_mode{i + 1}" for i in range(n)),
                      "p_other", "fidelity_vs_digital", "fidelity_vs_exact",
                      "overlap_vs_digital", "overlap_vs_exact"], rows)
@@ -341,8 +404,7 @@ def _model_checkpoints(model: FermionModel, total_time: float, steps: int,
     h = model_hamiltonian(model)[1]  # spin_hamiltonian checked Hermiticity
     exact = evolve_slices(np.broadcast_to(h, (steps, *h.shape)),
                           np.full(steps, dt),
-                          prepare_input(_input_kind(model.mode_count)),
-                          every=1)
+                          _input_state(model.mode_count)[0], every=1)
     return [((k + 1) * dt, templates[k % len(templates)], state)
             for k, state in enumerate(exact)]
 
@@ -351,7 +413,7 @@ def _schedule_checkpoints(schedule: Schedule, mode_count: int, steps: int,
                           ordering: str) -> list:
     """Checkpoints of a digitised schedule run, exact by fine slicing."""
     plans = digitize_schedule(schedule, steps, mode_count, ordering)
-    exact = _advance_exact(prepare_input(_input_kind(mode_count)), schedule,
+    exact = _advance_exact(_input_state(mode_count)[0], schedule,
                            mode_count, [plan.window for plan in plans],
                            EXACT_SLICES)
     return [(plan.window[1], compile_trotter_step(plan, k), state)
@@ -493,15 +555,15 @@ def _run_fig5(config: ExperimentConfig, out: Path, mode_count: int) -> dict:
                               config.canonical_ordering),
         config.noise_model())
     # dense exact reference for plotting the continuous line
-    psi0 = prepare_input(_input_kind(mode_count))
+    psi0 = _input_state(mode_count)[0]
     samples = 60
     dt = schedule.duration / samples
     states = _advance_exact(psi0, schedule, mode_count,
                             [(i * dt, (i + 1) * dt) for i in range(samples)],
                             20)
-    dense_rows = [(0.0, *mode_occupations(psi0))]
-    dense_rows += [((i + 1) * dt, *mode_occupations(state))
-                   for i, state in enumerate(states)]
+    amps = np.stack([s.amplitudes for s in [psi0, *states]])
+    dense_rows = list(zip([0.0] + [(i + 1) * dt for i in range(samples)],
+                          *_occupations(np.abs(amps) ** 2).T.tolist()))
     exact_path = out / f"{name}_exact.csv"
     write_csv(exact_path,
               ["time"] + [f"p_mode{i + 1}" for i in range(mode_count)],
@@ -726,12 +788,19 @@ def sweep(config: ExperimentConfig, axis: str, values) -> list[dict]:
             f"sweepable axes: {[a for a in SWEEP_AXES if a in spec.reads]}")
     out = Path(config.out_dir)
     configs = []
+    seen = set()
     for value in values:  # every value is checked before any work starts
         fields = config.to_json_dict()
         fields[axis] = value
         fields["out_dir"] = str(out / f"{axis}_{value}")
         configs.append(ExperimentConfig.from_json_dict(fields))
         configs[-1].validate()
+        point = (configs[-1].canonical_ordering if axis == "ordering"
+                 else value)
+        if point in seen:  # one run, written twice into one directory
+            raise ConfigError(f"values: {axis} value {value!r} appears "
+                              f"more than once")
+        seen.add(point)
     out.mkdir(parents=True, exist_ok=True)
     results = [run(c) for c in configs]
     rows = [(value, float(summary[spec.metric]))

@@ -99,8 +99,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amp)
         if amp.shape != (2 ** self.qubit_count,):
             raise ValueError("amplitude vector has wrong length")
-        if not abs(np.vdot(amp, amp).real - 1.0) <= NORM_TOL:
-            raise ValueError("state is not normalised")
+        check_norms(amp[None])
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -133,6 +132,16 @@ class DensityState:
         # tr(P rho) = vdot(P, rho), real for Hermitian P and rho
         return (self.rho.conj().reshape(-1)
                 @ basis.reshape(len(basis), -1).T).real
+
+
+def check_norms(amplitudes: np.ndarray) -> None:
+    """ValueError unless every row of a (k, 2^n) stack of amplitudes
+    has unit norm."""
+    norms = (abs(amplitudes) ** 2).sum(axis=-1)
+    # a stack holds few rows: comparing them in Python keeps the check
+    # of one state near the cost of np.vdot
+    if not all(abs(x - 1.0) <= NORM_TOL for x in norms.tolist()):
+        raise ValueError("state is not normalised")
 
 
 def check_densities(rhos: np.ndarray) -> None:
@@ -401,28 +410,56 @@ def state_overlap(reference: PureState, state) -> float:
     order but is quadratically forgiving of incoherent errors, so
     simulated error-per-step numbers quote this exact overlap.
     """
-    v = reference.amplitudes
-    if isinstance(state, PureState):
-        return float(abs(np.vdot(v, state.amplitudes)) ** 2)
-    return float(np.real(v.conj() @ state.rho @ v))
+    target = state.amplitudes if isinstance(state, PureState) else state.rho
+    return float(state_overlaps(reference.amplitudes[None], target[None])[0])
+
+
+def state_overlaps(references: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """:func:`state_overlap` of each row of a (k, 2^n) stack of reference
+    amplitudes against the same row of a (k, 2^n) stack of amplitudes or
+    a (k, 2^n, 2^n) stack of densities.
+
+    Stacked products make one BLAS dot or vector-matrix call per row, and
+    hypot and float_power round as scalar abs and ** do, so a row's
+    overlap is the same to the bit as a single state's.
+    """
+    bras = references.conj()[:, None, :]
+    if states.ndim == 2:
+        dots = (bras @ states[:, :, None])[:, 0, 0]
+        return np.float_power(np.hypot(dots.real, dots.imag), 2)
+    return ((bras @ states) @ references[:, :, None])[:, 0, 0].real
 
 
 def state_fidelity(p_ideal, p) -> float:
     """Classical (Bhattacharyya) fidelity over computational outcomes."""
+    return float(state_fidelities(np.asarray(p_ideal, dtype=float)[None],
+                                  np.asarray(p, dtype=float)[None])[0])
+
+
+def state_fidelities(p_ideal, p) -> np.ndarray:
+    """:func:`state_fidelity` of each row pair of two (k, outcomes)
+    stacks of probability vectors.  Each vector must sum to 1 and have
+    no entry below 0, both to PROBABILITY_SUM_TOL; a failing stack
+    raises the message of its first failing row (ideal before run)."""
     a = np.asarray(p_ideal, dtype=float)
     b = np.asarray(p, dtype=float)
     if a.shape != b.shape:
         raise ValueError("probability vectors differ in length")
-    for v in (a, b):
-        if v.min() < -PROBABILITY_SUM_TOL:
-            raise ValueError(f"negative probability {v.min()}")
-        if not abs(v.sum() - 1.0) <= PROBABILITY_SUM_TOL:
-            raise ValueError(f"probabilities sum to {v.sum()}, not 1")
-    a = np.clip(a, 0.0, None)
-    b = np.clip(b, 0.0, None)
-    a = a / a.sum()
-    b = b / b.sum()
-    return float(np.sqrt(a * b).sum() ** 2)
+    pairs = np.stack([a, b], axis=-2)  # each row's ideal, then its run
+    lows = pairs.min(axis=-1).reshape(-1)
+    sums = pairs.sum(axis=-1).reshape(-1)
+    bad = (lows < -PROBABILITY_SUM_TOL) \
+        | ~(abs(sums - 1.0) <= PROBABILITY_SUM_TOL)
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        if lows[first] < -PROBABILITY_SUM_TOL:
+            raise ValueError(f"negative probability {lows[first]}")
+        raise ValueError(f"probabilities sum to {sums[first]}, not 1")
+    pairs = np.clip(pairs, 0.0, None)
+    pairs = pairs / pairs.sum(axis=-1, keepdims=True)
+    # float_power squares through libm pow, as a scalar ** 2 does
+    return np.float_power(
+        np.sqrt(pairs[..., 0, :] * pairs[..., 1, :]).sum(axis=-1), 2)
 
 
 def error_budget(census: dict[str, int], noise: NoiseModel) -> float:

@@ -541,6 +541,22 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("axis,values,named", [
+        ("steps", ["1", "1.0"], "steps value 1 "),
+        ("noise_scale", ["0.5", "5e-1"], "noise_scale value 0.5 "),
+        ("ordering", ["s5", "canonical_s5"], "ordering value 'canonical_s5' "),
+    ])
+    def test_duplicate_sweep_values_exit_two(self, tmp_path, capsys, axis,
+                                             values, named):
+        code = main(["sweep", "--experiment", "fig3", "--axis", axis,
+                     "--values", *values, "--out", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: values: {named}" in captured.err
+        assert "appears more than once" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("stop", ["1000", "1e9"])
     def test_overlong_step_range_exit_two(self, tmp_path, capsys, stop):
         # rejected before the range is built: 1e9 values would take GBs
