@@ -11,8 +11,7 @@ Gate kinds and their census duration classes:
   The sign convention is fixed here and owned by this module.
 
 Qubit 0 is the most significant bit of a dense basis index.  Circuits
-are immutable; composing them returns new values, and unitary
-comparisons are made modulo global phase via :func:`phase_distance`.
+are immutable; composing them returns new values.
 """
 from __future__ import annotations
 
@@ -310,12 +309,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     eye = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     return run_blocks(eye, unitary_blocks(entangler_blocks(c), n)).reshape(
         dim, dim)
-
-
-def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - |tr(A^dag B)| / dim; zero iff equal up to global phase."""
-    dim = a.shape[0]
-    return 1.0 - abs(np.trace(a.conj().T @ b)) / dim
 
 
 def gate_census(c: Circuit) -> dict[str, int]:

@@ -23,6 +23,7 @@ import numpy as np
 from .benchmarking import ClosureError, FitError
 from .experiments import (
     EXPERIMENTS,
+    MAX_STEPS,
     SWEEP_AXES,
     ConfigError,
     ExperimentConfig,
@@ -35,7 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-MAX_STEP_RANGE = 1000  # values one --from/--to step sweep may span
+MAX_STEP_RANGE = MAX_STEPS  # values one --from/--to step sweep may span
 
 
 def _parse_noise(text: str) -> float | None:

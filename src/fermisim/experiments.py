@@ -32,7 +32,8 @@ Constant-coupling and ramped series share one checkpoint loop: each
 step's circuit runs on the digital and the (noisy) run state, and both
 are compared with the exact state at the step's end.  Both exact
 references run through :func:`fermisim.simulator.evolve_slices`; a
-constant coupling is a stack of one slice per step.
+constant coupling is a stack of one slice per step.  An exact
+reference moves as one checked (steps, 2^n) array, not as states.
 """
 from __future__ import annotations
 
@@ -74,7 +75,6 @@ from .fermions import (
     coupling_matrices,
     four_mode_ahm,
     model_hamiltonian,
-    occupation_matrix,
     three_mode_model,
     two_mode_model,
 )
@@ -91,6 +91,7 @@ from .simulator import (
     evolve_slices,
     invariant_support,
     lower_circuit,
+    occupation_rows,
     prepare_input,
     state_fidelities,
     state_overlaps,
@@ -116,6 +117,12 @@ MAX_TOTAL_TIME = 3800.0
 # Checkpoints of a series checked and read out together: a block's
 # densities take at most 1 MiB at four modes, however many steps run.
 _READOUT_BLOCK = 256
+
+# Most steps of one series (``steps``, each ``step_counts`` entry).  On
+# a two-core Xeon, fig5_3mode (600 exact slices per step, in one eigh)
+# peaks at 101 MB at 100 steps, 305 MB at 400 and 680 MB at 1000; fig3
+# runs every count up to ``steps``: 5.3 s at 600, growing as steps^2.
+MAX_STEPS = 1000
 
 # Most Cliffords one RB run may draw, k_sequences x sum(m_values): about
 # 15x the default 6,800, and each draw holds 2 KiB of sequence columns.
@@ -150,6 +157,8 @@ class ExperimentConfig:
             raise ConfigError("out_dir: must be a non-empty string")
         if self.steps is not None:
             _positive_int("steps", self.steps)
+            if self.steps > MAX_STEPS:
+                raise ConfigError(f"steps: must be at most {MAX_STEPS}")
         if self.noise_scale is not None:
             if not (_is_real(self.noise_scale) and self.noise_scale >= 0):
                 raise ConfigError("noise_scale: must be a finite number >= 0")
@@ -232,6 +241,12 @@ def _positive_int_list(name: str, value) -> None:
                           f"integers >= 1")
 
 
+def _step_counts(name: str, value) -> None:
+    _positive_int_list(name, value)
+    if max(value) > MAX_STEPS or len(set(value)) < len(value):
+        raise ConfigError(f"{name}: must be distinct, each <= {MAX_STEPS}")
+
+
 def _rb_lengths(name: str, value) -> None:
     _positive_int_list(name, value)
     if len(set(value)) < 3:  # a decay fit needs three lengths
@@ -285,15 +300,12 @@ def write_json(path: Path, payload: dict) -> None:
                     encoding="ascii")
 
 
-def _input_kind(mode_count: int) -> str:
-    return {2: "two_mode", 3: "three_mode", 4: "four_mode"}[mode_count]
-
-
 @cache
 def _input_state(mode_count: int) -> tuple[PureState, np.ndarray]:
     """The input state of a model size and its Pauli vector, both
     read-only; built once per mode count."""
-    psi0 = prepare_input(_input_kind(mode_count))
+    psi0 = prepare_input({2: "two_mode", 3: "three_mode",
+                          4: "four_mode"}[mode_count])
     psi0 = PureState(read_only(psi0.amplitudes), mode_count)
     return psi0, read_only(psi0.to_density()._pauli)
 
@@ -306,13 +318,6 @@ def reachable_indices(model: FermionModel) -> np.ndarray:
     psi0 = _input_state(model.mode_count)[0]
     return read_only(invariant_support(model_hamiltonian(model)[1][None],
                                        psi0.amplitudes))
-
-
-def _occupations(probabilities: np.ndarray) -> np.ndarray:
-    """(k, modes) occupations of a (k, 2^n) stack of probabilities,
-    one matrix-vector product per row as in :func:`mode_occupations`."""
-    n = probabilities.shape[1].bit_length() - 1
-    return (occupation_matrix(n) @ probabilities[:, :, None])[:, :, 0]
 
 
 def _readout(digital: np.ndarray, exact: np.ndarray,
@@ -332,7 +337,7 @@ def _readout(digital: np.ndarray, exact: np.ndarray,
         check_densities(rhos)
         states = rhos
         p_run = np.clip(rhos.diagonal(axis1=1, axis2=2).real, 0.0, None)
-    return [*_occupations(p_run).T, 1.0 - p_run[:, reachable].sum(axis=1),
+    return [*occupation_rows(p_run).T, 1.0 - p_run[:, reachable].sum(axis=1),
             state_fidelities(p_digital, p_run),
             state_fidelities(np.abs(exact) ** 2, p_run),
             state_overlaps(digital, states), state_overlaps(exact, states)]
@@ -343,8 +348,8 @@ def _series_rows(path: Path, files: list, model: FermionModel,
     """Occupations and fidelities at t = 0 and after every step,
     written to the CSV ``path`` (its name appended to ``files``).
 
-    ``checkpoints`` lists (end time, step circuit, exact state at that
-    time) per step; steps that repeat one circuit object share its
+    ``checkpoints`` is (end times, step circuits, exact amplitudes at
+    each end time); steps that repeat one circuit object share its
     lowering, which serves both the digital and the noisy run.  The
     run's own state (noisy when noise is on) is compared against the
     ideal digitised state and the exact evolution at the same simulated
@@ -360,13 +365,16 @@ def _series_rows(path: Path, files: list, model: FermionModel,
     reachable = reachable_indices(model)
     amps = psi0.amplitudes
     lowered = {}  # id of a step circuit -> its one lowering
-    points = [(0.0, None, psi0), *checkpoints]
+    times, circuits, exact = checkpoints
+    times, circuits = [0.0, *times], [None, *circuits]
+    exact = np.vstack([amps, exact])
     rows = []
-    for start in range(0, len(points), _READOUT_BLOCK):
-        block = points[start:start + _READOUT_BLOCK]
+    for start in range(0, len(times), _READOUT_BLOCK):
+        stop = start + _READOUT_BLOCK
+        block = circuits[start:stop]
         digital = np.empty((len(block), 2 ** n), dtype=complex)
         paulis = np.empty((len(block), 4 ** n)) if noise is not None else None
-        for j, (_, step_circuit, _) in enumerate(block):
+        for j, step_circuit in enumerate(block):
             if step_circuit is not None:
                 if id(step_circuit) not in lowered:
                     lowered[id(step_circuit)] = lower_circuit(step_circuit,
@@ -384,9 +392,8 @@ def _series_rows(path: Path, files: list, model: FermionModel,
         if paulis is not None:
             # one vector-matrix product per row, as for a single state
             rhos = density_matrices(paulis[:, None], n)
-        exact = np.stack([state.amplitudes for _, _, state in block])
-        columns = _readout(digital, exact, rhos, reachable)
-        rows += zip([t for t, _, _ in block],
+        columns = _readout(digital, exact[start:stop], rhos, reachable)
+        rows += zip(times[start:stop],
                     *(column.tolist() for column in columns))
     write_csv(path, ["time", *(f"p_mode{i + 1}" for i in range(n)),
                      "p_other", "fidelity_vs_digital", "fidelity_vs_exact",
@@ -396,7 +403,7 @@ def _series_rows(path: Path, files: list, model: FermionModel,
 
 
 def _model_checkpoints(model: FermionModel, total_time: float, steps: int,
-                       ordering: str) -> list:
+                       ordering: str) -> tuple:
     """Checkpoints of a constant-coupling run: exp(-iHt) at each step."""
     plan = plan_for_model(model, total_time, steps, ordering)
     templates = step_templates(plan)
@@ -405,31 +412,31 @@ def _model_checkpoints(model: FermionModel, total_time: float, steps: int,
     exact = evolve_slices(np.broadcast_to(h, (steps, *h.shape)),
                           np.full(steps, dt),
                           _input_state(model.mode_count)[0], every=1)
-    return [((k + 1) * dt, templates[k % len(templates)], state)
-            for k, state in enumerate(exact)]
+    return ([(k + 1) * dt for k in range(steps)],
+            [templates[k % len(templates)] for k in range(steps)], exact)
 
 
 def _schedule_checkpoints(schedule: Schedule, mode_count: int, steps: int,
-                          ordering: str) -> list:
+                          ordering: str) -> tuple:
     """Checkpoints of a digitised schedule run, exact by fine slicing."""
     plans = digitize_schedule(schedule, steps, mode_count, ordering)
     exact = _advance_exact(_input_state(mode_count)[0], schedule,
                            mode_count, [plan.window for plan in plans],
                            EXACT_SLICES)
-    return [(plan.window[1], compile_trotter_step(plan, k), state)
-            for k, (plan, state) in enumerate(zip(plans, exact))]
+    return ([p.window[1] for p in plans],
+            [compile_trotter_step(p, k) for k, p in enumerate(plans)], exact)
 
 
 def _advance_exact(state, schedule: Schedule, mode_count: int,
-                   windows, slices: int) -> list:
+                   windows, slices: int) -> np.ndarray:
     """Exact time-dependent evolution through consecutive windows.
 
     Each window is cut into ``slices`` equal slices, each evolved under
     the exact interval-averaged couplings as V H_hop + U H_rep.  The
     (windows, slices + 1) edge grid is one array, both profiles are
     averaged over it in one call, and all slices of all windows share
-    one batched eigendecomposition.  Returns the state at the end of
-    every window.
+    one batched eigendecomposition.  Returns the (windows, 2^n) stack
+    of amplitudes at the end of every window, checked.
     """
     t0, t1 = np.asarray(windows, dtype=float).T
     dt = (t1 - t0) / slices
@@ -556,14 +563,12 @@ def _run_fig5(config: ExperimentConfig, out: Path, mode_count: int) -> dict:
         config.noise_model())
     # dense exact reference for plotting the continuous line
     psi0 = _input_state(mode_count)[0]
-    samples = 60
-    dt = schedule.duration / samples
-    states = _advance_exact(psi0, schedule, mode_count,
-                            [(i * dt, (i + 1) * dt) for i in range(samples)],
-                            20)
-    amps = np.stack([s.amplitudes for s in [psi0, *states]])
-    dense_rows = list(zip([0.0] + [(i + 1) * dt for i in range(samples)],
-                          *_occupations(np.abs(amps) ** 2).T.tolist()))
+    dt = schedule.duration / 60  # 60 samples, 20 slices each
+    times = [i * dt for i in range(61)]
+    amps = np.vstack([psi0.amplitudes, _advance_exact(
+        psi0, schedule, mode_count, list(zip(times, times[1:])), 20)])
+    dense_rows = list(zip(times,
+                          *occupation_rows(np.abs(amps) ** 2).T.tolist()))
     exact_path = out / f"{name}_exact.csv"
     write_csv(exact_path,
               ["time"] + [f"p_mode{i + 1}" for i in range(mode_count)],
@@ -744,7 +749,7 @@ EXPERIMENTS = {
                              metric="min_fidelity_vs_exact"),
     "digital_error_s4": Experiment(
         _run_digital_error_s4, ("total_time", "ordering"),
-        params={"step_counts": _positive_int_list}),
+        params={"step_counts": _step_counts}),
     "digital_error_s5": Experiment(_run_digital_error_s5, ("ordering",)),
     "rb_s3": Experiment(
         _run_rb_s3, ("noise_scale", "seed", "ordering"),

@@ -29,10 +29,11 @@ Exact evolution has one propagator, :func:`evolve_slices`: it takes a
 (slices, d, d) stack of dense Hamiltonians through one batched
 eigendecomposition, multiplies each window's slice propagators into one
 window propagator by a pairwise, time-ordered batched product, and
-applies only the window propagators to the state.  All of it runs on
-the state's invariant subspace (:func:`invariant_support`), found from
-the exact nonzeros of the stack and the state: no slice couples it to
-the rest of the basis, so this is exact, not an approximation.  The
+applies only the window propagators to the state, into one checked
+(windows, 2^n) stack of amplitudes.  All of it runs on the state's
+invariant subspace (:func:`invariant_support`), found from the exact
+nonzeros of the stack and the state: no slice couples it to the rest of
+the basis, so this is exact, not an approximation.  The
 hopping/repulsion models conserve particle number: the three-mode
 input, for one, stays in 3 of the 8 basis states.  The exact ramp
 reference, the constant-coupling checkpoints (one slice per window) and
@@ -134,14 +135,15 @@ class DensityState:
                 @ basis.reshape(len(basis), -1).T).real
 
 
-def check_norms(amplitudes: np.ndarray) -> None:
-    """ValueError unless every row of a (k, 2^n) stack of amplitudes
-    has unit norm."""
+def check_norms(amplitudes: np.ndarray, error=ValueError) -> None:
+    """``error``, naming the worst drift, unless every row of a (k, 2^n)
+    stack of amplitudes has unit norm."""
     norms = (abs(amplitudes) ** 2).sum(axis=-1)
     # a stack holds few rows: comparing them in Python keeps the check
     # of one state near the cost of np.vdot
     if not all(abs(x - 1.0) <= NORM_TOL for x in norms.tolist()):
-        raise ValueError("state is not normalised")
+        raise error(f"state is not normalised: max |norm - 1| = "
+                    f"{abs(norms - 1.0).max():.2g}")
 
 
 def check_densities(rhos: np.ndarray) -> None:
@@ -177,18 +179,8 @@ def unitary_ptms(us: np.ndarray) -> np.ndarray:
             @ images.reshape(k, d * d, -1)).real / d
 
 
-def state_from_occupations(weights: dict[tuple[int, ...], complex],
-                           qubit_count: int) -> PureState:
-    """Pure state from occupation-ket amplitudes (1 = occupied)."""
-    amp = np.zeros(2 ** qubit_count, dtype=complex)
-    for occ, w in weights.items():
-        amp[occupation_basis_index(occ)] += w
-    amp = amp / np.linalg.norm(amp)
-    return PureState(amp, qubit_count)
-
-
 _INPUT_TARGETS = {
-    # equal superposition of occupation kets, per model size
+    # equal superposition of occupation kets (1 = occupied), per model size
     "two_mode": (2, [(0, 1), (1, 1)]),
     "three_mode": (3, [(1, 0, 1), (1, 1, 0)]),
     "four_mode": (4, [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1),
@@ -200,7 +192,9 @@ def prepare_input(kind: str) -> PureState:
     if kind not in _INPUT_TARGETS:
         raise ValueError(f"unknown input kind {kind!r}")
     n, kets = _INPUT_TARGETS[kind]
-    return state_from_occupations({k: 1.0 for k in kets}, n)
+    amp = np.zeros(2 ** n, dtype=complex)
+    amp[[occupation_basis_index(k) for k in kets]] = 1.0
+    return PureState(amp / np.linalg.norm(amp), n)
 
 
 def _block_channels(us: np.ndarray, counts: tuple,
@@ -344,22 +338,23 @@ def ordered_product(factors: np.ndarray, product=np.matmul) -> np.ndarray:
 
 
 def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
-                  every: int | None = None) -> list[PureState]:
+                  every: int | None = None) -> np.ndarray:
     """Apply exp(-i H_k dt_k) for k = 0, 1, ... in order.
 
     ``hamiltonians`` is a (slices, d, d) stack of dense Hermitian
     matrices, diagonalised in one batched eigendecomposition (which
     reads only their lower triangles: Hermiticity is the caller's
     check); ``durations`` is 1-D and finite, each slice's dt_k.  Returns
-    the state after every ``every`` slices (default: only the final
-    state).
+    the (windows, d) stack of amplitudes after every ``every`` slices
+    (default: one row, the final state).
 
     All arithmetic runs on the state's :func:`invariant_support`, and
-    the window states get exact zeros outside it; on the full space it
-    is the same arithmetic as on the full matrices.  Each window's
-    ``every`` slice propagators are multiplied into one by
-    :func:`ordered_product` (all windows at once), and only the window
-    propagators touch the state.
+    the rows get exact zeros outside it; on the full space it is the
+    same arithmetic as on the full matrices.  Each window's ``every``
+    slice propagators are multiplied into one by :func:`ordered_product`
+    (all windows at once), and only the window propagators touch the
+    state.  The input is checked, so a row off unit norm is rounding
+    drift: a FloatingPointError.
     """
     hs = np.asarray(hamiltonians)
     dim = 2 ** state.qubit_count
@@ -380,12 +375,11 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
         phases = np.exp(-1j * vals * dts[:, None])
     props = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     amps = state.amplitudes[support]
-    out = []
-    for u in ordered_product(props.reshape(-1, every, sub, sub)):
-        amps = u @ amps
-        full = np.zeros(dim, dtype=complex)
-        full[support] = amps
-        out.append(PureState(full, state.qubit_count))
+    windows = ordered_product(props.reshape(-1, every, sub, sub))
+    out = np.zeros((len(windows), dim), dtype=complex)
+    for k, u in enumerate(windows):
+        out[k, support] = amps = u @ amps
+    check_norms(out, FloatingPointError)
     return out
 
 
@@ -394,12 +388,19 @@ def exact_evolve(hamiltonian: WeightedPauliSum, t: float,
     """exp(-i H t)|psi>, offset included, via the dense Hamiltonian."""
     if not hamiltonian.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian")
-    return evolve_slices(hamiltonian.to_dense()[None], [t], state)[0]
+    return PureState(evolve_slices(hamiltonian.to_dense()[None], [t],
+                                   state)[0], state.qubit_count)
 
 
 def mode_occupations(state) -> np.ndarray:
     """P(mode i occupied), i.e. its qubit in the occupied level."""
-    return occupation_matrix(state.qubit_count) @ state.probabilities()
+    return occupation_rows(state.probabilities()[None])[0]
+
+
+def occupation_rows(probabilities: np.ndarray) -> np.ndarray:
+    """(k, modes) occupations of a (k, 2^n) stack of probabilities."""
+    n = probabilities.shape[1].bit_length() - 1
+    return (occupation_matrix(n) @ probabilities[:, :, None])[:, :, 0]
 
 
 def state_overlap(reference: PureState, state) -> float:

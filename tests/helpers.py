@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from fermisim.circuits import Circuit, Gate, phase_distance
+from fermisim.circuits import Circuit, Gate
 from fermisim.simulator import PureState
 
 
@@ -36,6 +36,12 @@ def input_circuit(kind: str) -> Circuit:
     if kind == "four_mode":
         return Circuit(4, tuple(_bell_pair(0, 1) + _bell_pair(2, 3)))
     raise ValueError(f"unknown input kind {kind!r}")
+
+
+def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """1 - |tr(A^dag B)| / dim; zero iff equal up to global phase."""
+    dim = a.shape[0]
+    return 1.0 - abs(np.trace(a.conj().T @ b)) / dim
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray,

@@ -20,7 +20,6 @@ from fermisim.circuits import (
     Circuit,
     circuit_unitary,
     gate_census,
-    phase_distance,
 )
 from fermisim.compiler import (
     compile_evolution,
@@ -57,6 +56,8 @@ from fermisim.tomography import (
     reconstruct_chi,
     simulate_qpt_dataset,
 )
+
+from helpers import phase_distance
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -9,7 +9,6 @@ from fermisim.circuits import (
     circuit_unitary,
     gate_census,
     census_single_qubit_total,
-    phase_distance,
     validate_phase_range,
 )
 from fermisim.compiler import (
@@ -32,7 +31,7 @@ from fermisim.fermions import (
     two_mode_model,
 )
 from fermisim.pauli import WeightedPauliSum
-from helpers import equal_up_to_phase
+from helpers import equal_up_to_phase, phase_distance
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

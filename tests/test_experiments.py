@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import fermisim.experiments as experiments
+import fermisim.simulator as simulator
 from fermisim.benchmarking import FitError
 from fermisim.cli import EXIT_IO, main
 from fermisim.compiler import Schedule, digitize_schedule
 from fermisim.experiments import (
     EXACT_SLICES,
     EXPERIMENTS,
+    MAX_STEPS,
     MAX_TOTAL_TIME,
     ConfigError,
     ExperimentConfig,
@@ -297,7 +299,7 @@ class TestExactReference:
         fine = _advance_exact(psi0, schedule, mode_count, windows,
                               4 * EXACT_SLICES)
         for a, b in zip(coarse, fine):
-            infidelity = 1 - abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+            infidelity = 1 - abs(np.vdot(a, b)) ** 2
             assert infidelity <= 1e-10
 
 
@@ -672,6 +674,63 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 3
         assert "numerical failure: overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("experiment", ["fig3", "fig4_3mode",
+                                            "fig5_2mode"])
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 1_000_000_000_000])
+    def test_out_of_range_steps_exit_two(self, tmp_path, capsys,
+                                         experiment, steps):
+        # used to end in a MemoryError traceback, or (fig3) never end
+        code = main(["run", "--experiment", experiment, "--steps",
+                     str(steps), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"configuration error: steps: must be at most {MAX_STEPS}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_step_bound_is_inclusive(self, tmp_path):
+        for name in ("fig3", "fig4_4mode", "fig5_3mode"):
+            ExperimentConfig(name, str(tmp_path), steps=MAX_STEPS).validate()
+        ExperimentConfig("digital_error_s4", str(tmp_path),
+                         params={"step_counts": [1, MAX_STEPS]}).validate()
+
+    @pytest.mark.parametrize("step_counts", [
+        [1, MAX_STEPS + 1], [1_000_000_000_000],
+        [2, 2], [1, 4, 2, 4],  # used to write a CSV twice
+    ])
+    def test_bad_step_counts_exit_two(self, tmp_path, capsys, step_counts):
+        cfg = {"experiment": "digital_error_s4",
+               "out_dir": str(tmp_path / "out"),
+               "params": {"step_counts": step_counts}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert (f"configuration error: params.step_counts: must be "
+                f"distinct, each <= {MAX_STEPS}") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_range_sweep_step_exit_two(self, tmp_path, capsys):
+        # every value is validated before the first run starts
+        code = main(["sweep", "--experiment", "fig3", "--axis", "steps",
+                     "--values", "1", str(MAX_STEPS + 1),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration error: steps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_exact_norm_loss_exit_three(self, tmp_path, capsys,
+                                        monkeypatch):
+        # a three-mode ramp drifts by about 1e-12 at 10 steps and passes
+        # NORM_TOL from about 500; a tighter tolerance plants the failure
+        experiments._input_state(3)  # the input, checked at the real one
+        monkeypatch.setattr(simulator, "NORM_TOL", 1e-15)
+        code = main(["run", "--experiment", "fig5_3mode", "--steps", "10",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert re.search(r"numerical failure: state is not normalised: "
+                         r"max \|norm - 1\| = [1-9]", capsys.readouterr().err)
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_total_time_cap_keeps_the_phase_rule(self):

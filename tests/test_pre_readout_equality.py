@@ -1,10 +1,13 @@
 """The batched series readout against a copy of the per-checkpoint loop
 it replaced, and against the row-by-row public readout functions.
 
-``old_series_rows``, ``old_state_fidelity`` and ``old_state_overlap``
-below are ``experiments._series_rows``, ``simulator.state_fidelity`` and
-``simulator.state_overlap`` as they were before each series ran on
-vectors and was checked and read out in one batched pass.  Every series
+``old_series_rows``, ``old_state_fidelity``, ``old_state_overlap`` and
+``old_mode_occupations`` below are ``experiments._series_rows``,
+``simulator.state_fidelity``, ``simulator.state_overlap`` and
+``simulator.mode_occupations`` as they were before each series ran on
+vectors and was checked and read out in one batched pass;
+``old_series_rows`` takes the checkpoints in today's (times, circuits,
+exact stack) form and wraps each exact row in a ``PureState``.  Every series
 must agree row for row to 1e-12 and write the same CSV bytes.  The
 property tests compare ``experiments._readout`` with
 ``mode_occupations``, ``state_fidelity`` and ``state_overlap`` on random
@@ -23,14 +26,17 @@ import fermisim.experiments as experiments
 from fermisim.experiments import (
     ExperimentConfig,
     _model_checkpoints,
-    _occupations,
     _readout,
     _series_rows,
     reachable_indices,
     run,
     write_csv,
 )
-from fermisim.fermions import four_mode_ahm, two_mode_model
+from fermisim.fermions import (
+    four_mode_ahm,
+    occupation_matrix,
+    two_mode_model,
+)
 from fermisim.simulator import (
     NORM_TOL,
     PROBABILITY_SUM_TOL,
@@ -41,6 +47,7 @@ from fermisim.simulator import (
     check_norms,
     lower_circuit,
     mode_occupations,
+    occupation_rows,
     prepare_input,
     state_fidelities,
     state_fidelity,
@@ -77,15 +84,22 @@ def old_state_overlap(reference, state) -> float:
     return float(np.real(v.conj() @ state.rho @ v))
 
 
+def old_mode_occupations(state):
+    return occupation_matrix(state.qubit_count) @ state.probabilities()
+
+
 def old_series_rows(path, files, model, checkpoints, noise):
     n = model.mode_count
-    psi0 = prepare_input(experiments._input_kind(n))
+    psi0 = prepare_input({2: "two_mode", 3: "three_mode",
+                          4: "four_mode"}[n])
     reachable = reachable_indices(model)
     digital = psi0
     run_state = psi0.to_density() if noise is not None else psi0
     lowered = {}
     rows = []
-    for t, step_circuit, exact in [(0.0, None, psi0), *checkpoints]:
+    times, circuits, stack = checkpoints
+    points = zip(times, circuits, (PureState(a, n) for a in stack))
+    for t, step_circuit, exact in [(0.0, None, psi0), *points]:
         if step_circuit is not None:
             if id(step_circuit) not in lowered:
                 lowered[id(step_circuit)] = lower_circuit(step_circuit, noise)
@@ -94,7 +108,7 @@ def old_series_rows(path, files, model, checkpoints, noise):
             run_state = digital if noise is None else apply_circuit(
                 run_state, step_circuit, noise, lowered=step)
         p_run = run_state.probabilities()
-        rows.append((t, *mode_occupations(run_state),
+        rows.append((t, *old_mode_occupations(run_state),
                      float(1.0 - p_run[reachable].sum()),
                      old_state_fidelity(digital.probabilities(), p_run),
                      old_state_fidelity(exact.probabilities(), p_run),
@@ -271,8 +285,10 @@ def test_batched_readout_is_the_old_readout_to_the_bit(n):
     p_run = np.clip(rhos.diagonal(axis1=1, axis2=2).real, 0.0, None)
     assert state_fidelities(p_ideal, p_run).tolist() == [
         old_state_fidelity(a, b) for a, b in zip(p_ideal, p_run)]
-    assert _occupations(p_run).tolist() == [
-        mode_occupations(s).tolist() for s in mixed]
+    assert occupation_rows(p_run).tolist() == [
+        old_mode_occupations(s).tolist() for s in mixed]
+    assert [mode_occupations(s).tolist() for s in mixed] == [
+        old_mode_occupations(s).tolist() for s in mixed]
 
 
 @SETTINGS
