@@ -421,7 +421,7 @@ _P_GRID = read_only(np.concatenate((
     [1.0])))
 _LOG_P_GRID = read_only(np.log(_P_GRID))
 # steps of one refinement: the referenced benchmark tables take at most
-# 10 profile evaluations, random tables up to 94
+# 10 profile evaluations, random tables up to 96
 _MAX_ITERATIONS = 200
 _TINY = np.finfo(float).tiny  # keeps an underflowed sum p^2m off zero
 

@@ -36,7 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-MAX_STEP_RANGE = MAX_STEPS  # values one --from/--to step sweep may span
 
 
 def _parse_noise(text: str) -> float | None:
@@ -143,10 +142,10 @@ def _sweep_values(args) -> list:
         raise ConfigError("axis: need --values or --from/--to")
     elif args.axis == "steps":
         start, stop = (_axis_number("steps", v) for v in (args.from_, args.to))
-        if stop - start >= MAX_STEP_RANGE:
+        if stop - start >= MAX_STEPS:
             raise ConfigError(
                 f"values: a --from/--to step range spans at most "
-                f"{MAX_STEP_RANGE} values, not {stop - start + 1}")
+                f"{MAX_STEPS} values, not {stop - start + 1}")
         values = list(range(start, stop + 1))
     else:
         values = [args.from_, args.to]

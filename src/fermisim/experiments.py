@@ -30,10 +30,10 @@ error, and so is a sweep along an axis the experiment does not read.
 
 Constant-coupling and ramped series share one checkpoint loop: each
 step's circuit runs on the digital and the (noisy) run state, and both
-are compared with the exact state at the step's end.  Both exact
-references run through :func:`fermisim.simulator.evolve_slices`; a
-constant coupling is a stack of one slice per step.  An exact
-reference moves as one checked (steps, 2^n) array, not as states.
+are compared with the exact state at the step's end, each series read
+out in one pass.  The exact references, one checked (steps, 2^n) array
+each, come from :func:`fermisim.simulator.evolve_constant` (constant
+couplings, one eigendecomposition) or ``evolve_slices`` (ramps).
 """
 from __future__ import annotations
 
@@ -88,6 +88,7 @@ from .simulator import (
     check_norms,
     density_matrices,
     error_budget,
+    evolve_constant,
     evolve_slices,
     invariant_support,
     lower_circuit,
@@ -114,14 +115,11 @@ EXACT_SLICES = 600
 # t <= 1e-12 * 2^53 / 2.343 = 3844, rounded down.
 MAX_TOTAL_TIME = 3800.0
 
-# Checkpoints of a series checked and read out together: a block's
-# densities take at most 1 MiB at four modes, however many steps run.
-_READOUT_BLOCK = 256
-
-# Most steps of one series (``steps``, each ``step_counts`` entry).  On
-# a two-core Xeon, fig5_3mode (600 exact slices per step, in one eigh)
-# peaks at 101 MB at 100 steps, 305 MB at 400 and 680 MB at 1000; fig3
-# runs every count up to ``steps``: 5.3 s at 600, growing as steps^2.
+# Most steps of one series (``steps``, each ``step_counts`` entry), so
+# its one readout stack holds at most 4 MiB of densities.  On a two-core
+# Xeon, fig5_3mode (600 exact slices per step, in one eigh) peaks at
+# 101 MB at 100 steps, 305 MB at 400 and 680 MB at 1000; fig3 runs every
+# count up to ``steps``: 1.4 s at 300, 4.8 s at 600, growing as steps^2.
 MAX_STEPS = 1000
 
 # Most Cliffords one RB run may draw, k_sequences x sum(m_values): about
@@ -357,44 +355,34 @@ def _series_rows(path: Path, files: list, model: FermionModel,
     (``fidelity_*``) and via the exact state overlap (``overlap_*``).
 
     The digital run steps the amplitude vector, the noisy run the Pauli
-    vector; every ``_READOUT_BLOCK`` checkpoints are checked and read
-    out in one batched pass (:func:`_readout`).
+    vector, into one stack each; the whole series is then checked and
+    read out in one batched pass (:func:`_readout`).
     """
     n = model.mode_count
     psi0, pauli = _input_state(n)
-    reachable = reachable_indices(model)
     amps = psi0.amplitudes
     lowered = {}  # id of a step circuit -> its one lowering
     times, circuits, exact = checkpoints
-    times, circuits = [0.0, *times], [None, *circuits]
-    exact = np.vstack([amps, exact])
-    rows = []
-    for start in range(0, len(times), _READOUT_BLOCK):
-        stop = start + _READOUT_BLOCK
-        block = circuits[start:stop]
-        digital = np.empty((len(block), 2 ** n), dtype=complex)
-        paulis = np.empty((len(block), 4 ** n)) if noise is not None else None
-        for j, step_circuit in enumerate(block):
-            if step_circuit is not None:
-                if id(step_circuit) not in lowered:
-                    lowered[id(step_circuit)] = lower_circuit(step_circuit,
-                                                              noise)
-                step = lowered[id(step_circuit)]
-                amps = run_blocks(amps.reshape((2,) * n + (1,)),
-                                  step.blocks).reshape(-1)
-                if noise is not None:
-                    pauli = run_blocks(pauli.reshape((4,) * n + (1,)),
-                                       step.channel_blocks).reshape(-1)
-            digital[j] = amps
-            if paulis is not None:
-                paulis[j] = pauli
-        rhos = None
+    digital = np.empty((len(times) + 1, 2 ** n), dtype=complex)
+    paulis = np.empty((len(times) + 1, 4 ** n)) if noise is not None else None
+    for j, step_circuit in enumerate([None, *circuits]):
+        if step_circuit is not None:
+            if id(step_circuit) not in lowered:
+                lowered[id(step_circuit)] = lower_circuit(step_circuit, noise)
+            step = lowered[id(step_circuit)]
+            amps = run_blocks(amps.reshape((2,) * n + (1,)),
+                              step.blocks).reshape(-1)
+            if noise is not None:
+                pauli = run_blocks(pauli.reshape((4,) * n + (1,)),
+                                   step.channel_blocks).reshape(-1)
+        digital[j] = amps
         if paulis is not None:
-            # one vector-matrix product per row, as for a single state
-            rhos = density_matrices(paulis[:, None], n)
-        columns = _readout(digital, exact[start:stop], rhos, reachable)
-        rows += zip(times[start:stop],
-                    *(column.tolist() for column in columns))
+            paulis[j] = pauli
+    # one vector-matrix product per row, as for a single state
+    rhos = None if paulis is None else density_matrices(paulis[:, None], n)
+    columns = _readout(digital, np.vstack([psi0.amplitudes, exact]), rhos,
+                       reachable_indices(model))
+    rows = list(zip([0.0, *times], *(column.tolist() for column in columns)))
     write_csv(path, ["time", *(f"p_mode{i + 1}" for i in range(n)),
                      "p_other", "fidelity_vs_digital", "fidelity_vs_exact",
                      "overlap_vs_digital", "overlap_vs_exact"], rows)
@@ -408,12 +396,10 @@ def _model_checkpoints(model: FermionModel, total_time: float, steps: int,
     plan = plan_for_model(model, total_time, steps, ordering)
     templates = step_templates(plan)
     dt = total_time / steps
+    times = [(k + 1) * dt for k in range(steps)]
     h = model_hamiltonian(model)[1]  # spin_hamiltonian checked Hermiticity
-    exact = evolve_slices(np.broadcast_to(h, (steps, *h.shape)),
-                          np.full(steps, dt),
-                          _input_state(model.mode_count)[0], every=1)
-    return ([(k + 1) * dt for k in range(steps)],
-            [templates[k % len(templates)] for k in range(steps)], exact)
+    return (times, [templates[k % len(templates)] for k in range(steps)],
+            evolve_constant(h, times, _input_state(model.mode_count)[0]))
 
 
 def _schedule_checkpoints(schedule: Schedule, mode_count: int, steps: int,

@@ -25,19 +25,17 @@ support and scales each Pauli string that is not the identity there.
 :func:`fermisim.circuits.run_blocks` applies both, and
 :func:`circuit_channel` runs the PTM blocks on the identity batch.
 
-Exact evolution has one propagator, :func:`evolve_slices`: it takes a
-(slices, d, d) stack of dense Hamiltonians through one batched
-eigendecomposition, multiplies each window's slice propagators into one
-window propagator by a pairwise, time-ordered batched product, and
-applies only the window propagators to the state, into one checked
-(windows, 2^n) stack of amplitudes.  All of it runs on the state's
-invariant subspace (:func:`invariant_support`), found from the exact
-nonzeros of the stack and the state: no slice couples it to the rest of
-the basis, so this is exact, not an approximation.  The
-hopping/repulsion models conserve particle number: the three-mode
-input, for one, stays in 3 of the 8 basis states.  The exact ramp
-reference, the constant-coupling checkpoints (one slice per window) and
-:func:`exact_evolve` all run through it.
+Exact evolution returns one checked (rows, 2^n) stack of amplitudes.  A
+fixed Hamiltonian has the closed form :func:`evolve_constant` (one
+eigendecomposition, every row from t = 0), which the constant-coupling
+checkpoints and :func:`exact_evolve` use.  The ramp reference runs a
+(slices, d, d) stack through :func:`evolve_slices`: one batched
+eigendecomposition, each window's slice propagators multiplied into one
+by a pairwise, time-ordered product, and only the window propagators
+applied to the state.  Both run on the state's invariant subspace
+(:func:`invariant_support`), from the exact nonzeros of the Hamiltonians
+and the state, so this is exact, not an approximation: number
+conservation keeps the three-mode input in 3 of the 8 basis states.
 
 States live in the dense qubit frame of :mod:`fermisim.fermions`; all
 occupation I/O converts through that module's mode/qubit mapping.
@@ -383,13 +381,40 @@ def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
     return out
 
 
+def evolve_constant(hamiltonian: np.ndarray, times,
+                    state: PureState) -> np.ndarray:
+    """The (len(times), d) stack of exp(-i H t_k)|psi>, each from t = 0.
+
+    H, dense and Hermitian (only its lower triangle is read), is
+    diagonalised once on the state's :func:`invariant_support`,
+    V diag(lambda) V^dag, and row k is V (e^{-i lambda t_k} * V^dag psi).
+    A row off unit norm is rounding drift: a FloatingPointError, as is
+    an overflowing phase.
+    """
+    h = np.asarray(hamiltonian)
+    if h.shape != (len(state.amplitudes),) * 2:
+        raise ValueError("Hamiltonian and state qubit counts differ")
+    ts = np.asarray(times, float)
+    if ts.ndim != 1 or not np.isfinite(ts).all():
+        raise ValueError("times must be 1-D and finite")
+    support = invariant_support(h[None], state.amplitudes)
+    vals, vecs = np.linalg.eigh(h[support[:, None], support])
+    with np.errstate(over="raise", invalid="raise"):  # no NaN phases
+        phases = np.exp(-1j * vals * ts[:, None])
+    out = np.zeros((len(ts), len(h)), dtype=complex)
+    out[:, support] = (phases * (vecs.conj().T @ state.amplitudes[support])
+                       ) @ vecs.T
+    check_norms(out, FloatingPointError)
+    return out
+
+
 def exact_evolve(hamiltonian: WeightedPauliSum, t: float,
                  state: PureState) -> PureState:
     """exp(-i H t)|psi>, offset included, via the dense Hamiltonian."""
     if not hamiltonian.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian")
-    return PureState(evolve_slices(hamiltonian.to_dense()[None], [t],
-                                   state)[0], state.qubit_count)
+    return PureState(evolve_constant(hamiltonian.to_dense(), [t], state)[0],
+                     state.qubit_count)
 
 
 def mode_occupations(state) -> np.ndarray:

@@ -1,5 +1,7 @@
-"""Test-only helpers: basis states, state-preparation circuits and a
-unitary comparison modulo global phase.  No package code needs them."""
+"""Test-only helpers: basis states, state-preparation circuits, a
+unitary comparison modulo global phase, the leaves of a JSON payload
+and a copy of the sliced constant-coupling reference.  No package code
+needs them."""
 from __future__ import annotations
 
 import math
@@ -7,7 +9,7 @@ import math
 import numpy as np
 
 from fermisim.circuits import Circuit, Gate
-from fermisim.simulator import PureState
+from fermisim.simulator import PureState, invariant_support
 
 
 def basis_state(qubit_count: int, index: int = 0) -> PureState:
@@ -47,3 +49,35 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray,
                       tol: float = 1e-10) -> bool:
     return phase_distance(a, b) <= tol
+
+
+def json_leaves(value, prefix=()):
+    """(key path, value) of every leaf of nested dicts and lists."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_leaves(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_leaves(item, prefix + (i,))
+    else:
+        yield prefix, value
+
+
+def broadcast_constant(hamiltonian, times, state: PureState) -> np.ndarray:
+    """exp(-i H t_k)|psi> at t_k = (k + 1) dt, dt = ``times[0]``, as the
+    constant-coupling checkpoints were made before the closed form:
+    ``simulator.evolve_slices`` on ``len(times)`` copies of H, one slice
+    of dt each, its arithmetic copied here.  Every copy goes through the
+    batched eigendecomposition, and the state is stepped one slice at a
+    time, so rounding builds up over the rows."""
+    steps, dim = len(times), 2 ** state.qubit_count
+    hs = np.broadcast_to(np.asarray(hamiltonian), (steps, dim, dim))
+    support = invariant_support(hs, state.amplitudes)
+    vals, vecs = np.linalg.eigh(hs[:, support[:, None], support])
+    phases = np.exp(-1j * vals * np.full(steps, times[0])[:, None])
+    props = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    amps = state.amplitudes[support]
+    out = np.zeros((steps, dim), dtype=complex)
+    for k, u in enumerate(props):
+        out[k, support] = amps = u @ amps
+    return out

@@ -54,6 +54,7 @@ from fermisim.simulator import (
     state_overlap,
     state_overlaps,
 )
+from helpers import json_leaves
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -143,17 +144,6 @@ def _run_both(config: dict, tmp_path: Path, monkeypatch):
     return out
 
 
-def _leaves(value, prefix=()):
-    if isinstance(value, dict):
-        for key, item in value.items():
-            yield from _leaves(item, prefix + (key,))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _leaves(item, prefix + (i,))
-    else:
-        yield prefix, value
-
-
 CASES = [
     (experiment, noise, ordering)
     for experiment in ("fig3", "fig4_3mode", "fig4_4mode", "fig5_2mode",
@@ -182,8 +172,8 @@ def test_experiment_outputs_match_the_per_checkpoint_loop(
         assert np.allclose(np.array(new_rows[name], dtype=float), rows,
                            rtol=0, atol=1e-12), name
         assert new_csv[name] == old_csv[name], name
-    new_leaves = dict(_leaves(json.loads(json.dumps(new_summary))))
-    old_leaves = dict(_leaves(json.loads(json.dumps(old_summary))))
+    new_leaves = dict(json_leaves(json.loads(json.dumps(new_summary))))
+    old_leaves = dict(json_leaves(json.loads(json.dumps(old_summary))))
     assert new_leaves.keys() == old_leaves.keys()
     for key, want in old_leaves.items():
         if isinstance(want, float):
@@ -204,15 +194,14 @@ def _compare_series(model, steps, noise, tmp_path, ordering="canonical_s5"):
 
 
 @pytest.mark.parametrize("noise", [None, NoiseModel().scaled(2.0)])
-def test_series_longer_than_a_readout_block(noise, tmp_path):
-    steps = experiments._READOUT_BLOCK + 44
-    _compare_series(two_mode_model(1.0, 1.0), steps, noise, tmp_path,
-                    "odd_even_s6")
+def test_series_of_the_most_steps(noise, tmp_path):
+    # the longest series a config may ask for, read out in one pass
+    _compare_series(two_mode_model(1.0, 1.0), experiments.MAX_STEPS, noise,
+                    tmp_path, "odd_even_s6")
 
 
 @pytest.mark.parametrize("noise", [None, NoiseModel()])
-def test_four_mode_series_across_small_blocks(noise, tmp_path, monkeypatch):
-    monkeypatch.setattr(experiments, "_READOUT_BLOCK", 3)
+def test_four_mode_series(noise, tmp_path):
     _compare_series(four_mode_ahm(1.0, 1.0, 0.0, 1.0), 7, noise, tmp_path)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import fermisim.experiments as experiments
 import fermisim.simulator as simulator
 from fermisim.circuits import (
     CIRCUIT_QUBIT_LIMIT,
@@ -17,7 +18,13 @@ from fermisim.circuits import (
     gate_census,
 )
 from fermisim.compiler import compile_evolution, plan_for_model
-from fermisim.experiments import _model_checkpoints, reachable_indices
+from fermisim.experiments import (
+    ExperimentConfig,
+    MAX_STEPS,
+    _model_checkpoints,
+    reachable_indices,
+    run,
+)
 from fermisim.fermions import (
     coupling_matrices,
     four_mode_ahm,
@@ -36,6 +43,7 @@ from fermisim.simulator import (
     apply_circuit,
     circuit_channel,
     error_budget,
+    evolve_constant,
     evolve_slices,
     exact_evolve,
     invariant_support,
@@ -44,7 +52,7 @@ from fermisim.simulator import (
     prepare_input,
     state_fidelity,
 )
-from helpers import basis_state, input_circuit
+from helpers import basis_state, broadcast_constant, input_circuit
 
 
 class TestPreparation:
@@ -282,7 +290,8 @@ class TestEvolveSlices:
             assert np.max(np.abs(got - ref)) <= 1e-13
 
     def test_constant_stack_matches_expm(self):
-        # the constant-coupling checkpoints: one slice of dt per step
+        # a constant stack, one slice of dt per step, and the
+        # constant-coupling checkpoints' closed form
         model = four_mode_ahm(1.0, 1.0, 0.0, 1.0)
         h = spin_hamiltonian(model).to_dense()
         psi = prepare_input("four_mode")
@@ -493,6 +502,106 @@ class TestInvariantSupport:
         closure = invariant_support(h[None], psi.amplitudes)
         assert len(closure) == 4
         assert np.array_equal(closure, np.flatnonzero(psi.amplitudes))
+
+
+FIXED_COUPLING = [
+    # each fixed-coupling model at its experiments' total time for
+    # MAX_STEPS steps: fig3 5.0, fig4_* the step count, digital_error_s4 3.0
+    (two_mode_model(1.0, 1.0), 5.0),
+    (three_mode_model(1.0, 0.0), float(MAX_STEPS)),
+    (three_mode_model(1.0, 1.0), float(MAX_STEPS)),
+    (four_mode_ahm(1.0, 1.0, 0.0, 1.0), float(MAX_STEPS)),
+    (three_mode_model(1.0, 0.0), 3.0),
+    (three_mode_model(1.0, 1.0), 3.0),
+    (four_mode_ahm(1.0, 1.0, 0.0, 1.0), 3.0),
+]
+
+
+class TestEvolveConstant:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4),
+           st.integers(1, 3),
+           st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5))
+    def test_rows_match_expm(self, seed, qubits, block_count, times):
+        rng, hs, blocks = planted_blocks(seed, qubits, block_count, 1)
+        state = state_on(rng, blocks[0], qubits)
+        out = evolve_constant(hs[0], times, state)
+        assert out.shape == (len(times), 2 ** qubits)
+        for row, t in zip(out, times):
+            want = expm(-1j * hs[0] * t) @ state.amplitudes
+            assert np.max(np.abs(row - want)) <= 1e-12
+
+    @pytest.mark.parametrize("model,total_time", FIXED_COUPLING)
+    def test_most_steps_against_the_sliced_path(self, model, total_time):
+        # every row from t = 0: no drift builds up over the rows
+        n = model.mode_count
+        psi = prepare_input({2: "two_mode", 3: "three_mode",
+                             4: "four_mode"}[n])
+        times, _, stack = _model_checkpoints(model, total_time, MAX_STEPS,
+                                             "canonical_s5")
+        assert stack.shape == (MAX_STEPS, 2 ** n)
+        assert np.max(np.abs((np.abs(stack) ** 2).sum(axis=1) - 1)) <= 1e-14
+        sliced = broadcast_constant(spin_hamiltonian(model).to_dense(),
+                                    times, psi)
+        assert np.max(np.abs(stack - sliced)) <= 1e-12
+
+    def test_one_eigendecomposition_per_series(self, tmp_path, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        def sliced(*args, **kwargs):
+            raise AssertionError("a fixed coupling reached evolve_slices")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(simulator, "evolve_slices", sliced)
+        monkeypatch.setattr(experiments, "evolve_slices", sliced)
+        for experiment, series in (("fig3", 8), ("fig4_3mode", 2),
+                                   ("fig4_4mode", 1),
+                                   ("digital_error_s4", 12)):
+            calls.clear()
+            run(ExperimentConfig(experiment, str(tmp_path / experiment)))
+            assert len(calls) == series, experiment
+            assert all(len(shape) == 2 for shape in calls), experiment
+        calls.clear()
+        exact_evolve(spin_hamiltonian(two_mode_model(1.0, 1.0)), 1.0,
+                     prepare_input("two_mode"))
+        assert calls == [(3, 3)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_exact_evolve_rejects_a_non_finite_time(self, bad):
+        h = spin_hamiltonian(two_mode_model(1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            exact_evolve(h, bad, prepare_input("two_mode"))
+
+    def test_exact_evolve_rejects_other_qubit_counts(self):
+        h = spin_hamiltonian(two_mode_model(1.0, 1.0))
+        with pytest.raises(ValueError, match="qubit counts"):
+            exact_evolve(h, 1.0, prepare_input("three_mode"))
+
+    def test_exact_evolve_overflowing_phase_raises(self):
+        # |lambda| t beyond the float range on the input's support
+        h = spin_hamiltonian(two_mode_model(2.0, 1.0))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            exact_evolve(h, 1.7e308, prepare_input("two_mode"))
+
+    @pytest.mark.parametrize("times", [[[0.2]], 0.2])
+    def test_times_must_be_one_dimensional(self, times):
+        h = spin_hamiltonian(two_mode_model(1.0, 1.0)).to_dense()
+        with pytest.raises(ValueError, match="1-D"):
+            evolve_constant(h, times, prepare_input("two_mode"))
+
+    def test_norm_drift_is_a_numerical_failure(self, monkeypatch):
+        h = spin_hamiltonian(two_mode_model(1.0, 1.0)).to_dense()
+        state = prepare_input("two_mode")
+        monkeypatch.setattr(simulator, "NORM_TOL", 0.0)
+        with pytest.raises(FloatingPointError, match=(
+                r"^state is not normalised: "
+                r"max \|norm - 1\| = [1-9]")):
+            evolve_constant(h, np.linspace(0.1, 5.0, 50), state)
 
 
 class TestOccupations:
