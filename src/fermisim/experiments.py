@@ -31,9 +31,9 @@ error, and so is a sweep along an axis the experiment does not read.
 Constant-coupling and ramped series share one checkpoint loop: each
 step's circuit runs on the digital and the (noisy) run state, and both
 are compared with the exact state at the step's end, each series read
-out in one pass.  The exact references, one checked (steps, 2^n) array
-each, come from :func:`fermisim.simulator.evolve_constant` (constant
-couplings, one eigendecomposition) or ``evolve_slices`` (ramps).
+out in one pass.  The exact references run on the model's reachable
+block (:func:`reachable_indices`), through ``simulator.evolve_constant``
+(constant couplings) or ``evolve_slices`` (ramps), scattered to 2^n.
 """
 from __future__ import annotations
 
@@ -81,7 +81,6 @@ from .fermions import (
 from .pauli import read_only
 from .simulator import (
     NoiseModel,
-    PureState,
     # unused here; perfbench/tests checks that its tracer rebinds this name
     apply_circuit,  # noqa: F401
     check_densities,
@@ -94,6 +93,7 @@ from .simulator import (
     lower_circuit,
     occupation_rows,
     prepare_input,
+    scatter_block,
     state_fidelities,
     state_overlaps,
 )
@@ -108,18 +108,17 @@ ORDERING_ALIASES = {"s5": "canonical_s5", "s6": "odd_even_s6",
 # agree with it to an infidelity below 1e-10 (tests/test_experiments.py).
 EXACT_SLICES = 600
 
-# Largest total_time whose exact phases keep the 1e-12 rule: a phase
-# lambda t is rounded by about |lambda| t 2^-53 <= 1e-12.  The
-# fixed-coupling models (fig3, fig4_*, digital_error_s4) reach
-# max|lambda| = 2.343 (four-mode, offset included), so
-# t <= 1e-12 * 2^53 / 2.343 = 3844, rounded down.
+# Largest total_time whose exact phases keep the 1e-12 rule,
+# |lambda| t <= simulator.MAX_PHASE = 2^53 * 1e-12.  The fixed-coupling
+# models (fig3, fig4_*, digital_error_s4) reach max|lambda| = 2.343
+# (four-mode, offset included), so t <= 9007 / 2.343 = 3844, rounded down.
 MAX_TOTAL_TIME = 3800.0
 
 # Most steps of one series (``steps``, each ``step_counts`` entry), so
 # its one readout stack holds at most 4 MiB of densities.  On a two-core
-# Xeon, fig5_3mode (600 exact slices per step, in one eigh) peaks at
-# 101 MB at 100 steps, 305 MB at 400 and 680 MB at 1000; fig3 runs every
-# count up to ``steps``: 1.4 s at 300, 4.8 s at 600, growing as steps^2.
+# Xeon, noisy fig5_3mode (600 exact 3 x 3 slices per step, in one eigh)
+# peaks at 74 MB at 100 steps, 194 MB at 400 and 434 MB at 1000; fig3
+# runs every count up to ``steps``: 1.6 s at 300, 6.4 s at 600 (steps^2).
 MAX_STEPS = 1000
 
 # Most Cliffords one RB run may draw, k_sequences x sum(m_values): about
@@ -299,23 +298,21 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 @cache
-def _input_state(mode_count: int) -> tuple[PureState, np.ndarray]:
-    """The input state of a model size and its Pauli vector, both
-    read-only; built once per mode count."""
+def _input_state(mode_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes and the Pauli vector of a model size's (checked)
+    input state, both read-only; built once per mode count."""
     psi0 = prepare_input({2: "two_mode", 3: "three_mode",
                           4: "four_mode"}[mode_count])
-    psi0 = PureState(read_only(psi0.amplitudes), mode_count)
-    return psi0, read_only(psi0.to_density()._pauli)
+    return read_only(psi0.amplitudes), read_only(psi0.to_density()._pauli)
 
 
 @cache
 def reachable_indices(model: FermionModel) -> np.ndarray:
     """Read-only sorted basis indices that the model's Hamiltonian
-    reaches from its input state (:func:`invariant_support`); ``p_other``
-    is the population outside them.  Built once per model."""
-    psi0 = _input_state(model.mode_count)[0]
+    reaches from its input state (:func:`invariant_support`), the block
+    of its exact references; ``p_other`` is the population outside."""
     return read_only(invariant_support(model_hamiltonian(model)[1][None],
-                                       psi0.amplitudes))
+                                       _input_state(model.mode_count)[0]))
 
 
 def _readout(digital: np.ndarray, exact: np.ndarray,
@@ -360,7 +357,7 @@ def _series_rows(path: Path, files: list, model: FermionModel,
     """
     n = model.mode_count
     psi0, pauli = _input_state(n)
-    amps = psi0.amplitudes
+    amps = psi0
     lowered = {}  # id of a step circuit -> its one lowering
     times, circuits, exact = checkpoints
     digital = np.empty((len(times) + 1, 2 ** n), dtype=complex)
@@ -380,7 +377,7 @@ def _series_rows(path: Path, files: list, model: FermionModel,
             paulis[j] = pauli
     # one vector-matrix product per row, as for a single state
     rhos = None if paulis is None else density_matrices(paulis[:, None], n)
-    columns = _readout(digital, np.vstack([psi0.amplitudes, exact]), rhos,
+    columns = _readout(digital, np.vstack([psi0, exact]), rhos,
                        reachable_indices(model))
     rows = list(zip([0.0, *times], *(column.tolist() for column in columns)))
     write_csv(path, ["time", *(f"p_mode{i + 1}" for i in range(n)),
@@ -397,41 +394,42 @@ def _model_checkpoints(model: FermionModel, total_time: float, steps: int,
     templates = step_templates(plan)
     dt = total_time / steps
     times = [(k + 1) * dt for k in range(steps)]
+    block = reachable_indices(model)
     h = model_hamiltonian(model)[1]  # spin_hamiltonian checked Hermiticity
+    rows = evolve_constant(h[block[:, None], block], times,
+                           _input_state(model.mode_count)[0][block])
     return (times, [templates[k % len(templates)] for k in range(steps)],
-            evolve_constant(h, times, _input_state(model.mode_count)[0]))
+            scatter_block(rows, block, len(h)))
 
 
 def _schedule_checkpoints(schedule: Schedule, mode_count: int, steps: int,
                           ordering: str) -> tuple:
     """Checkpoints of a digitised schedule run, exact by fine slicing."""
     plans = digitize_schedule(schedule, steps, mode_count, ordering)
-    exact = _advance_exact(_input_state(mode_count)[0], schedule,
-                           mode_count, [plan.window for plan in plans],
-                           EXACT_SLICES)
+    exact = _advance_exact(schedule, mode_count,
+                           [plan.window for plan in plans], EXACT_SLICES)
     return ([p.window[1] for p in plans],
             [compile_trotter_step(p, k) for k, p in enumerate(plans)], exact)
 
 
-def _advance_exact(state, schedule: Schedule, mode_count: int,
-                   windows, slices: int) -> np.ndarray:
-    """Exact time-dependent evolution through consecutive windows.
-
-    Each window is cut into ``slices`` equal slices, each evolved under
-    the exact interval-averaged couplings as V H_hop + U H_rep.  The
-    (windows, slices + 1) edge grid is one array, both profiles are
-    averaged over it in one call, and all slices of all windows share
-    one batched eigendecomposition.  Returns the (windows, 2^n) stack
-    of amplitudes at the end of every window, checked.
+def _advance_exact(schedule: Schedule, mode_count: int, windows,
+                   slices: int) -> np.ndarray:
+    """The checked (windows, 2^n) amplitudes of the input state at the
+    end of each of consecutive windows, evolved exactly: ``slices`` equal
+    slices per window, each under its exact interval-averaged couplings
+    as V H_hop + U H_rep on the model's block (only H_hop couples basis
+    states, so every V and U keep it), one real (slices, k, k) stack.
     """
+    block = reachable_indices(SCHEDULE_MODELS[mode_count](1.0, 1.0))
+    terms = np.stack(coupling_matrices(mode_count))[:, block[:, None], block]
     t0, t1 = np.asarray(windows, dtype=float).T
     dt = (t1 - t0) / slices
     edges = t0[:, None] + np.arange(slices + 1) * dt[:, None]
     couplings = schedule.averages(edges).reshape(-1, 2)
-    hamiltonians = np.tensordot(couplings,
-                                np.stack(coupling_matrices(mode_count)), 1)
-    return evolve_slices(hamiltonians, np.repeat(dt, slices), state,
-                         every=slices)
+    rows = evolve_slices(np.tensordot(couplings, terms, 1),
+                         np.repeat(dt, slices),
+                         _input_state(mode_count)[0][block], slices)
+    return scatter_block(rows, block, 2 ** mode_count)
 
 
 def _fidelity_slope(xs, fids) -> float:
@@ -551,8 +549,8 @@ def _run_fig5(config: ExperimentConfig, out: Path, mode_count: int) -> dict:
     psi0 = _input_state(mode_count)[0]
     dt = schedule.duration / 60  # 60 samples, 20 slices each
     times = [i * dt for i in range(61)]
-    amps = np.vstack([psi0.amplitudes, _advance_exact(
-        psi0, schedule, mode_count, list(zip(times, times[1:])), 20)])
+    amps = np.vstack([psi0, _advance_exact(
+        schedule, mode_count, list(zip(times, times[1:])), 20)])
     dense_rows = list(zip(times,
                           *occupation_rows(np.abs(amps) ** 2).T.tolist()))
     exact_path = out / f"{name}_exact.csv"

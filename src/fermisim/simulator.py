@@ -25,17 +25,12 @@ support and scales each Pauli string that is not the identity there.
 :func:`fermisim.circuits.run_blocks` applies both, and
 :func:`circuit_channel` runs the PTM blocks on the identity batch.
 
-Exact evolution returns one checked (rows, 2^n) stack of amplitudes.  A
-fixed Hamiltonian has the closed form :func:`evolve_constant` (one
-eigendecomposition, every row from t = 0), which the constant-coupling
-checkpoints and :func:`exact_evolve` use.  The ramp reference runs a
-(slices, d, d) stack through :func:`evolve_slices`: one batched
-eigendecomposition, each window's slice propagators multiplied into one
-by a pairwise, time-ordered product, and only the window propagators
-applied to the state.  Both run on the state's invariant subspace
-(:func:`invariant_support`), from the exact nonzeros of the Hamiltonians
-and the state, so this is exact, not an approximation: number
-conservation keeps the three-mode input in 3 of the 8 basis states.
+Exact evolution is linear algebra on the state's invariant block
+(:func:`invariant_support`: exact nonzeros, no tolerance; the three-mode
+input stays in 3 of the 8 basis states), which a caller cuts once and
+scatters back (:func:`scatter_block`).  :func:`evolve_constant` is the
+closed form of a fixed H, :func:`evolve_slices` runs a (slices, k, k)
+ramp stack, each window's propagators multiplied pairwise in time order.
 
 States live in the dense qubit frame of :mod:`fermisim.fermions`; all
 occupation I/O converts through that module's mode/qubit mapping.
@@ -60,6 +55,9 @@ from .pauli import WeightedPauliSum, check_dense_width, pauli_basis
 NORM_TOL = 1e-10
 PSD_TOL = 1e-8
 PROBABILITY_SUM_TOL = 1e-6
+
+# Largest phase |lambda t| whose rounding (|lambda t| 2^-53) is <= 1e-12
+MAX_PHASE = 2.0 ** 53 * 1e-12
 
 TYPICAL_EPS_2Q = 7.4e-3
 TYPICAL_EPS_1Q = 8e-4
@@ -335,86 +333,90 @@ def ordered_product(factors: np.ndarray, product=np.matmul) -> np.ndarray:
     return factors[:, 0]
 
 
-def evolve_slices(hamiltonians: np.ndarray, durations, state: PureState,
-                  every: int | None = None) -> np.ndarray:
-    """Apply exp(-i H_k dt_k) for k = 0, 1, ... in order.
+def _phases(vals: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(-i lambda t), t in ``ts``, lambda in its row of the sorted
+    ``vals`` (all of a 1-D one): FloatingPointError past MAX_PHASE."""
+    with np.errstate(over="raise", invalid="raise"):  # no NaN phases
+        phases = np.exp(-1j * vals * ts[:, None])
+    top = (np.maximum(-vals[..., 0], vals[..., -1]) * abs(ts)).max(initial=0.0)
+    if not top <= MAX_PHASE:  # lambda t has lost its 1e-12 digits
+        raise FloatingPointError(f"phase |lambda t| = {top:.3g} exceeds "
+                                 f"{MAX_PHASE:.0f}")
+    return phases
 
-    ``hamiltonians`` is a (slices, d, d) stack of dense Hermitian
-    matrices, diagonalised in one batched eigendecomposition (which
-    reads only their lower triangles: Hermiticity is the caller's
-    check); ``durations`` is 1-D and finite, each slice's dt_k.  Returns
-    the (windows, d) stack of amplitudes after every ``every`` slices
-    (default: one row, the final state).
 
-    All arithmetic runs on the state's :func:`invariant_support`, and
-    the rows get exact zeros outside it; on the full space it is the
-    same arithmetic as on the full matrices.  Each window's ``every``
-    slice propagators are multiplied into one by :func:`ordered_product`
-    (all windows at once), and only the window propagators touch the
-    state.  The input is checked, so a row off unit norm is rounding
-    drift: a FloatingPointError.
+def scatter_block(rows: np.ndarray, block, dim: int) -> np.ndarray:
+    """(len(rows), dim) amplitudes: the block's rows on ``block``, 0 off it."""
+    out = np.zeros((len(rows), dim), dtype=complex)
+    out[:, block] = rows
+    return out
+
+
+def evolve_slices(hamiltonians: np.ndarray, durations,
+                  amplitudes: np.ndarray, every: int) -> np.ndarray:
+    """The (windows, k) amplitudes after every ``every`` slices of
+    exp(-i H_j dt_j), j = 0, 1, ..., on the (k,) unit-norm ``amplitudes``.
+
+    ``hamiltonians``, a (slices, k, k) Hermitian stack on an invariant
+    block, share one batched eigendecomposition (of lower triangles);
+    ``durations`` are 1-D and finite.  :func:`ordered_product` folds each
+    window's propagators into one, and only those touch the state.  Row
+    norm drift and phases past ``MAX_PHASE`` are FloatingPointErrors.
     """
     hs = np.asarray(hamiltonians)
-    dim = 2 ** state.qubit_count
-    if hs.ndim != 3 or hs.shape[1:] != (dim, dim):
-        raise ValueError("Hamiltonian and state qubit counts differ")
+    amps = np.asarray(amplitudes)
+    if hs.ndim != 3 or hs.shape[1:] != (len(amps),) * 2:
+        raise ValueError("Hamiltonian and state dimensions differ")
     dts = np.asarray(durations, float)
     if dts.shape != (len(hs),):
         raise ValueError("durations must be 1-D with one entry per slice")
     if not np.isfinite(dts).all():
         raise ValueError("durations must be finite")
-    every = every or len(hs)
     if len(hs) % every:
         raise ValueError("slice count must be a multiple of 'every'")
-    support = invariant_support(hs, state.amplitudes)
-    sub = len(support)
-    vals, vecs = np.linalg.eigh(hs[:, support[:, None], support])
-    with np.errstate(over="raise", invalid="raise"):  # no NaN phases
-        phases = np.exp(-1j * vals * dts[:, None])
+    vals, vecs = np.linalg.eigh(hs)
+    phases = _phases(vals, dts)
     props = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    amps = state.amplitudes[support]
-    windows = ordered_product(props.reshape(-1, every, sub, sub))
-    out = np.zeros((len(windows), dim), dtype=complex)
+    windows = ordered_product(props.reshape(-1, every, *props.shape[1:]))
+    out = np.empty((len(windows), len(amps)), dtype=complex)
     for k, u in enumerate(windows):
-        out[k, support] = amps = u @ amps
+        out[k] = amps = u @ amps
     check_norms(out, FloatingPointError)
     return out
 
 
 def evolve_constant(hamiltonian: np.ndarray, times,
-                    state: PureState) -> np.ndarray:
-    """The (len(times), d) stack of exp(-i H t_k)|psi>, each from t = 0.
+                    amplitudes: np.ndarray) -> np.ndarray:
+    """The (len(times), k) stack of exp(-i H t_j)|psi>, each from t = 0.
 
-    H, dense and Hermitian (only its lower triangle is read), is
-    diagonalised once on the state's :func:`invariant_support`,
-    V diag(lambda) V^dag, and row k is V (e^{-i lambda t_k} * V^dag psi).
-    A row off unit norm is rounding drift: a FloatingPointError, as is
-    an overflowing phase.
+    H, a Hermitian (k, k) block (lower triangle read), is diagonalised
+    once, V diag(lambda) V^dag: row j is V (e^{-i lambda t_j} * V^dag psi),
+    psi the (k,) unit-norm ``amplitudes``, checked as :func:`evolve_slices`.
     """
     h = np.asarray(hamiltonian)
-    if h.shape != (len(state.amplitudes),) * 2:
-        raise ValueError("Hamiltonian and state qubit counts differ")
+    if h.shape != (len(amplitudes),) * 2:
+        raise ValueError("Hamiltonian and state dimensions differ")
     ts = np.asarray(times, float)
     if ts.ndim != 1 or not np.isfinite(ts).all():
         raise ValueError("times must be 1-D and finite")
-    support = invariant_support(h[None], state.amplitudes)
-    vals, vecs = np.linalg.eigh(h[support[:, None], support])
-    with np.errstate(over="raise", invalid="raise"):  # no NaN phases
-        phases = np.exp(-1j * vals * ts[:, None])
-    out = np.zeros((len(ts), len(h)), dtype=complex)
-    out[:, support] = (phases * (vecs.conj().T @ state.amplitudes[support])
-                       ) @ vecs.T
+    vals, vecs = np.linalg.eigh(h)
+    out = (_phases(vals, ts) * (vecs.conj().T @ amplitudes)) @ vecs.T
     check_norms(out, FloatingPointError)
     return out
 
 
 def exact_evolve(hamiltonian: WeightedPauliSum, t: float,
                  state: PureState) -> PureState:
-    """exp(-i H t)|psi>, offset included, via the dense Hamiltonian."""
+    """exp(-i H t)|psi>, offset included, on the state's invariant block."""
     if not hamiltonian.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian")
-    return PureState(evolve_constant(hamiltonian.to_dense(), [t], state)[0],
-                     state.qubit_count)
+    if hamiltonian.qubit_count != state.qubit_count:
+        raise ValueError("Hamiltonian and state qubit counts differ")
+    h = hamiltonian.to_dense()
+    block = invariant_support(h[None], state.amplitudes)
+    row = evolve_constant(h[block[:, None], block], [t],
+                          state.amplitudes[block])
+    return PureState(scatter_block(row, block, len(h))[0], state.qubit_count)
 
 
 def mode_occupations(state) -> np.ndarray:

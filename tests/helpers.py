@@ -63,20 +63,22 @@ def json_leaves(value, prefix=()):
         yield prefix, value
 
 
-def broadcast_constant(hamiltonian, times, state: PureState) -> np.ndarray:
+def broadcast_constant(hamiltonian, times, amplitudes) -> np.ndarray:
     """exp(-i H t_k)|psi> at t_k = (k + 1) dt, dt = ``times[0]``, as the
     constant-coupling checkpoints were made before the closed form:
     ``simulator.evolve_slices`` on ``len(times)`` copies of H, one slice
     of dt each, its arithmetic copied here.  Every copy goes through the
     batched eigendecomposition, and the state is stepped one slice at a
-    time, so rounding builds up over the rows."""
-    steps, dim = len(times), 2 ** state.qubit_count
+    time, so rounding builds up over the rows.  On the full space or on
+    an invariant block (``simulator.evolve_constant``'s arguments) it is
+    the same arithmetic."""
+    steps, dim = len(times), len(amplitudes)
     hs = np.broadcast_to(np.asarray(hamiltonian), (steps, dim, dim))
-    support = invariant_support(hs, state.amplitudes)
+    support = invariant_support(hs, amplitudes)
     vals, vecs = np.linalg.eigh(hs[:, support[:, None], support])
     phases = np.exp(-1j * vals * np.full(steps, times[0])[:, None])
     props = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    amps = state.amplitudes[support]
+    amps = amplitudes[support]
     out = np.zeros((steps, dim), dtype=complex)
     for k, u in enumerate(props):
         out[k, support] = amps = u @ amps

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +28,14 @@ from fermisim.experiments import (
     sweep,
 )
 from fermisim.fermions import (
+    SCHEDULE_MODELS,
+    coupling_matrices,
     four_mode_ahm,
     spin_hamiltonian,
     three_mode_model,
     two_mode_model,
 )
-from fermisim.simulator import prepare_input
+from fermisim.simulator import invariant_support
 
 GOLDEN = Path(__file__).parent / "data" / "pre_batched_ramp_golden.json"
 FUSION_GOLDEN = Path(__file__).parent / "data" / "pre_fusion_golden.json"
@@ -293,14 +296,111 @@ class TestExactReference:
                                                  steps):
         windows = [p.window for p in
                    digitize_schedule(schedule, steps, mode_count)]
-        psi0 = prepare_input({2: "two_mode", 3: "three_mode"}[mode_count])
-        coarse = _advance_exact(psi0, schedule, mode_count, windows,
-                                EXACT_SLICES)
-        fine = _advance_exact(psi0, schedule, mode_count, windows,
+        coarse = _advance_exact(schedule, mode_count, windows, EXACT_SLICES)
+        fine = _advance_exact(schedule, mode_count, windows,
                               4 * EXACT_SLICES)
         for a, b in zip(coarse, fine):
             infidelity = 1 - abs(np.vdot(a, b)) ** 2
             assert infidelity <= 1e-10
+
+
+def random_ramp(rng: random.Random) -> Schedule:
+    """V and U piecewise linear through 2-5 random knots of either sign."""
+    duration = rng.uniform(1.0, 4.0)
+
+    def knots():
+        inner = sorted(rng.uniform(0.0, duration)
+                       for _ in range(rng.randrange(4)))
+        return tuple((t, rng.uniform(-2.0, 2.0))
+                     for t in (0.0, *inner, duration))
+
+    return Schedule(duration, knots(), knots())
+
+
+class TestReachableBlock:
+    """Each model's block is found once; the ramp stack is built on it."""
+
+    @staticmethod
+    def ramp_stacks(monkeypatch) -> list:
+        """Every Hamiltonian stack experiments passes to evolve_slices."""
+        stacks = []
+        kernel = experiments.evolve_slices
+
+        def spy(hamiltonians, *args):
+            stacks.append(hamiltonians)
+            return kernel(hamiltonians, *args)
+
+        monkeypatch.setattr(experiments, "evolve_slices", spy)
+        return stacks
+
+    @pytest.mark.parametrize("mode_count", [2, 3])
+    def test_ramp_stack_is_the_model_block(self, mode_count, tmp_path,
+                                           monkeypatch):
+        stacks = self.ramp_stacks(monkeypatch)
+        run(ExperimentConfig(f"fig5_{mode_count}mode", str(tmp_path),
+                             steps=4, noise_scale=1.0))
+        k = len(experiments.reachable_indices(
+            SCHEDULE_MODELS[mode_count](1.0, 1.0)))
+        # the step reference and the 60-sample dense reference
+        assert [hs.shape for hs in stacks] == [(4 * EXACT_SLICES, k, k),
+                                               (60 * 20, k, k)]
+        assert all(hs.dtype == np.float64 for hs in stacks)
+
+    @pytest.mark.parametrize("mode_count", [2, 3])
+    def test_block_stack_is_the_full_stack_cut(self, mode_count,
+                                               monkeypatch):
+        stacks = self.ramp_stacks(monkeypatch)
+        rng = random.Random(mode_count)
+        block = experiments.reachable_indices(
+            SCHEDULE_MODELS[mode_count](1.0, 1.0))
+        psi0 = experiments._input_state(mode_count)[0]
+        terms = np.stack(coupling_matrices(mode_count))
+        for schedule in [default_ramp_schedule(),
+                         *(random_ramp(rng) for _ in range(20))]:
+            for steps in (1, 2, 7):
+                edges = np.linspace(0.0, schedule.duration, steps + 1)
+                windows = list(zip(edges, edges[1:]))
+                stacks.clear()
+                _advance_exact(schedule, mode_count, windows, EXACT_SLICES)
+                # the full stack as it was built before the cut
+                t0, t1 = np.asarray(windows).T
+                dt = (t1 - t0) / EXACT_SLICES
+                grid = t0[:, None] + np.arange(EXACT_SLICES + 1) * dt[:, None]
+                full = np.tensordot(schedule.averages(grid).reshape(-1, 2),
+                                    terms, 1)
+                assert np.array_equal(stacks[0], full[:, block[:, None], block])
+                assert np.array_equal(invariant_support(full, psi0), block)
+
+    @pytest.mark.parametrize("experiment,steps", [("fig3", 8),
+                                                  ("fig5_3mode", None)])
+    def test_one_support_search_per_model(self, experiment, steps, tmp_path,
+                                          monkeypatch):
+        calls = []
+        search = simulator.invariant_support
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(simulator, "invariant_support", counting)
+        monkeypatch.setattr(experiments, "invariant_support", counting)
+        experiments.reachable_indices.cache_clear()
+        run(ExperimentConfig(experiment, str(tmp_path), steps=steps))
+        assert len(calls) == 1
+
+    def test_three_mode_reference_memory(self):
+        # 200 steps x 600 slices: the (120000, 3, 3) stack and its
+        # propagators, never the (120000, 8, 8) full-space stack
+        schedule = default_ramp_schedule()
+        windows = [p.window for p in digitize_schedule(schedule, 200, 3)]
+        _advance_exact(schedule, 3, windows[:1], 1)  # caches built
+        tracemalloc.start()
+        try:
+            _advance_exact(schedule, 3, windows, EXACT_SLICES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * 2 ** 20
 
 
 class TestPreBatchedRampGolden:
@@ -732,6 +832,27 @@ class TestCli:
         assert re.search(r"numerical failure: state is not normalised: "
                          r"max \|norm - 1\| = [1-9]", capsys.readouterr().err)
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_phase_past_its_digits_exit_three(self, tmp_path, capsys):
+        # V ramped to 1e7: each exact slice's |lambda dt| passes
+        # MAX_PHASE long before it overflows
+        cfg = {"experiment": "fig5_2mode", "out_dir": str(tmp_path / "out"),
+               "params": {"schedule": {
+                   "T": 3.0, "V": [[0.0, 0.0], [3.0, 1e7]],
+                   "U": [[0.0, 1.0], [3.0, 1.0]]}}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        assert re.search(r"numerical failure: phase \|lambda t\| = \S+ "
+                         r"exceeds 9007", capsys.readouterr().err)
+        assert list((tmp_path / "out").glob("*")) == []
+
+    @pytest.mark.parametrize("experiment", ["fig3", "fig4_3mode",
+                                            "fig4_4mode", "digital_error_s4"])
+    def test_total_time_cap_passes_the_phase_guard(self, tmp_path,
+                                                   experiment):
+        run(ExperimentConfig(experiment, str(tmp_path),
+                             total_time=MAX_TOTAL_TIME))
 
     def test_total_time_cap_keeps_the_phase_rule(self):
         # the fixed-coupling models that read total_time

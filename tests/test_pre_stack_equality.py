@@ -1,16 +1,19 @@
 """The exact reference stacks against copies of the code they replaced.
 
 ``old_evolve_slices`` below is ``simulator.evolve_slices`` as it was
-when it returned one ``PureState`` per window.  On the default ramps and
-on random stacks its rows must equal the new stack to the bit, and every
-ramped series experiment run on it must write the same CSV and JSON
-bytes.  The fixed-coupling experiments take their references from the
-closed form of ``simulator.evolve_constant``; run on
+when it returned one ``PureState`` per window, and ``old_advance_exact``
+the ramp reference that ran it on the full (slices, 2^n, 2^n) stack.  On
+the default ramps and on random stacks its rows must equal the new
+stack, cut to the model's reachable block, to the bit, and every ramped
+series experiment run on it must write the same CSV and JSON bytes.
+The fixed-coupling experiments take their references from the closed
+form of ``simulator.evolve_constant``; run on
 ``helpers.broadcast_constant``, the sliced path of one slice per step
 that it replaced, every unrounded CSV cell and summary number must agree
 to 1e-12.
 """
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -26,13 +29,19 @@ from fermisim.experiments import (
     run,
     write_csv,
 )
-from fermisim.fermions import four_mode_ahm, spin_hamiltonian
+from fermisim.fermions import (
+    SCHEDULE_MODELS,
+    coupling_matrices,
+    four_mode_ahm,
+    spin_hamiltonian,
+)
 from fermisim.simulator import (
     PureState,
     evolve_slices,
     invariant_support,
     ordered_product,
     prepare_input,
+    scatter_block,
 )
 from helpers import broadcast_constant, json_leaves
 
@@ -72,21 +81,30 @@ def old_stack(*args, **kwargs):
                                                              **kwargs)])
 
 
+def old_advance_exact(schedule, mode_count, windows, slices):
+    """``experiments._advance_exact`` as it was: the full-space
+    Hamiltonian stack, cut to its own closure by ``old_evolve_slices``."""
+    t0, t1 = np.asarray(windows, dtype=float).T
+    dt = (t1 - t0) / slices
+    edges = t0[:, None] + np.arange(slices + 1) * dt[:, None]
+    couplings = schedule.averages(edges).reshape(-1, 2)
+    hamiltonians = np.tensordot(couplings,
+                                np.stack(coupling_matrices(mode_count)), 1)
+    psi0 = PureState(experiments._input_state(mode_count)[0], mode_count)
+    return old_stack(hamiltonians, np.repeat(dt, slices), psi0, every=slices)
+
+
 @pytest.mark.parametrize("mode_count,steps", [(2, 2), (3, 1), (3, 7)])
-def test_default_ramp_stack_is_the_per_window_loop(mode_count, steps,
-                                                   monkeypatch):
+def test_default_ramp_stack_is_the_per_window_loop(mode_count, steps):
     schedule = default_ramp_schedule()
-    psi0 = prepare_input({2: "two_mode", 3: "three_mode"}[mode_count])
     sample = schedule.duration / 60
     for windows, slices in (
             ([p.window for p in digitize_schedule(schedule, steps,
                                                   mode_count)],
              EXACT_SLICES),
             ([(i * sample, (i + 1) * sample) for i in range(60)], 20)):
-        new = _advance_exact(psi0, schedule, mode_count, windows, slices)
-        with monkeypatch.context() as patch:
-            patch.setattr(experiments, "evolve_slices", old_stack)
-            old = _advance_exact(psi0, schedule, mode_count, windows, slices)
+        new = _advance_exact(schedule, mode_count, windows, slices)
+        old = old_advance_exact(schedule, mode_count, windows, slices)
         assert new.shape == (len(windows), 2 ** mode_count)
         assert np.array_equal(new, old)
 
@@ -103,7 +121,7 @@ def test_random_stack_is_the_per_window_loop(seed, every):
     durations = rng.uniform(0.5, 1.5, len(hs)) / every
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     state = PureState(amps / np.linalg.norm(amps), qubits)
-    new = evolve_slices(hs, durations, state, every=every)
+    new = evolve_slices(hs, durations, state.amplitudes, every)
     assert new.shape == (5, dim)
     assert np.array_equal(new, old_stack(hs, durations, state,
                                          every=every))
@@ -124,7 +142,32 @@ CASES = [
 ] + [
     ("fig5_3mode", 1.0, "s6", 5),
     ("fig4_4mode", 1.0, "s5", 300),
+    ("fig5_3mode", 1.0, "s5", 300),
 ]
+
+
+def run_both(config, tmp_path, monkeypatch, old_patch):
+    """Run ``config`` with the new code and with ``old_patch`` (name,
+    reference) in ``experiments``: ({tag: {file: bytes}},
+    {tag: {CSV name: unrounded rows}})."""
+    files, rows = {}, {}
+    for tag in ("new", "old"):
+        rows[tag] = {}
+
+        def capture(path, header, table, rows=rows[tag]):
+            rows[path.name] = table
+            write_csv(path, header, table)
+
+        with monkeypatch.context() as patch:
+            if tag == "old":
+                patch.setattr(experiments, *old_patch)
+            patch.setattr(experiments, "write_csv", capture)
+            (tmp_path / tag).mkdir()
+            patch.chdir(tmp_path / tag)
+            run(ExperimentConfig(**config))
+        files[tag] = {p.name: p.read_bytes()
+                      for p in (tmp_path / tag / "out").iterdir()}
+    return files, rows
 
 
 @pytest.mark.parametrize("experiment,noise,ordering,steps", CASES)
@@ -138,26 +181,9 @@ def test_series_files_match_the_per_window_loop(experiment, noise, ordering,
     if steps is not None:
         config["steps"] = steps
     fixed = experiment in FIXED_COUPLING
-    files, rows = {}, {}
-    for tag in ("new", "old"):
-        rows[tag] = {}
-
-        def capture(path, header, table, rows=rows[tag]):
-            rows[path.name] = table
-            write_csv(path, header, table)
-
-        with monkeypatch.context() as patch:
-            if tag == "old" and fixed:
-                patch.setattr(experiments, "evolve_constant",
-                              broadcast_constant)
-            elif tag == "old":
-                patch.setattr(experiments, "evolve_slices", old_stack)
-            patch.setattr(experiments, "write_csv", capture)
-            (tmp_path / tag).mkdir()
-            patch.chdir(tmp_path / tag)
-            run(ExperimentConfig(**config))
-        files[tag] = {p.name: p.read_bytes()
-                      for p in (tmp_path / tag / "out").iterdir()}
+    files, rows = run_both(config, tmp_path, monkeypatch,
+                           ("evolve_constant", broadcast_constant) if fixed
+                           else ("_advance_exact", old_advance_exact))
     assert any(name.endswith(".csv") for name in files["new"])
     assert "summary.json" in files["new"]
     if not fixed:
@@ -186,16 +212,54 @@ def test_series_files_match_the_per_window_loop(experiment, noise, ordering,
             assert new_leaves[key] == want, key
 
 
+ZERO_COUPLING = {
+    # V = 0 throughout: the stack couples no basis states, so its own
+    # closure is the input's support, narrower than the model block
+    "v0": {"T": 3.0, "V": [[0.0, 0.0], [3.0, 0.0]],
+           "U": [[0.0, 1.0], [3.0, 0.4]]},
+    # U = 0 throughout: the hopping alone reaches the whole block
+    "u0": {"T": 3.0, "V": [[0.0, 0.2], [3.0, 1.0]],
+           "U": [[0.0, 0.0], [3.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("mode_count", [2, 3])
+@pytest.mark.parametrize("name", sorted(ZERO_COUPLING))
+def test_zero_coupling_ramp_files_match_the_per_window_loop(
+        name, mode_count, tmp_path, monkeypatch):
+    closures = []
+
+    def spy(hs, durations, state, every, stack=old_stack):
+        closures.append(len(invariant_support(hs, state.amplitudes)))
+        return stack(hs, durations, state, every=every)
+
+    monkeypatch.setattr(sys.modules[__name__], "old_stack", spy)
+    config = {"experiment": f"fig5_{mode_count}mode", "out_dir": "out",
+              "noise_scale": 1.0, "steps": 3,
+              "params": {"schedule": ZERO_COUPLING[name]}}
+    files, _ = run_both(config, tmp_path, monkeypatch,
+                        ("_advance_exact", old_advance_exact))
+    assert files["new"] == files["old"]
+    block = len(experiments.reachable_indices(
+        SCHEDULE_MODELS[mode_count](1.0, 1.0)))
+    assert len(closures) == 2  # the step and the dense references
+    assert all(c < block if name == "v0" else c == block for c in closures)
+
+
 def test_broadcast_copy_is_the_sliced_path():
-    # the test-local reference is evolve_slices on a constant stack
+    # the test-local reference is evolve_slices on a constant stack,
+    # cut to the state's invariant support as experiments cut it
     h = spin_hamiltonian(four_mode_ahm(1.0, 1.0, 0.0, 1.0)).to_dense()
     psi = prepare_input("four_mode")
+    block = invariant_support(h[None], psi.amplitudes)
     dt = 5.0 / 300
     times = [(k + 1) * dt for k in range(300)]
+    hb = h[block[:, None], block]
     assert np.array_equal(
-        broadcast_constant(h, times, psi),
-        evolve_slices(np.broadcast_to(h, (300, *h.shape)), np.full(300, dt),
-                      psi, every=1))
+        broadcast_constant(h, times, psi.amplitudes),
+        scatter_block(evolve_slices(np.broadcast_to(hb, (300, *hb.shape)),
+                                    np.full(300, dt), psi.amplitudes[block],
+                                    1), block, len(h)))
 
 
 def _norm_checks(monkeypatch, mode_count: int) -> list:

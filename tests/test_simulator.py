@@ -38,6 +38,7 @@ from fermisim.fermions import (
 from fermisim.pauli import WeightedPauliSum
 from fermisim.simulator import (
     DensityState,
+    MAX_PHASE,
     NoiseModel,
     PureState,
     apply_circuit,
@@ -50,6 +51,7 @@ from fermisim.simulator import (
     lower_circuit,
     mode_occupations,
     prepare_input,
+    scatter_block,
     state_fidelity,
 )
 from helpers import basis_state, broadcast_constant, input_circuit
@@ -283,7 +285,7 @@ class TestEvolveSlices:
         durations = rng.uniform(0.5, 1.5, len(hs)) / every
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state = PureState(amps / np.linalg.norm(amps), qubits)
-        out = evolve_slices(hs, durations, state, every=every)
+        out = evolve_slices(hs, durations, state.amplitudes, every)
         want = per_slice_reference(hs, durations, state.amplitudes, every)
         assert out.shape == (3, dim) and len(want) == 3
         for got, ref in zip(out, want):
@@ -297,7 +299,7 @@ class TestEvolveSlices:
         psi = prepare_input("four_mode")
         dt = 0.37
         direct = evolve_slices(np.broadcast_to(h, (8, 16, 16)),
-                               np.full(8, dt), psi, every=1)
+                               np.full(8, dt), psi.amplitudes, 1)
         times, _, stack = _model_checkpoints(model, 8 * dt, 8,
                                              "canonical_s5")
         assert direct.shape == stack.shape == (8, 16)
@@ -316,8 +318,8 @@ class TestEvolveSlices:
         hs = self.slices()
         dts = np.linspace(0.1, 0.6, len(hs))
         state = prepare_input("two_mode")
-        out = evolve_slices(np.stack([h.to_dense() for h in hs]), dts, state,
-                            every=2)
+        out = on_support(np.stack([h.to_dense() for h in hs]), dts, state,
+                         every=2)
         assert len(out) == 3
         for k, h in enumerate(hs):
             state = exact_evolve(h, dts[k], state)
@@ -325,24 +327,21 @@ class TestEvolveSlices:
                 assert np.allclose(out[k // 2], state.amplitudes,
                                    rtol=0, atol=1e-13)
 
-    def test_default_returns_final_state(self):
-        hs = np.stack([h.to_dense() for h in self.slices()])
-        out = evolve_slices(hs, np.full(len(hs), 0.2),
-                            prepare_input("two_mode"))
-        assert out.shape == (1, 4)
-
     def test_shape_and_grouping_checked(self):
         hs = np.stack([h.to_dense() for h in self.slices(4)])
-        with pytest.raises(ValueError, match="qubit counts"):
-            evolve_slices(hs, np.ones(4), prepare_input("three_mode"))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            evolve_slices(hs, np.ones(4), prepare_input("three_mode")
+                          .amplitudes, 4)
         with pytest.raises(ValueError, match="multiple"):
-            evolve_slices(hs, np.ones(4), prepare_input("two_mode"), every=3)
+            evolve_slices(hs, np.ones(4), prepare_input("two_mode")
+                          .amplitudes, 3)
 
     def test_overflowing_phase_raises(self):
         # a finite but huge duration used to give NaN amplitudes
         hs = np.stack([h.to_dense() for h in self.slices(2)])
         with pytest.raises(FloatingPointError, match="overflow"):
-            evolve_slices(hs, np.full(2, 1.7e308), prepare_input("two_mode"))
+            on_support(hs, np.full(2, 1.7e308), prepare_input("two_mode"),
+                       every=2)
 
     def test_norm_drift_is_a_numerical_failure(self, monkeypatch):
         # the input is a checked state: a row off unit norm is rounding
@@ -352,7 +351,19 @@ class TestEvolveSlices:
         with pytest.raises(FloatingPointError, match=(
                 r"^state is not normalised: "
                 r"max \|norm - 1\| = [1-9]")):
-            evolve_slices(hs, np.full(len(hs), 0.2), state, every=2)
+            on_support(hs, np.full(len(hs), 0.2), state, every=2)
+
+    @pytest.mark.parametrize("late", [0, 1])
+    def test_slice_phase_past_its_digits_raises(self, late):
+        # each slice's own max |lambda dt_k|, at either end of its
+        # spectrum, not the sum over slices
+        hs = np.stack([np.diag([1.0, -2.0]), np.diag([2.0, -1.0])])
+        amps = np.array([1.0, 0.0], dtype=complex)
+        evolve_slices(hs, np.full(2, MAX_PHASE / 2), amps, 1)
+        durations = np.full(2, MAX_PHASE / 2)
+        durations[late] = np.nextafter(MAX_PHASE / 2, np.inf)
+        with pytest.raises(FloatingPointError, match="exceeds"):
+            evolve_slices(hs, durations, amps, 1)
 
     @pytest.mark.parametrize("durations", [
         [0.2],             # used to broadcast over all four slices
@@ -364,7 +375,7 @@ class TestEvolveSlices:
     def test_one_duration_per_slice(self, durations):
         hs = np.stack([h.to_dense() for h in self.slices(4)])
         with pytest.raises(ValueError, match="one entry per slice"):
-            evolve_slices(hs, durations, prepare_input("two_mode"))
+            on_support(hs, durations, prepare_input("two_mode"), every=4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_duration_rejected(self, bad):
@@ -373,7 +384,16 @@ class TestEvolveSlices:
         durations = np.full(4, 0.2)
         durations[2] = bad
         with pytest.raises(ValueError, match="finite"):
-            evolve_slices(hs, durations, prepare_input("two_mode"))
+            on_support(hs, durations, prepare_input("two_mode"), every=4)
+
+
+def on_support(hs, durations, state, every):
+    """evolve_slices on the state's invariant support, its (windows, k)
+    rows scattered back to the full space."""
+    block = invariant_support(hs, state.amplitudes)
+    rows = evolve_slices(hs[:, block[:, None], block], durations,
+                         state.amplitudes[block], every)
+    return scatter_block(rows, block, len(state.amplitudes))
 
 
 def full_space_evolution(hs, durations, amps, every):
@@ -442,7 +462,7 @@ class TestInvariantSupport:
         assert np.array_equal(invariant_support(hs, state.amplitudes),
                               closure)
         durations = rng.uniform(0.5, 1.5, len(hs)) / every
-        out = evolve_slices(hs, durations, state, every=every)
+        out = on_support(hs, durations, state, every)
         want = per_slice_reference(hs, durations, state.amplitudes, every)
         assert len(out) == len(want) == windows
         outside = np.setdiff1d(np.arange(2 ** qubits), closure)
@@ -465,8 +485,9 @@ class TestInvariantSupport:
         closure = invariant_support(hs, state.amplitudes)
         assert set(blocks[0]) | set(blocks[1]) <= set(closure)
         durations = rng.uniform(0.5, 1.5, len(hs)) / every
-        out = evolve_slices(hs, durations, state, every=every)
+        out = on_support(hs, durations, state, every)
         want = per_slice_reference(hs, durations, state.amplitudes, every)
+        assert len(out) == len(want) == windows
         for got, ref in zip(out, want):
             assert np.max(np.abs(got - ref)) <= 1e-13
         # the final state has passed the coupling slice
@@ -481,8 +502,13 @@ class TestInvariantSupport:
         hs = m + m.transpose(0, 2, 1)
         durations = rng.uniform(0.5, 1.5, len(hs)) / every
         state = state_on(rng, np.arange(dim), qubits)
-        assert len(invariant_support(hs, state.amplitudes)) == dim
-        out = evolve_slices(hs, durations, state, every=every)
+        block = invariant_support(hs, state.amplitudes)
+        assert np.array_equal(block, np.arange(dim))
+        # the support block, cut as a caller cuts it, and the full stack
+        out = evolve_slices(hs[:, block[:, None], block], durations,
+                            state.amplitudes[block], every)
+        assert np.array_equal(out, evolve_slices(hs, durations,
+                                                 state.amplitudes, every))
         want = full_space_evolution(hs, durations, state.amplitudes, every)
         for got, ref in zip(out, want):
             assert np.array_equal(got, ref)
@@ -525,7 +551,11 @@ class TestEvolveConstant:
     def test_rows_match_expm(self, seed, qubits, block_count, times):
         rng, hs, blocks = planted_blocks(seed, qubits, block_count, 1)
         state = state_on(rng, blocks[0], qubits)
-        out = evolve_constant(hs[0], times, state)
+        block = invariant_support(hs, state.amplitudes)
+        assert np.array_equal(block, np.sort(blocks[0]))
+        out = scatter_block(evolve_constant(hs[0][block[:, None], block],
+                                            times, state.amplitudes[block]),
+                            block, 2 ** qubits)
         assert out.shape == (len(times), 2 ** qubits)
         for row, t in zip(out, times):
             want = expm(-1j * hs[0] * t) @ state.amplitudes
@@ -542,7 +572,7 @@ class TestEvolveConstant:
         assert stack.shape == (MAX_STEPS, 2 ** n)
         assert np.max(np.abs((np.abs(stack) ** 2).sum(axis=1) - 1)) <= 1e-14
         sliced = broadcast_constant(spin_hamiltonian(model).to_dense(),
-                                    times, psi)
+                                    times, psi.amplitudes)
         assert np.max(np.abs(stack - sliced)) <= 1e-12
 
     def test_one_eigendecomposition_per_series(self, tmp_path, monkeypatch):
@@ -588,20 +618,38 @@ class TestEvolveConstant:
         with pytest.raises(FloatingPointError, match="overflow"):
             exact_evolve(h, 1.7e308, prepare_input("two_mode"))
 
+    @pytest.mark.parametrize("t", [1e5, 1e15, 1.7e308])
+    def test_exact_evolve_phase_past_its_digits_raises(self, t):
+        # spectrum +-1 on the input's support: lambda t does not
+        # overflow, but it has lost the digits of the 1e-12 rule
+        h = spin_hamiltonian(two_mode_model(1.0, 1.0))
+        with pytest.raises(FloatingPointError, match="exceeds"):
+            exact_evolve(h, t, prepare_input("two_mode"))
+
+    def test_phase_bound_is_inclusive(self):
+        h = np.diag([0.5, -1.0])
+        amps = np.array([0.6, 0.8j])
+        assert evolve_constant(h, [0.0, -MAX_PHASE], amps).shape == (2, 2)
+        with pytest.raises(FloatingPointError, match="exceeds"):
+            evolve_constant(h, [np.nextafter(MAX_PHASE, np.inf)], amps)
+
     @pytest.mark.parametrize("times", [[[0.2]], 0.2])
     def test_times_must_be_one_dimensional(self, times):
         h = spin_hamiltonian(two_mode_model(1.0, 1.0)).to_dense()
         with pytest.raises(ValueError, match="1-D"):
-            evolve_constant(h, times, prepare_input("two_mode"))
+            evolve_constant(h, times, prepare_input("two_mode").amplitudes)
 
     def test_norm_drift_is_a_numerical_failure(self, monkeypatch):
         h = spin_hamiltonian(two_mode_model(1.0, 1.0)).to_dense()
         state = prepare_input("two_mode")
+        block = invariant_support(h[None], state.amplitudes)
         monkeypatch.setattr(simulator, "NORM_TOL", 0.0)
         with pytest.raises(FloatingPointError, match=(
                 r"^state is not normalised: "
                 r"max \|norm - 1\| = [1-9]")):
-            evolve_constant(h, np.linspace(0.1, 5.0, 50), state)
+            evolve_constant(h[block[:, None], block],
+                            np.linspace(0.1, 5.0, 50),
+                            state.amplitudes[block])
 
 
 class TestOccupations:
